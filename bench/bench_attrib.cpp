@@ -102,7 +102,6 @@ measure_counters()
     runtime::ServiceConfig cfg;
     cfg.num_workers = 1;
     cfg.total_parallelism = 1;
-    cfg.record_trace = false;
     runtime::ProofService service(cfg);
     std::vector<Counters> out;
     for (const RosterEntry &e : roster()) {

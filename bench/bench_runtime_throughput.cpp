@@ -95,11 +95,11 @@ run_batch(const std::vector<std::vector<uint8_t>> &frames, size_t workers,
         res.wall_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-        res.mean_latency_ms = service.metrics().mean_latency_ms();
         res.cache_hit_rate = service.cache_stats().hit_rate();
         res.trace = service.trace();
-        // Latency percentiles come from this instance's registry
-        // histogram (±4.4% bucket error; zeros when telemetry is off).
+        // Latency mean and percentiles come from this instance's
+        // registry histogram (percentiles within ±4.4% bucket error;
+        // zeros when telemetry is off).
         auto snap = obs::MetricsRegistry::global().snapshot();
         const auto *lat = snap.find(
             "zkspeed_job_latency_ms",
@@ -107,6 +107,7 @@ run_batch(const std::vector<std::vector<uint8_t>> &frames, size_t workers,
              {"service", service.instance_label()},
              {"status", "ok"}});
         if (lat != nullptr && lat->hist.count > 0) {
+            res.mean_latency_ms = lat->hist.sum / double(lat->hist.count);
             res.p50_ms = lat->hist.quantile(0.50);
             res.p95_ms = lat->hist.quantile(0.95);
             res.p99_ms = lat->hist.quantile(0.99);

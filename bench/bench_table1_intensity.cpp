@@ -36,7 +36,7 @@ main()
     auto srs = std::make_shared<pcs::Srs>(pcs::Srs::generate(mu, rng));
     auto [pk, vk] = keygen(std::move(index), srs);
 
-    Profiler::instance().reset();
+    obs::MetricsRegistry::global().reset();
     Proof proof = prove(pk, wit);
     bool ok = verify(vk, wit.public_inputs(pk.index), proof);
 
@@ -46,7 +46,7 @@ main()
                     {"Input (MB)", 12}, {"Output (MB)", 13},
                     {"Modmul/byte", 13}, {"Time (ms)", 11}});
     // Sort by arithmetic intensity, as the paper does.
-    auto kernels = Profiler::instance().kernels();
+    auto kernels = kernel_profiles(obs::MetricsRegistry::global().snapshot());
     std::vector<std::pair<std::string, KernelProfile>> rows(
         kernels.begin(), kernels.end());
     std::sort(rows.begin(), rows.end(), [](auto &a, auto &b) {

@@ -338,26 +338,47 @@ main(int argc, char **argv)
                 corrupted_rejected ? "rejected (bisection)"
                                    : "NOT rejected");
 
-    auto m = service.metrics();
+    // Whole-run aggregates straight from this instance's registry
+    // series (the window opens at zero, i.e. at service start).
+    const std::pair<std::string, std::string> sv{"service",
+                                                 service.instance_label()};
+    auto run = obs::WindowDelta::between(
+        obs::MetricsRegistry::global().snapshot(), obs::Snapshot{}, 0.0);
+    auto latency = [&](obs::LabelSet labels) {
+        labels.push_back(sv);
+        return run.merged_histogram({"zkspeed_job_latency_ms", labels});
+    };
+    auto total = [&](const char *name, obs::LabelSet labels) {
+        labels.push_back(sv);
+        return (unsigned long long)run.total({name, labels});
+    };
+    auto mean = [](const obs::HistogramSnapshot &h) {
+        return h.count == 0 ? 0.0 : h.sum / double(h.count);
+    };
+    auto prove_ok = latency({{"class", "prove"}, {"status", "ok"}});
+    auto verify_ok = latency({{"class", "verify"}, {"status", "ok"}});
+    auto batches = run.merged_histogram({"zkspeed_verify_batch_size", {sv}});
     auto cache = service.cache_stats();
     std::printf("\naggregate: %llu ok, %llu rejected, %llu failed\n",
-                (unsigned long long)m.jobs_ok(),
-                (unsigned long long)m.jobs_rejected(),
-                (unsigned long long)m.jobs_failed());
+                total("zkspeed_job_latency_ms", {{"status", "ok"}}),
+                total("zkspeed_job_latency_ms", {{"status", "rejected"}}),
+                total("zkspeed_job_latency_ms", {{"status", "failed"}}));
     std::printf("  prove   %llu ok, mean %.2f ms\n",
-                (unsigned long long)m.prove_class.jobs_ok,
-                m.prove_class.mean_latency_ms());
+                (unsigned long long)prove_ok.count, mean(prove_ok));
     std::printf("  verify  %llu ok, %llu rejected, mean %.2f ms "
                 "(%llu batch(es), %.1f proofs/batch, "
                 "%llu bisection probe(s))\n",
-                (unsigned long long)m.verify_class.jobs_ok,
-                (unsigned long long)m.verify_class.jobs_rejected,
-                m.verify_class.mean_latency_ms(),
-                (unsigned long long)m.verify_batches.batches,
-                m.verify_batches.mean_batch_size(),
-                (unsigned long long)m.verify_batches.bisection_steps);
+                (unsigned long long)verify_ok.count,
+                total("zkspeed_job_latency_ms",
+                      {{"class", "verify"}, {"status", "rejected"}}),
+                mean(verify_ok), (unsigned long long)batches.count,
+                mean(batches),
+                total("zkspeed_verify_bisection_steps_total", {}));
     std::printf("  modmuls  %.1f M Fr, %.1f M Fq\n",
-                double(m.modmul_fr) / 1e6, double(m.modmul_fq) / 1e6);
+                double(total("zkspeed_modmuls_total", {{"field", "fr"}})) /
+                    1e6,
+                double(total("zkspeed_modmuls_total", {{"field", "fq"}})) /
+                    1e6);
     std::printf("  key cache: %llu hits / %llu misses (%.0f%% hit rate)\n",
                 (unsigned long long)cache.hits,
                 (unsigned long long)cache.misses,
@@ -365,23 +386,12 @@ main(int argc, char **argv)
     std::printf("  response stream: %zu bytes for %zu responses\n",
                 response_stream.size(),
                 futures.size() + verify_futures.size());
-
-    // Registry percentiles (Fig-12-style breakdown needs more than the
-    // struct view's min/mean/max).
-    {
-        auto snap = obs::MetricsRegistry::global().snapshot();
-        const auto *lat = snap.find(
-            "zkspeed_job_latency_ms",
-            {{"service", service.instance_label()},
-             {"class", "prove"},
-             {"status", "ok"}});
-        if (lat != nullptr && lat->hist.count > 0) {
-            std::printf("  prove latency p50/p90/p99: %.2f / %.2f / "
-                        "%.2f ms (±%.1f%% bucket error)\n",
-                        lat->hist.quantile(0.50), lat->hist.quantile(0.90),
-                        lat->hist.quantile(0.99),
-                        100.0 * obs::HistogramBuckets::kMaxRelativeError);
-        }
+    if (prove_ok.count > 0) {
+        std::printf("  prove latency p50/p90/p99: %.2f / %.2f / "
+                    "%.2f ms (±%.1f%% bucket error)\n",
+                    prove_ok.quantile(0.50), prove_ok.quantile(0.90),
+                    prove_ok.quantile(0.99),
+                    100.0 * obs::HistogramBuckets::kMaxRelativeError);
     }
 
     // What would the paper's accelerator do with this exact job stream?

@@ -15,12 +15,12 @@
  *   zkspeed_prover_kernel_seconds{kernel=...}         (histogram,
  *       count = calls, sum = total seconds)
  * so they ride the same per-thread shards as the service metrics:
- * record() resolves its handles through a thread-local cache and never
- * takes a global lock in steady state — concurrent provers no longer
- * serialise on every prover-step exit (the old design was one global
- * mutex plus a std::map<std::string,...> lookup per call). Regions also
- * emit trace spans, nesting under the service's prove span in the
- * Perfetto export.
+ * record_kernel() resolves its handles through a thread-local cache and
+ * never takes a global lock in steady state, so concurrent provers do
+ * not serialise on prover-step exits. The registry is the only store of
+ * these totals; kernel_profiles() reads the Table-1 rows back out of a
+ * snapshot. Regions also emit trace spans, nesting under the service's
+ * prove span in the Perfetto export.
  */
 #pragma once
 
@@ -35,7 +35,7 @@
 
 namespace zkspeed::hyperplonk {
 
-/** Accumulated statistics for one named kernel. */
+/** One Table-1 row: accumulated statistics for one named kernel. */
 struct KernelProfile {
     uint64_t modmuls = 0;
     uint64_t bytes_in = 0;
@@ -52,94 +52,23 @@ struct KernelProfile {
 };
 
 /**
- * Process-wide kernel profile facade over obs::MetricsRegistry::global().
- * The class survives as an API shim: record() is the sharded hot path,
- * kernels() reconstructs the Table-1 view from a registry snapshot.
+ * Fold one kernel invocation into the global registry (the Table-1
+ * series above). Handles resolve through a thread-local name cache; a
+ * miss registers the series once, the only lock this path ever takes
+ * (once per kernel per thread).
  */
-class Profiler
+inline void
+record_kernel(const std::string &name, uint64_t modmuls, uint64_t bytes_in,
+              uint64_t bytes_out, double seconds)
 {
-  public:
-    static Profiler &
-    instance()
-    {
-        static Profiler p;
-        return p;
-    }
-
-    /**
-     * Zero every series in the global registry (kernel profiles have no
-     * private storage to clear in isolation). Bench/test setup only.
-     */
-    void
-    reset()
-    {
-        obs::MetricsRegistry::global().reset();
-    }
-
-    void
-    record(const std::string &name, uint64_t modmuls, uint64_t bytes_in,
-           uint64_t bytes_out, double seconds)
-    {
-        if (!obs::enabled()) return;
-        const Handles &h = handles(name);
-        auto &reg = obs::MetricsRegistry::global();
-        reg.add(h.modmuls, modmuls);
-        reg.add(h.bytes_in, bytes_in);
-        reg.add(h.bytes_out, bytes_out);
-        reg.observe(h.seconds, seconds);
-    }
-
-    /** Snapshot of the kernel profiles (concurrent provers keep
-     * recording; reconstructed from the shared registry). */
-    std::map<std::string, KernelProfile>
-    kernels() const
-    {
-        std::map<std::string, KernelProfile> out;
-        auto label = [](const obs::MetricSnapshot &m,
-                        const char *key) -> const std::string * {
-            for (const auto &[k, v] : m.labels) {
-                if (k == key) return &v;
-            }
-            return nullptr;
-        };
-        auto snap = obs::MetricsRegistry::global().snapshot();
-        for (const auto &m : snap.metrics) {
-            const std::string *kernel = label(m, "kernel");
-            if (kernel == nullptr) continue;
-            if (m.name == "zkspeed_prover_kernel_modmuls_total") {
-                out[*kernel].modmuls = m.counter;
-            } else if (m.name == "zkspeed_prover_kernel_bytes_total") {
-                const std::string *dir = label(m, "direction");
-                if (dir == nullptr) continue;
-                if (*dir == "in") out[*kernel].bytes_in = m.counter;
-                else out[*kernel].bytes_out = m.counter;
-            } else if (m.name == "zkspeed_prover_kernel_seconds") {
-                out[*kernel].calls = m.hist.count;
-                out[*kernel].seconds = m.hist.sum;
-            }
-        }
-        // Drop all-zero rows a reset() leaves behind.
-        for (auto it = out.begin(); it != out.end();) {
-            if (it->second.calls == 0) it = out.erase(it);
-            else ++it;
-        }
-        return out;
-    }
-
-  private:
+    if (!obs::enabled()) return;
     struct Handles {
         obs::MetricId modmuls, bytes_in, bytes_out, seconds;
     };
-
-    /** Thread-local name -> handles cache; a miss registers the series
-     * once (the only lock this path ever takes, once per thread). */
-    static const Handles &
-    handles(const std::string &name)
-    {
-        thread_local std::unordered_map<std::string, Handles> cache;
-        auto it = cache.find(name);
-        if (it != cache.end()) return it->second;
-        auto &reg = obs::MetricsRegistry::global();
+    thread_local std::unordered_map<std::string, Handles> cache;
+    auto &reg = obs::MetricsRegistry::global();
+    auto it = cache.find(name);
+    if (it == cache.end()) {
         Handles h;
         h.modmuls = reg.counter(
             "zkspeed_prover_kernel_modmuls_total", {{"kernel", name}},
@@ -155,9 +84,49 @@ class Profiler
         h.seconds = reg.histogram(
             "zkspeed_prover_kernel_seconds", {{"kernel", name}},
             "Wall seconds per prover-kernel invocation");
-        return cache.emplace(name, h).first->second;
+        it = cache.emplace(name, h).first;
     }
-};
+    const Handles &h = it->second;
+    reg.add(h.modmuls, modmuls);
+    reg.add(h.bytes_in, bytes_in);
+    reg.add(h.bytes_out, bytes_out);
+    reg.observe(h.seconds, seconds);
+}
+
+/**
+ * The Table-1 view of a registry snapshot: per-kernel totals of the
+ * series record_kernel() feeds. Kernels with no recorded call (e.g.
+ * after MetricsRegistry::reset()) are left out.
+ */
+inline std::map<std::string, KernelProfile>
+kernel_profiles(const obs::Snapshot &snap)
+{
+    auto label = [](const obs::MetricSnapshot &m,
+                    const char *key) -> const std::string * {
+        for (const auto &[k, v] : m.labels) {
+            if (k == key) return &v;
+        }
+        return nullptr;
+    };
+    std::map<std::string, KernelProfile> out;
+    for (const auto &m : snap.metrics) {
+        const std::string *kernel = label(m, "kernel");
+        if (kernel == nullptr) continue;
+        if (m.name == "zkspeed_prover_kernel_modmuls_total") {
+            out[*kernel].modmuls = m.counter;
+        } else if (m.name == "zkspeed_prover_kernel_bytes_total") {
+            const std::string *dir = label(m, "direction");
+            if (dir == nullptr) continue;
+            if (*dir == "in") out[*kernel].bytes_in = m.counter;
+            else out[*kernel].bytes_out = m.counter;
+        } else if (m.name == "zkspeed_prover_kernel_seconds") {
+            out[*kernel].calls = m.hist.count;
+            out[*kernel].seconds = m.hist.sum;
+        }
+    }
+    std::erase_if(out, [](const auto &kv) { return kv.second.calls == 0; });
+    return out;
+}
 
 /**
  * RAII region: captures modmul deltas and wall time; the instrumented
@@ -182,8 +151,7 @@ class ProfileRegion
             std::chrono::duration<double>(end - start_).count();
         uint64_t fr = scope_.fr_delta();
         uint64_t fq = scope_.fq_delta();
-        Profiler::instance().record(name_, fr + fq, bytes_in_,
-                                    bytes_out_, secs);
+        record_kernel(name_, fr + fq, bytes_in_, bytes_out_, secs);
         // Per-span counter deltas ride as numeric span attributes:
         // rendered into Chrome-trace `args` for Perfetto, and joined
         // per kernel per job by obs/attrib.

@@ -104,16 +104,14 @@ record_sumcheck(const std::string &round_name, const SumcheckCosts &costs,
     uint64_t total = costs.round_modmuls + costs.update_modmuls;
     double round_share =
         total == 0 ? 0.5 : double(costs.round_modmuls) / double(total);
-    Profiler::instance().record(round_name, costs.round_modmuls,
-                                costs.round_bytes_in, 0,
-                                seconds * round_share);
-    Profiler::instance().record("All MLE Updates", costs.update_modmuls,
-                                costs.update_bytes_in,
-                                costs.update_bytes_out,
-                                seconds * (1.0 - round_share));
+    record_kernel(round_name, costs.round_modmuls, costs.round_bytes_in, 0,
+                  seconds * round_share);
+    record_kernel("All MLE Updates", costs.update_modmuls,
+                  costs.update_bytes_in, costs.update_bytes_out,
+                  seconds * (1.0 - round_share));
 }
 
-/** Timed sumcheck wrapper feeding the profiler (and a trace span —
+/** Timed sumcheck wrapper feeding the kernel series (and a trace span —
  * the per-round/update metric split keeps its Table-1 row names while
  * the span shows the whole sumcheck as one prover phase). */
 SumcheckProverResult

@@ -15,6 +15,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "obs/export.hpp"
@@ -26,6 +27,11 @@
 namespace zkspeed::obs {
 
 namespace {
+
+/** Bound on each blocking read poll and each send on an accepted
+ * socket: a client that stops reading (or never sends its request)
+ * releases its handler thread after this long. */
+constexpr int kIoTimeoutMs = 2000;
 
 std::mutex g_hook_mu;
 ReadinessProvider g_readiness;
@@ -222,6 +228,10 @@ struct HttpServer::Impl {
                 if (stopping.load(std::memory_order_acquire)) return;
                 continue;
             }
+            timeval send_timeout = {kIoTimeoutMs / 1000,
+                                    (kIoTimeoutMs % 1000) * 1000};
+            setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+                       sizeof(send_timeout));
             bool queued = false;
             {
                 std::lock_guard<std::mutex> lock(mu);
@@ -254,7 +264,7 @@ struct HttpServer::Impl {
         char buf[2048];
         while (head.size() < cfg.max_request_bytes) {
             struct pollfd pfd = {fd, POLLIN, 0};
-            int pr = poll(&pfd, 1, 2000);
+            int pr = poll(&pfd, 1, kIoTimeoutMs);
             if (pr <= 0) return false;
             ssize_t n = recv(fd, buf, sizeof(buf), 0);
             if (n <= 0) return false;

@@ -13,7 +13,7 @@
  *     snapshot or on each other.
  *   - Shards outlive their threads: a worker that exits leaves its
  *     cumulative cells in the registry, so totals survive pool
- *     shutdown (ProofService::metrics() after shutdown() still sees
+ *     shutdown (a snapshot after ProofService::shutdown() still sees
  *     every job).
  *   - Gauges are registry-level single atomics (set semantics do not
  *     shard); counters and histograms shard and merge by summation.

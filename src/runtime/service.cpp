@@ -29,7 +29,7 @@ ms_since(Clock::time_point t0)
 /** Distinguishes each instance's series in the process registry. */
 std::atomic<uint32_t> g_next_instance{0};
 
-/** ClassMetrics status bucket: 0 = ok, 1 = rejected, 2 = failed. */
+/** Status label index: 0 = ok, 1 = rejected, 2 = failed. */
 int
 status_bucket(JobStatus s)
 {
@@ -81,8 +81,10 @@ note_worker_exception(const char *where, const std::string &what)
 ProofService::ProofService(ServiceConfig cfg)
     : cfg_(cfg),
       instance_("svc" + std::to_string(g_next_instance.fetch_add(1))),
+      tele_(register_telemetry()),
       queue_(std::max<size_t>(1, cfg.queue_capacity)),
-      cache_(cfg.key_cache_capacity, cfg.srs_seed)
+      cache_(cfg.key_cache_capacity, cfg.srs_seed),
+      trace_(tele_.trace_evicted)
 {
     cfg_.num_workers = std::max<size_t>(1, cfg_.num_workers);
     cfg_.verify_batch_size = std::max<size_t>(1, cfg_.verify_batch_size);
@@ -91,82 +93,86 @@ ProofService::ProofService(ServiceConfig cfg)
                        : std::max<size_t>(
                              1, std::thread::hardware_concurrency());
     per_worker_budget_ = std::max<size_t>(1, total / cfg_.num_workers);
-    register_telemetry();
     if (!cfg_.start_paused) start();
 }
 
-void
-ProofService::register_telemetry()
+ProofService::Telemetry
+ProofService::register_telemetry() const
 {
+    Telemetry tele;
     auto &reg = obs::MetricsRegistry::global();
     const std::pair<std::string, std::string> svc{"service", instance_};
     static const char *kClass[2] = {"prove", "verify"};
     static const char *kStatus[3] = {"ok", "rejected", "failed"};
     for (int c = 0; c < 2; ++c) {
         for (int s = 0; s < 3; ++s) {
-            tele_.latency[c][s] = reg.histogram(
+            tele.latency[c][s] = reg.histogram(
                 "zkspeed_job_latency_ms",
                 {svc, {"class", kClass[c]}, {"status", kStatus[s]}},
                 "End-to-end job latency (submit -> response), every "
                 "terminal job including rejected/failed ones");
         }
-        tele_.queue_ms[c] = reg.histogram(
+        tele.queue_ms[c] = reg.histogram(
             "zkspeed_job_queue_ms", {svc, {"class", kClass[c]}},
             "Submit -> worker-pickup wait per job");
-        tele_.active_ms[c] = reg.histogram(
+        tele.active_ms[c] = reg.histogram(
             "zkspeed_job_active_ms", {svc, {"class", kClass[c]}},
             "Worker-active time per job (prove / algebraic verify)");
     }
-    tele_.modmul_fr =
+    tele.modmul_fr =
         reg.counter("zkspeed_modmuls_total", {svc, {"field", "fr"}},
                     "Modular multiplications across all jobs");
-    tele_.modmul_fq =
+    tele.modmul_fq =
         reg.counter("zkspeed_modmuls_total", {svc, {"field", "fq"}},
                     "Modular multiplications across all jobs");
-    tele_.cache_hits =
+    tele.cache_hits =
         reg.counter("zkspeed_key_cache_hits_total", {svc},
                     "Jobs that found their proving key resident");
-    tele_.proof_bytes =
+    tele.proof_bytes =
         reg.counter("zkspeed_proof_bytes_total", {svc},
                     "Canonical proof bytes produced");
-    tele_.flush_ms = reg.histogram(
+    tele.flush_ms = reg.histogram(
         "zkspeed_verify_flush_ms", {svc},
         "Wall time of each folded batch-verify flush");
-    tele_.batch_size = reg.histogram(
+    tele.batch_size = reg.histogram(
         "zkspeed_verify_batch_size", {svc},
         "Proofs folded per batch-verify flush");
-    tele_.flush_reason[0] = reg.counter(
+    tele.flush_reason[0] = reg.counter(
         "zkspeed_verify_flushes_total", {svc, {"reason", "size"}},
         "Batch flushes by trigger");
-    tele_.flush_reason[1] = reg.counter(
+    tele.flush_reason[1] = reg.counter(
         "zkspeed_verify_flushes_total", {svc, {"reason", "timeout"}},
         "Batch flushes by trigger (timeout includes shutdown drains)");
-    tele_.verdicts[0] = reg.counter(
+    tele.verdicts[0] = reg.counter(
         "zkspeed_verify_verdicts_total", {svc, {"verdict", "accepted"}},
         "Per-proof batch-verify verdicts");
-    tele_.verdicts[1] = reg.counter(
+    tele.verdicts[1] = reg.counter(
         "zkspeed_verify_verdicts_total", {svc, {"verdict", "rejected"}},
         "Per-proof batch-verify verdicts");
-    tele_.pairing_checks = reg.counter(
+    tele.pairing_checks = reg.counter(
         "zkspeed_verify_pairing_checks_total", {svc},
         "Pairing checks run, bisection probes included");
-    tele_.bisection_steps = reg.counter(
+    tele.bisection_steps = reg.counter(
         "zkspeed_verify_bisection_steps_total", {svc},
         "Bisection probes isolating rejected proofs");
-    tele_.msm_points = reg.counter(
+    tele.msm_points = reg.counter(
         "zkspeed_verify_msm_points_total", {svc},
         "Folded RLC MSM points across all flushes");
-    tele_.queue_depth =
+    tele.queue_depth =
         reg.gauge("zkspeed_queue_depth", {svc},
                   "Jobs waiting in the admission queue");
-    tele_.busy_workers = reg.gauge(
+    tele.busy_workers = reg.gauge(
         "zkspeed_busy_workers", {svc}, "Workers currently running a job");
-    tele_.utilization = reg.gauge(
+    tele.utilization = reg.gauge(
         "zkspeed_worker_utilization", {svc},
         "busy_workers / num_workers, 0..1");
-    tele_.window_depth = reg.gauge(
+    tele.window_depth = reg.gauge(
         "zkspeed_verify_window_depth", {svc},
         "VERIFY jobs parked in the open batch window");
+    tele.trace_evicted = reg.counter(
+        "zkspeed_trace_entries_evicted_total", {svc},
+        "Replay trace entries evicted from the bounded trace ring");
+    return tele;
 }
 
 std::vector<std::string>
@@ -187,7 +193,7 @@ ProofService::telemetry_series() const
           tele_.proof_bytes, tele_.flush_ms, tele_.batch_size,
           tele_.pairing_checks, tele_.bisection_steps, tele_.msm_points,
           tele_.queue_depth, tele_.busy_workers, tele_.utilization,
-          tele_.window_depth}) {
+          tele_.window_depth, tele_.trace_evicted}) {
         ids.push_back(id);
     }
     for (obs::MetricId id : ids) {
@@ -484,26 +490,23 @@ ProofService::process_prove(QueuedJob &job)
     resp.metrics.modmul_fr = muls.fr_delta();
     resp.metrics.modmul_fq = muls.fq_delta();
 
-    if (cfg_.record_trace) {
-        TraceEntry entry;
-        entry.kind = JobKind::prove;
-        entry.request_id = req.request_id;
-        entry.num_vars = uint32_t(req.circuit.num_vars);
-        entry.prove_ms = resp.metrics.prove_ms;
-        entry.key_cache_hit = cache_hit;
-        for (const auto &w : req.witness.w) {
-            for (size_t i = 0; i < w.size(); ++i) {
-                if (w[i].is_zero()) ++entry.zero_scalars;
-                else if (w[i].is_one()) ++entry.one_scalars;
-                ++entry.total_scalars;
-            }
+    TraceEntry entry;
+    entry.kind = JobKind::prove;
+    entry.request_id = req.request_id;
+    entry.num_vars = uint32_t(req.circuit.num_vars);
+    entry.prove_ms = resp.metrics.prove_ms;
+    entry.key_cache_hit = cache_hit;
+    for (const auto &w : req.witness.w) {
+        for (size_t i = 0; i < w.size(); ++i) {
+            if (w[i].is_zero()) ++entry.zero_scalars;
+            else if (w[i].is_one()) ++entry.one_scalars;
+            ++entry.total_scalars;
         }
-        entry.table_rows = req.circuit.table_rows;
-        entry.per_table_rows = req.circuit.table_row_counts;
-        entry.lookup_gates = req.circuit.num_lookup_gates();
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        trace_.push_back(entry);
     }
+    entry.table_rows = req.circuit.table_rows;
+    entry.per_table_rows = req.circuit.table_row_counts;
+    entry.lookup_gates = req.circuit.num_lookup_gates();
+    trace_.push(std::move(entry));
     return resp;
 }
 
@@ -703,20 +706,15 @@ ProofService::flush_verify_batch(std::vector<PendingVerify> batch,
         reg.add(tele_.bisection_steps, result->stats.bisection_steps);
         reg.add(tele_.msm_points, result->stats.msm_points);
     }
-    {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        if (cfg_.record_trace) {
-            TraceEntry entry;
-            entry.kind = JobKind::verify;
-            entry.num_vars = max_vars;
-            entry.batch_size = uint32_t(batch.size());
-            entry.msm_points = result->stats.msm_points;
-            entry.num_pairings = uint32_t(result->stats.num_pairings);
-            entry.verify_ms = flush_ms;
-            entry.pairing_ms = result->stats.pairing_ms;
-            trace_.push_back(entry);
-        }
-    }
+    TraceEntry entry;
+    entry.kind = JobKind::verify;
+    entry.num_vars = max_vars;
+    entry.batch_size = uint32_t(batch.size());
+    entry.msm_points = result->stats.msm_points;
+    entry.num_pairings = uint32_t(result->stats.num_pairings);
+    entry.verify_ms = flush_ms;
+    entry.pairing_ms = result->stats.pairing_ms;
+    trace_.push(std::move(entry));
 
     for (size_t i = 0; i < batch.size(); ++i) {
         JobResponse resp;
@@ -791,69 +789,6 @@ ProofService::readiness() const
         r.detail = buf;
     }
     return r;
-}
-
-ServiceMetrics
-ProofService::metrics() const
-{
-    // Reconstruct the legacy struct from this instance's registry
-    // series (runtime/metrics.hpp documents the derived-view contract).
-    ServiceMetrics out;
-    auto snap = obs::MetricsRegistry::global().snapshot();
-    auto hist = [&](obs::MetricId id) -> const obs::HistogramSnapshot * {
-        const obs::MetricSnapshot *m = snap[id];
-        return m != nullptr ? &m->hist : nullptr;
-    };
-    auto count = [&](obs::MetricId id) -> uint64_t {
-        const obs::MetricSnapshot *m = snap[id];
-        return m != nullptr ? m->counter : 0;
-    };
-    ClassMetrics *cls[2] = {&out.prove_class, &out.verify_class};
-    for (int c = 0; c < 2; ++c) {
-        if (const auto *h = hist(tele_.latency[c][0])) {
-            cls[c]->jobs_ok = h->count;
-            cls[c]->min_latency_ms = h->count != 0 ? h->min : 0.0;
-            cls[c]->max_latency_ms = h->count != 0 ? h->max : 0.0;
-            cls[c]->sum_latency_ms = h->sum;
-        }
-        if (const auto *h = hist(tele_.latency[c][1])) {
-            cls[c]->jobs_rejected = h->count;
-        }
-        if (const auto *h = hist(tele_.latency[c][2])) {
-            cls[c]->jobs_failed = h->count;
-        }
-        if (const auto *h = hist(tele_.queue_ms[c])) {
-            out.total_queue_ms += h->sum;
-        }
-        if (const auto *h = hist(tele_.active_ms[c])) {
-            out.total_prove_ms += h->sum;
-        }
-    }
-    out.modmul_fr = count(tele_.modmul_fr);
-    out.modmul_fq = count(tele_.modmul_fq);
-    out.key_cache_hits = count(tele_.cache_hits);
-    out.proof_bytes_total = count(tele_.proof_bytes);
-
-    auto &vb = out.verify_batches;
-    if (const auto *h = hist(tele_.flush_ms)) {
-        vb.batches = h->count;
-        vb.total_flush_ms = h->sum;
-    }
-    vb.flushed_on_size = count(tele_.flush_reason[0]);
-    vb.flushed_on_timeout = count(tele_.flush_reason[1]);
-    vb.proofs_accepted = count(tele_.verdicts[0]);
-    vb.proofs_rejected = count(tele_.verdicts[1]);
-    vb.pairing_checks = count(tele_.pairing_checks);
-    vb.bisection_steps = count(tele_.bisection_steps);
-    vb.msm_points = count(tele_.msm_points);
-    return out;
-}
-
-std::vector<TraceEntry>
-ProofService::trace() const
-{
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return trace_;
 }
 
 }  // namespace zkspeed::runtime

@@ -27,12 +27,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "runtime/job.hpp"
 #include "runtime/key_cache.hpp"
-#include "runtime/metrics.hpp"
 #include "runtime/queue.hpp"
 #include "runtime/wire.hpp"
 #include "verify/batch_verifier.hpp"
@@ -58,8 +59,6 @@ struct ServiceConfig {
     uint64_t srs_seed = 0x7a6b5eedULL;
     /** Check the witness satisfies the circuit before proving. */
     bool check_witness = true;
-    /** Record a TraceEntry per proved job / verify flush for sim replay. */
-    bool record_trace = true;
     /** VERIFY jobs folded per batch flush (the size trigger). */
     size_t verify_batch_size = 16;
     /** Max time a parked VERIFY job waits before a timeout flush. */
@@ -87,6 +86,51 @@ struct ServiceReadiness {
     double recent_error_ratio = 0.0;
     /** Human-readable reason when not ready (empty when ready). */
     std::string detail;
+};
+
+/**
+ * Fixed-capacity ring of replayable TraceEntry records. Once full, each
+ * push overwrites the oldest entry and adds one to the `evicted`
+ * registry counter. Storage grows with use up to `Capacity` entries.
+ * Thread-safe.
+ */
+template <size_t Capacity>
+class TraceRing
+{
+  public:
+    static_assert(Capacity > 0);
+
+    explicit TraceRing(obs::MetricId evicted) : evicted_(evicted) {}
+
+    void
+    push(TraceEntry entry)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (entries_.size() < Capacity) {
+            entries_.push_back(std::move(entry));
+            return;
+        }
+        entries_[oldest_] = std::move(entry);
+        oldest_ = (oldest_ + 1) % Capacity;
+        obs::MetricsRegistry::global().add(evicted_);
+    }
+
+    /** Retained entries, oldest first. */
+    std::vector<TraceEntry>
+    entries() const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto split = entries_.begin() + std::ptrdiff_t(oldest_);
+        std::vector<TraceEntry> out(split, entries_.end());
+        out.insert(out.end(), entries_.begin(), split);
+        return out;
+    }
+
+  private:
+    const obs::MetricId evicted_;
+    mutable std::mutex mu_;
+    std::vector<TraceEntry> entries_;
+    size_t oldest_ = 0;  ///< next slot to overwrite once full
 };
 
 class ProofService
@@ -123,13 +167,6 @@ class ProofService
     /** Stop accepting work, drain the queue, join the workers. */
     void shutdown();
 
-    /**
-     * Derived view over this instance's series in the global
-     * obs::MetricsRegistry (the struct API predates the registry and is
-     * kept as a snapshot reconstruction — see runtime/metrics.hpp).
-     */
-    ServiceMetrics metrics() const;
-
     /** Failed-job window size of the readiness formula. */
     static constexpr size_t kReadinessWindow = 64;
     /** Recent failed-job ratio at or above this flips /readyz to 503. */
@@ -139,14 +176,22 @@ class ProofService
     ServiceReadiness readiness() const;
 
     KeyCacheStats cache_stats() const { return cache_.stats(); }
-    /** Snapshot of the replayable trace (record_trace only). */
-    std::vector<TraceEntry> trace() const;
+    /** Trace entries kept for sim replay (one per proved job and per
+     * verify flush); beyond this the oldest are evicted. */
+    static constexpr size_t kTraceCapacity = 16384;
+    /** Snapshot of the replayable trace, oldest entry first. */
+    std::vector<TraceEntry> trace() const { return trace_.entries(); }
     size_t queue_depth() const { return queue_.size(); }
     const ServiceConfig &config() const { return cfg_; }
     /** Kernel-thread budget each worker proves under. */
     size_t worker_budget() const { return per_worker_budget_; }
 
-    /** `service` label value of this instance's registry series. */
+    /**
+     * `service` label value of this instance's registry series. The
+     * registry is the only store of this instance's aggregates: e.g.
+     * prove jobs ok = the count of zkspeed_job_latency_ms{class="prove",
+     * service=instance_label(),status="ok"}.
+     */
     const std::string &instance_label() const { return instance_; }
     /** Canonical `name{labels}` of every series this instance
      * registered (exposition-exhaustiveness tests sweep this). */
@@ -170,9 +215,9 @@ class ProofService
         std::chrono::steady_clock::time_point parked;
     };
 
-    /** MetricIds of this instance's registry series (obs rewiring).
+    /** MetricIds of this instance's registry series.
      * Class index: 0 = prove, 1 = verify. Status index: 0 = ok,
-     * 1 = rejected, 2 = failed (ClassMetrics buckets). */
+     * 1 = rejected, 2 = failed. */
     struct Telemetry {
         obs::MetricId latency[2][3];  ///< total_ms, ALL terminal jobs
         obs::MetricId queue_ms[2];
@@ -185,9 +230,10 @@ class ProofService
         obs::MetricId pairing_checks, bisection_steps, msm_points;
         obs::MetricId queue_depth, busy_workers, utilization,
             window_depth;
+        obs::MetricId trace_evicted;
     };
 
-    void register_telemetry();
+    Telemetry register_telemetry() const;
     /** Fold one terminal job into the registry (all statuses). */
     void record_job_telemetry(const JobResponse &resp);
     void set_worker_gauges(size_t busy);
@@ -211,7 +257,7 @@ class ProofService
     ServiceConfig cfg_;
     size_t per_worker_budget_ = 1;
     std::string instance_;  ///< `service` label value (svc0, svc1, ...)
-    Telemetry tele_;
+    const Telemetry tele_;
     BoundedQueue<QueuedJob> queue_;
     KeyCache cache_;
     std::vector<std::thread> workers_;
@@ -232,8 +278,7 @@ class ProofService
     std::chrono::steady_clock::time_point window_opened_;
     bool draining_ = false;
 
-    mutable std::mutex stats_mu_;
-    std::vector<TraceEntry> trace_;
+    TraceRing<kTraceCapacity> trace_;
 };
 
 }  // namespace zkspeed::runtime

@@ -194,7 +194,6 @@ Harness::finish()
             }
         }
     }
-    suite.service_metrics = service_.metrics();
     service_.shutdown();
     if (cfg_.replay) {
         suite.replay = sim::replay_trace(service_.trace(),

@@ -92,7 +92,6 @@ struct SuiteResult {
      * below, and to $ZKSPEED_ATTRIB_OUT as ATTRIB_report.json). */
     obs::attrib::Report attrib;
     std::string attrib_json;  ///< rendered "zkspeed-attrib-v1" document
-    runtime::ServiceMetrics service_metrics;
 
     /** Telemetry artifacts (config.capture_telemetry): a registry
      * snapshot taken after shutdown plus the rendered expositions and
@@ -116,6 +115,11 @@ class Harness
     SuiteResult finish();
 
     size_t batched_proofs() const { return predicted_.size(); }
+    /** `service` label of the harness's ProofService registry series. */
+    const std::string &service_label() const
+    {
+        return service_.instance_label();
+    }
 
   private:
     HarnessConfig cfg_;

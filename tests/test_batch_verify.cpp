@@ -10,6 +10,7 @@
 #include <random>
 
 #include "hyperplonk/serialize.hpp"
+#include "obs/window.hpp"
 #include "runtime/service.hpp"
 #include "sim/replay.hpp"
 #include "verify/batch_verifier.hpp"
@@ -53,6 +54,21 @@ corrupt_pairing_side(hyperplonk::Proof &proof)
     ASSERT_FALSE(proof.gprime_proof.quotients.empty());
     auto &q = proof.gprime_proof.quotients[0];
     q = (curve::G1::from_affine(q) + curve::g1_generator()).to_affine();
+}
+
+/**
+ * Whole-run total of `service`'s registry series matching `name` and
+ * the label subset `labels`: counter values plus histogram observation
+ * counts (obs::WindowDelta::total over a window opened at zero).
+ */
+uint64_t
+series_total(const runtime::ProofService &service, const char *name,
+             obs::LabelSet labels = {})
+{
+    labels.emplace_back("service", service.instance_label());
+    auto run = obs::WindowDelta::between(
+        obs::MetricsRegistry::global().snapshot(), obs::Snapshot{}, 0.0);
+    return run.total({name, std::move(labels)});
 }
 
 TEST(Accumulator, PcsAccumulateMatchesInlineVerify)
@@ -609,15 +625,29 @@ TEST(ServiceVerify, ProveThenVerifyRoundTripWithCorruptionAndFuzz)
     auto again = service.submit(req_a).get();
     EXPECT_TRUE(again.ok()) << again.error;
 
-    auto m = service.metrics();
-    EXPECT_EQ(m.prove_class.jobs_ok, 3u);
-    EXPECT_EQ(m.verify_class.jobs_ok, 3u);
-    EXPECT_EQ(m.verify_class.jobs_rejected, 4u);  // 1 invalid + 3 malformed
-    EXPECT_EQ(m.verify_batches.batches, 1u);
-    EXPECT_EQ(m.verify_batches.flushed_on_size, 1u);
-    EXPECT_EQ(m.verify_batches.proofs_accepted, 3u);
-    EXPECT_EQ(m.verify_batches.proofs_rejected, 1u);
-    EXPECT_GT(m.verify_batches.bisection_steps, 0u);
+    const char *lat = "zkspeed_job_latency_ms";
+    EXPECT_EQ(series_total(service, lat,
+                           {{"class", "prove"}, {"status", "ok"}}),
+              3u);
+    EXPECT_EQ(series_total(service, lat,
+                           {{"class", "verify"}, {"status", "ok"}}),
+              3u);
+    // 1 invalid + 3 malformed
+    EXPECT_EQ(series_total(service, lat,
+                           {{"class", "verify"}, {"status", "rejected"}}),
+              4u);
+    EXPECT_EQ(series_total(service, "zkspeed_verify_flush_ms"), 1u);
+    EXPECT_EQ(series_total(service, "zkspeed_verify_flushes_total",
+                           {{"reason", "size"}}),
+              1u);
+    EXPECT_EQ(series_total(service, "zkspeed_verify_verdicts_total",
+                           {{"verdict", "accepted"}}),
+              3u);
+    EXPECT_EQ(series_total(service, "zkspeed_verify_verdicts_total",
+                           {{"verdict", "rejected"}}),
+              1u);
+    EXPECT_GT(series_total(service, "zkspeed_verify_bisection_steps_total"),
+              0u);
 
     // The trace carries the verify flush and replays through the chip.
     service.shutdown();
@@ -669,9 +699,12 @@ TEST(ServiceVerify, LoneVerifyJobFlushesOnTimeout)
                     .get();
     EXPECT_TRUE(resp.ok()) << resp.error;
     EXPECT_EQ(resp.metrics.batch_size, 1u);
-    auto m = service.metrics();
-    EXPECT_EQ(m.verify_batches.flushed_on_timeout, 1u);
-    EXPECT_EQ(m.verify_batches.flushed_on_size, 0u);
+    EXPECT_EQ(series_total(service, "zkspeed_verify_flushes_total",
+                           {{"reason", "timeout"}}),
+              1u);
+    EXPECT_EQ(series_total(service, "zkspeed_verify_flushes_total",
+                           {{"reason", "size"}}),
+              0u);
 }
 
 TEST(ServiceVerify, ShutdownDrainsParkedVerifyJobs)

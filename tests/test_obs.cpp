@@ -5,8 +5,8 @@
  * threads, trace-event JSON well-formedness and span-nesting links,
  * Prometheus text parseability, the Snippet-1-style exposition
  * exhaustiveness sweep over every series a ProofService registers, the
- * concurrent (2-prover) Profiler hot path and the rejected-job latency
- * fix (ClassMetrics used to drop non-ok latencies entirely).
+ * concurrent (2-prover) kernel-recording hot path and the latency of
+ * rejected and failed jobs.
  */
 #include <gtest/gtest.h>
 
@@ -24,6 +24,7 @@
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "obs/window.hpp"
 #include "runtime/service.hpp"
 
 namespace {
@@ -584,6 +585,21 @@ make_request(uint64_t id, size_t mu, uint64_t circuit_seed)
     return req;
 }
 
+/**
+ * Whole-run total of `service`'s registry series matching `name` and
+ * the label subset `labels`: counter values plus histogram observation
+ * counts (obs::WindowDelta::total over a window opened at zero).
+ */
+uint64_t
+series_total(const runtime::ProofService &service, const char *name,
+             obs::LabelSet labels = {})
+{
+    labels.emplace_back("service", service.instance_label());
+    auto run = obs::WindowDelta::between(
+        obs::MetricsRegistry::global().snapshot(), obs::Snapshot{}, 0.0);
+    return run.total({name, std::move(labels)});
+}
+
 TEST(ObsService, ExpositionExhaustive)
 {
     // Snippet-1-style sweep: drive the service through a prove and a
@@ -613,9 +629,9 @@ TEST(ObsService, ExpositionExhaustive)
 
     auto series = service.telemetry_series();
     // 6 latency + 2 queue + 2 active + 2 flush_reason + 2 verdicts
-    // + 2 modmul + 7 singles + 4 gauges = 27 — keep in lockstep with
+    // + 2 modmul + 8 singles + 4 gauges = 28 — keep in lockstep with
     // ProofService::register_telemetry.
-    EXPECT_EQ(series.size(), 27u) << "register_telemetry drifted";
+    EXPECT_EQ(series.size(), 28u) << "register_telemetry drifted";
 
     auto snap = obs::MetricsRegistry::global().snapshot();
     std::string prom = obs::render_prometheus_text(snap);
@@ -660,28 +676,25 @@ TEST(ObsService, ExpositionExhaustive)
             << name << " missing from JSON";
     }
 
-    // And the reverse direction: the service's own view must agree with
-    // the registry (the derived-struct reconstruction cannot drift).
-    auto m = service.metrics();
-    EXPECT_EQ(m.prove_class.jobs_ok, 1u);
-    EXPECT_EQ(m.verify_class.jobs_ok, 1u);
-    EXPECT_EQ(m.verify_batches.batches, 1u);
-    EXPECT_EQ(m.verify_batches.proofs_accepted, 1u);
-    EXPECT_GT(m.proof_bytes_total, 0u);
-    const auto *lat = snap.find(
-        "zkspeed_job_latency_ms",
-        {{"service", service.instance_label()},
-         {"class", "prove"},
-         {"status", "ok"}});
-    ASSERT_NE(lat, nullptr);
-    EXPECT_EQ(lat->hist.count, 1u);
-    EXPECT_DOUBLE_EQ(lat->hist.sum, m.prove_class.sum_latency_ms);
+    // And the series carry exactly the traffic this test sent.
+    const char *lat = "zkspeed_job_latency_ms";
+    EXPECT_EQ(series_total(service, lat,
+                           {{"class", "prove"}, {"status", "ok"}}),
+              1u);
+    EXPECT_EQ(series_total(service, lat,
+                           {{"class", "verify"}, {"status", "ok"}}),
+              1u);
+    EXPECT_EQ(series_total(service, "zkspeed_verify_flush_ms"), 1u);
+    EXPECT_EQ(series_total(service, "zkspeed_verify_verdicts_total",
+                           {{"verdict", "accepted"}}),
+              1u);
+    EXPECT_GT(series_total(service, "zkspeed_proof_bytes_total"), 0u);
 }
 
 TEST(ObsService, RejectedJobsKeepTheirLatency)
 {
-    // ClassMetrics used to drop the latency of every non-ok job; the
-    // status-labelled histogram must record rejected jobs too.
+    // The status-labelled latency histogram records rejected jobs too,
+    // not only ok ones.
     runtime::ServiceConfig cfg;
     cfg.num_workers = 1;
     cfg.total_parallelism = 1;
@@ -703,9 +716,9 @@ TEST(ObsService, RejectedJobsKeepTheirLatency)
     EXPECT_EQ(resp.status, runtime::JobStatus::unsatisfiable);
     service.shutdown();
 
-    auto m = service.metrics();
-    EXPECT_EQ(m.prove_class.jobs_ok, 0u);
-    EXPECT_EQ(m.prove_class.jobs_rejected, 1u);
+    EXPECT_EQ(series_total(service, "zkspeed_job_latency_ms",
+                           {{"class", "prove"}, {"status", "ok"}}),
+              0u);
 
     auto snap = obs::MetricsRegistry::global().snapshot();
     const auto *lat = snap.find(
@@ -727,32 +740,35 @@ TEST(ObsService, CancelledJobsLandInFailedHistogram)
     auto fut = service.submit(make_request(4, 3, 23300));
     service.shutdown();
     EXPECT_EQ(fut.get().status, runtime::JobStatus::cancelled);
-    EXPECT_EQ(service.metrics().prove_class.jobs_failed, 1u);
+    EXPECT_EQ(series_total(service, "zkspeed_job_latency_ms",
+                           {{"class", "prove"}, {"status", "failed"}}),
+              1u);
 }
 
 // ---------------------------------------------------------------------------
-// Profiler hot path (satellite 1): concurrent recording.
+// Kernel-recording hot path: concurrent recording.
 // ---------------------------------------------------------------------------
 
 TEST(ObsProfiler, TwoConcurrentRecordersNeverCorrupt)
 {
-    // The old Profiler serialised concurrent provers on one global
-    // mutex (string copy + map lookup per record). The sharded path
-    // must produce exact totals under 2-way concurrency — this is the
-    // 2-prover recording pattern with the prover math stripped out.
+    // The sharded kernel-recording path must produce exact totals under
+    // 2-way concurrency — this is the 2-prover recording pattern with
+    // the prover math stripped out.
     constexpr int kCalls = 50000;
     auto worker = [](int t) {
-        auto &p = hyperplonk::Profiler::instance();
         for (int k = 0; k < kCalls; ++k) {
-            p.record("t23 kernel A", 3, 64, 32, 1e-7);
-            if (k % 2 == t) p.record("t23 kernel B", 1, 8, 8, 1e-7);
+            hyperplonk::record_kernel("t23 kernel A", 3, 64, 32, 1e-7);
+            if (k % 2 == t) {
+                hyperplonk::record_kernel("t23 kernel B", 1, 8, 8, 1e-7);
+            }
         }
     };
     std::thread a(worker, 0), b(worker, 1);
     a.join();
     b.join();
 
-    auto kernels = hyperplonk::Profiler::instance().kernels();
+    auto kernels = hyperplonk::kernel_profiles(
+        obs::MetricsRegistry::global().snapshot());
     ASSERT_TRUE(kernels.count("t23 kernel A"));
     ASSERT_TRUE(kernels.count("t23 kernel B"));
     const auto &ka = kernels["t23 kernel A"];
@@ -780,11 +796,15 @@ TEST(ObsService, TwoConcurrentProversRecordEveryJob)
     }
     for (auto &f : futs) EXPECT_TRUE(f.get().ok());
     service.shutdown();
-    auto m = service.metrics();
-    EXPECT_EQ(m.prove_class.jobs_ok, uint64_t(kJobs));
-    EXPECT_GT(m.modmul_fr, 0u);
+    EXPECT_EQ(series_total(service, "zkspeed_job_latency_ms",
+                           {{"class", "prove"}, {"status", "ok"}}),
+              uint64_t(kJobs));
+    EXPECT_GT(series_total(service, "zkspeed_modmuls_total",
+                           {{"field", "fr"}}),
+              0u);
     // Kernel profiles from both workers folded into the registry.
-    auto kernels = hyperplonk::Profiler::instance().kernels();
+    auto kernels = hyperplonk::kernel_profiles(
+        obs::MetricsRegistry::global().snapshot());
     EXPECT_TRUE(kernels.count("Witness MSMs"));
 }
 

@@ -6,8 +6,9 @@
  * invariant, concurrent scrapes while two provers run, readiness
  * flipping under queue saturation, the obs::set_enabled(false) kill
  * switch covering HTTP + log ring, structured-log ring/rate-limit
- * semantics and JSONL rendering, and the flight recorder's
- * worker-exception path (forced via ZKSPEED_FAULT_INJECT).
+ * semantics and JSONL rendering, the flight recorder's
+ * worker-exception path (forced via ZKSPEED_FAULT_INJECT), and handler
+ * threads surviving clients that never read their response.
  */
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "hyperplonk/serialize.hpp"
@@ -266,6 +268,10 @@ http_request(uint16_t port, const std::string &method,
     HttpReply reply;
     int fd = socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) return reply;
+    // A wedged server fails the calling test instead of hanging it.
+    timeval recv_timeout = {30, 0};
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
+               sizeof(recv_timeout));
     sockaddr_in addr = {};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -552,6 +558,87 @@ TEST(ObsHttp, KillSwitchDisablesServerAndLogRing)
     EXPECT_EQ(http_get(server->port(), "/metrics").code, 200);
     obs::log_event(obs::LogLevel::info, "t26", "revived event");
     EXPECT_EQ(rec.size(), before + 1);
+}
+
+// ---------------------------------------------------------------------------
+// Clients that request /trace and never read cannot pin the handlers.
+// ---------------------------------------------------------------------------
+
+TEST(ObsHttp, StuckTraceClientsReleaseHandlerThreads)
+{
+    // Fill the span ring with long names so /trace renders to several
+    // MB, far more than the socket buffers of a client that never reads.
+    auto &ring = obs::TraceRecorder::global();
+    const std::string long_name(256, 's');
+    auto t = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < obs::TraceRecorder::env_capacity(); ++i) {
+        obs::Span::record_complete(long_name, "test", t, t);
+    }
+    ASSERT_GT(ring.render_chrome_json().size(), size_t(4) << 20);
+
+    obs::HttpServerConfig cfg;
+    cfg.handler_threads = 2;
+    auto server = obs::HttpServer::start(cfg);
+    ASSERT_NE(server, nullptr);
+    auto trace_requests = [] {
+        auto snap = obs::MetricsRegistry::global().snapshot();
+        const auto *m = snap.find("zkspeed_http_requests_total",
+                                  {{"endpoint", "/trace"}});
+        return m != nullptr ? m->counter : uint64_t(0);
+    };
+    uint64_t trace_before = trace_requests();
+
+    // One stuck client per handler thread, each with a tiny receive
+    // buffer (the kernel rounds it up to its minimum). Declared after
+    // the server, so the sockets close before the server stops.
+    struct Sockets {
+        std::vector<int> fds;
+        Sockets() = default;
+        Sockets(const Sockets &) = delete;
+        Sockets &operator=(const Sockets &) = delete;
+        ~Sockets()
+        {
+            for (int fd : fds) close(fd);
+        }
+    } stuck;
+    for (size_t i = 0; i < cfg.handler_threads; ++i) {
+        int fd = socket(AF_INET, SOCK_STREAM, 0);
+        ASSERT_GE(fd, 0);
+        stuck.fds.push_back(fd);
+        int tiny = 1;
+        setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny));
+        sockaddr_in addr = {};
+        addr.sin_family = AF_INET;
+        addr.sin_port = htons(server->port());
+        inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+        ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                          sizeof(addr)),
+                  0);
+        const std::string req = "GET /trace HTTP/1.1\r\n\r\n";
+        ASSERT_EQ(send(fd, req.data(), req.size(), 0),
+                  ssize_t(req.size()));
+    }
+    // Every handler has picked up a stuck client before /healthz goes in.
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (trace_requests() < trace_before + cfg.handler_threads &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_EQ(trace_requests(), trace_before + cfg.handler_threads);
+
+    auto t0 = std::chrono::steady_clock::now();
+    auto health = http_get(server->port(), "/healthz");
+    double waited_s = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    ring.clear();  // later tests expect a ring of ordinary spans
+    EXPECT_TRUE(health.ok) << "/healthz got no answer";
+    EXPECT_EQ(health.code, 200);
+    // Each stuck handler is freed after a few 2 s send timeouts: while
+    // the kernel grows the send buffer, the first sends still return a
+    // partial count (about 6 s in all on Linux 6.x loopback).
+    EXPECT_LT(waited_s, 12.0) << "stuck clients held the handlers too long";
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "hyperplonk/serialize.hpp"
+#include "obs/window.hpp"
 #include "runtime/queue.hpp"
 #include "runtime/service.hpp"
 #include "sim/replay.hpp"
@@ -31,6 +32,21 @@ make_request(uint64_t id, size_t mu, uint64_t circuit_seed)
     req.circuit = std::move(index);
     req.witness = std::move(wit);
     return req;
+}
+
+/**
+ * Whole-run total of `service`'s registry series matching `name` and
+ * the label subset `labels`: counter values plus histogram observation
+ * counts (obs::WindowDelta::total over a window opened at zero).
+ */
+uint64_t
+series_total(const ProofService &service, const char *name,
+             obs::LabelSet labels = {})
+{
+    labels.emplace_back("service", service.instance_label());
+    auto run = obs::WindowDelta::between(
+        obs::MetricsRegistry::global().snapshot(), obs::Snapshot{}, 0.0);
+    return run.total({name, std::move(labels)});
 }
 
 TEST(Wire, RequestRoundTrip)
@@ -307,10 +323,11 @@ TEST(Service, MalformedRequestsGetErrorResponsesAndWorkerSurvives)
     EXPECT_TRUE(resp.ok()) << resp.error;
     EXPECT_FALSE(resp.proof.empty());
 
-    auto metrics = service.metrics();
-    EXPECT_EQ(metrics.jobs_ok(), 1u);
-    EXPECT_EQ(metrics.jobs_rejected(), bad.size() + 1);
-    EXPECT_EQ(metrics.jobs_failed(), 0u);
+    const char *lat = "zkspeed_job_latency_ms";
+    EXPECT_EQ(series_total(service, lat, {{"status", "ok"}}), 1u);
+    EXPECT_EQ(series_total(service, lat, {{"status", "rejected"}}),
+              bad.size() + 1);
+    EXPECT_EQ(series_total(service, lat, {{"status", "failed"}}), 0u);
 }
 
 TEST(Service, TraceReplaysThroughChipModel)
@@ -333,6 +350,39 @@ TEST(Service, TraceReplaysThroughChipModel)
     EXPECT_GT(report.chip_jobs_per_s, 0.0);
     // The accelerator must not be slower than our software prover.
     EXPECT_GT(report.speedup, 1.0);
+}
+
+TEST(Service, TraceRingEvictsOldestFirstAndCountsEvictions)
+{
+    auto &reg = obs::MetricsRegistry::global();
+    obs::MetricId evicted = reg.counter("zkspeed_test_trace_evicted_total");
+    TraceRing<4> ring(evicted);
+    auto push_ids = [&](uint64_t from, uint64_t to) {
+        for (uint64_t id = from; id <= to; ++id) {
+            TraceEntry e;
+            e.request_id = id;
+            ring.push(e);
+        }
+    };
+    auto kept_ids = [&] {
+        std::vector<uint64_t> ids;
+        for (const auto &e : ring.entries()) ids.push_back(e.request_id);
+        return ids;
+    };
+    auto evictions = [&] { return reg.snapshot()[evicted]->counter; };
+
+    push_ids(1, 3);
+    EXPECT_EQ(kept_ids(), (std::vector<uint64_t>{1, 2, 3}));
+    EXPECT_EQ(evictions(), 0u);
+    push_ids(4, 4);  // exactly full: still nothing evicted
+    EXPECT_EQ(kept_ids(), (std::vector<uint64_t>{1, 2, 3, 4}));
+    EXPECT_EQ(evictions(), 0u);
+    push_ids(5, 6);
+    EXPECT_EQ(kept_ids(), (std::vector<uint64_t>{3, 4, 5, 6}));
+    EXPECT_EQ(evictions(), 2u);
+    push_ids(7, 11);  // wraps the ring more than once
+    EXPECT_EQ(kept_ids(), (std::vector<uint64_t>{8, 9, 10, 11}));
+    EXPECT_EQ(evictions(), 7u);
 }
 
 TEST(Service, ShutdownCancelsQueuedJobs)

@@ -226,12 +226,22 @@ TEST(Conformance, EveryScenarioEndToEndWithCrossLayerAgreement)
     EXPECT_EQ(suite.replay.prove_jobs + suite.replay.verify_flushes,
               suite.replay.jobs.size());
 
-    // The service saw exactly the traffic the scenario sweep generated.
-    const auto &m = suite.service_metrics;
-    EXPECT_EQ(m.prove_class.jobs_ok, proved);
-    EXPECT_EQ(m.verify_batches.proofs_accepted +
-                  m.verify_batches.proofs_rejected,
-              service_parked);
+    // The service saw exactly the traffic the scenario sweep generated
+    // (read from the registry snapshot finish() captured).
+    const std::pair<std::string, std::string> sv{"service",
+                                                 harness.service_label()};
+    const auto *prove_ok = suite.telemetry.find(
+        "zkspeed_job_latency_ms",
+        {sv, {"class", "prove"}, {"status", "ok"}});
+    ASSERT_NE(prove_ok, nullptr);
+    EXPECT_EQ(prove_ok->hist.count, proved);
+    const auto *accepted = suite.telemetry.find(
+        "zkspeed_verify_verdicts_total", {sv, {"verdict", "accepted"}});
+    const auto *rejected = suite.telemetry.find(
+        "zkspeed_verify_verdicts_total", {sv, {"verdict", "rejected"}});
+    ASSERT_NE(accepted, nullptr);
+    ASSERT_NE(rejected, nullptr);
+    EXPECT_EQ(accepted->counter + rejected->counter, service_parked);
 }
 
 TEST(Conformance, PipelineIsDeterministicAcrossHarnesses)
