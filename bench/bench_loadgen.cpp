@@ -28,6 +28,7 @@
 #include <cstring>
 #include <string>
 
+#include "obs/export.hpp"  // write_file
 #include "report.hpp"
 #include "scenarios/harness.hpp"
 
@@ -178,14 +179,9 @@ main(int argc, char **argv)
     std::printf("run SLO verdict: %s\n", rep.slo_ok ? "ok" : "BREACH");
 
     if (report_path != nullptr) {
-        FILE *f = std::fopen(report_path, "w");
-        if (f == nullptr) {
-            std::fprintf(stderr, "cannot write %s\n", report_path);
+        if (!obs::write_file(report_path, rep.to_json().render(-1))) {
             return 2;
         }
-        std::string json = rep.render_json();
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
         std::printf("wrote %s\n", report_path);
     }
     if (json_path != nullptr) {

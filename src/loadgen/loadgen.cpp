@@ -14,7 +14,6 @@
 #include <thread>
 
 #include "obs/build_info.hpp"
-#include "obs/export.hpp"  // json_escape
 #include "obs/log.hpp"
 #include "runtime/service.hpp"
 
@@ -30,14 +29,6 @@ double
 uniform01(std::mt19937_64 &rng)
 {
     return double(rng() >> 11) * 0x1.0p-53;
-}
-
-std::string
-fmt_double(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
 }
 
 [[noreturn]] void
@@ -127,26 +118,6 @@ require(const std::string &where,
     auto it = kv.find(key);
     if (it == kv.end()) fail(where + ": missing required key '" + key + "'");
     return it->second;
-}
-
-void
-json_verdicts(std::string &out, const std::vector<obs::SloVerdict> &vs)
-{
-    out += "[";
-    bool first = true;
-    for (const auto &v : vs) {
-        if (!first) out += ",";
-        first = false;
-        out += "{\"objective\":\"" + obs::json_escape(v.objective) + "\"";
-        out += ",\"pass\":";
-        out += v.pass ? "true" : "false";
-        out += ",\"value\":" + fmt_double(v.value);
-        out += ",\"threshold\":" + fmt_double(v.threshold);
-        out += ",\"budget_burn\":" + fmt_double(v.budget_burn);
-        out += ",\"samples\":" + std::to_string(v.samples);
-        out += "}";
-    }
-    out += "]";
 }
 
 }  // namespace
@@ -420,99 +391,104 @@ build_schedule(const Plan &plan, const std::vector<double> &weights)
     return out;
 }
 
-std::string
-Report::render_json() const
+obs::jsonv::Value
+Report::to_json() const
 {
-    std::string out = "{\"tool\":\"zkspeed_loadgen\"";
-    out += ",\"build\":" + obs::build_info_json_text(-1);
-    out += ",\"seed\":" + std::to_string(plan.seed);
-    out += ",\"profile\":{\"kind\":\"";
-    out += plan.profile.kind_name();
-    out += "\",\"qps\":" + fmt_double(plan.profile.qps);
-    out += ",\"qps0\":" + fmt_double(plan.profile.qps0);
-    out += ",\"qps1\":" + fmt_double(plan.profile.qps1);
-    out += ",\"steps\":" + std::to_string(plan.profile.steps) + "}";
-    out += ",\"windows\":" + std::to_string(plan.windows);
-    out += ",\"window_ms\":" + fmt_double(plan.window_ms);
-    out += ",\"warmup_windows\":" + std::to_string(plan.warmup_windows);
-    out += ",\"verify_fraction\":" + fmt_double(plan.verify_fraction);
+    using obs::jsonv::Value;
+    Value doc = Value::object();
+    doc.set("tool", Value::of("zkspeed_loadgen"));
+    doc.set("build", obs::build_info_json());
+    doc.set("seed", Value::of(plan.seed));
+    Value profile = Value::object();
+    profile.set("kind", Value::of(plan.profile.kind_name()));
+    profile.set("qps", Value::of(plan.profile.qps));
+    profile.set("qps0", Value::of(plan.profile.qps0));
+    profile.set("qps1", Value::of(plan.profile.qps1));
+    profile.set("steps", Value::of(plan.profile.steps));
+    doc.set("profile", std::move(profile));
+    doc.set("windows", Value::of(plan.windows));
+    doc.set("window_ms", Value::of(plan.window_ms));
+    doc.set("warmup_windows", Value::of(plan.warmup_windows));
+    doc.set("verify_fraction", Value::of(plan.verify_fraction));
 
-    out += ",\"mix\":[";
-    bool first = true;
+    Value mix = Value::array();
     for (const auto &m : plan.mix) {
-        if (!first) out += ",";
-        first = false;
-        out += "{\"family\":\"" + obs::json_escape(m.family) + "\"";
-        out += ",\"weight\":" + fmt_double(m.weight);
-        out += ",\"log_size\":" + std::to_string(m.log_size);
-        out += ",\"seed\":" + std::to_string(m.seed) + "}";
+        Value o = Value::object();
+        o.set("family", Value::of(m.family));
+        o.set("weight", Value::of(m.weight));
+        o.set("log_size", Value::of(m.log_size));
+        o.set("seed", Value::of(m.seed));
+        mix.push(std::move(o));
     }
-    out += "]";
+    doc.set("mix", std::move(mix));
 
-    out += ",\"objectives\":[";
-    first = true;
-    for (const auto &o : plan.objectives) {
-        if (!first) out += ",";
-        first = false;
-        out += "{\"name\":\"" + obs::json_escape(o.name) + "\"";
-        out += ",\"kind\":\"";
-        out += o.kind == obs::SloObjective::Kind::quantile ? "quantile"
-                                                           : "error_ratio";
-        out += "\",\"detail\":\"" + obs::json_escape(o.describe()) + "\"";
-        out += ",\"threshold\":" + fmt_double(o.threshold);
-        if (o.kind == obs::SloObjective::Kind::quantile) {
-            out += ",\"q\":" + fmt_double(o.q);
-        }
-        out += "}";
+    Value objectives = Value::array();
+    for (const auto &obj : plan.objectives) {
+        const bool quantile = obj.kind == obs::SloObjective::Kind::quantile;
+        Value o = Value::object();
+        o.set("name", Value::of(obj.name));
+        o.set("kind", Value::of(quantile ? "quantile" : "error_ratio"));
+        o.set("detail", Value::of(obj.describe()));
+        o.set("threshold", Value::of(obj.threshold));
+        if (quantile) o.set("q", Value::of(obj.q));
+        objectives.push(std::move(o));
     }
-    out += "]";
+    doc.set("objectives", std::move(objectives));
 
-    out += ",\"window_series\":[";
-    first = true;
+    Value series = Value::array();
     for (const auto &w : windows) {
-        if (!first) out += ",";
-        first = false;
-        out += "{\"index\":" + std::to_string(w.index);
-        out += ",\"start_s\":" + fmt_double(w.start_s);
-        out += ",\"dur_s\":" + fmt_double(w.dur_s);
-        out += ",\"qps_target\":" + fmt_double(w.qps_target);
-        out += ",\"qps_offered\":" + fmt_double(w.qps_offered);
-        out += ",\"qps_achieved\":" + fmt_double(w.qps_achieved);
-        out += ",\"offered\":" + std::to_string(w.offered);
-        out += ",\"completed_ok\":" + std::to_string(w.completed_ok);
-        out += ",\"errors\":" + std::to_string(w.errors);
-        out += ",\"shed\":" + std::to_string(w.shed);
-        out += ",\"errors_per_s\":" + fmt_double(w.errors_per_s);
-        out += ",\"p50_ms\":" + fmt_double(w.p50_ms);
-        out += ",\"p90_ms\":" + fmt_double(w.p90_ms);
-        out += ",\"p99_ms\":" + fmt_double(w.p99_ms);
-        out += ",\"p999_ms\":" + fmt_double(w.p999_ms);
-        out += ",\"counter_resets\":" + std::to_string(w.counter_resets);
-        out += ",\"slo_ok\":";
-        out += w.slo_ok ? "true" : "false";
-        out += ",\"verdicts\":";
-        json_verdicts(out, w.verdicts);
-        out += "}";
+        Value o = Value::object();
+        o.set("index", Value::of(w.index));
+        o.set("start_s", Value::of(w.start_s));
+        o.set("dur_s", Value::of(w.dur_s));
+        o.set("qps_target", Value::of(w.qps_target));
+        o.set("qps_offered", Value::of(w.qps_offered));
+        o.set("qps_achieved", Value::of(w.qps_achieved));
+        o.set("offered", Value::of(w.offered));
+        o.set("completed_ok", Value::of(w.completed_ok));
+        o.set("errors", Value::of(w.errors));
+        o.set("shed", Value::of(w.shed));
+        o.set("errors_per_s", Value::of(w.errors_per_s));
+        o.set("p50_ms", Value::of(w.p50_ms));
+        o.set("p90_ms", Value::of(w.p90_ms));
+        o.set("p99_ms", Value::of(w.p99_ms));
+        o.set("p999_ms", Value::of(w.p999_ms));
+        o.set("counter_resets", Value::of(w.counter_resets));
+        o.set("slo_ok", Value::of(w.slo_ok));
+        Value verdicts = Value::array();
+        for (const auto &v : w.verdicts) {
+            Value verdict = Value::object();
+            verdict.set("objective", Value::of(v.objective));
+            verdict.set("pass", Value::of(v.pass));
+            verdict.set("value", Value::of(v.value));
+            verdict.set("threshold", Value::of(v.threshold));
+            verdict.set("budget_burn", Value::of(v.budget_burn));
+            verdict.set("samples", Value::of(v.samples));
+            verdicts.push(std::move(verdict));
+        }
+        o.set("verdicts", std::move(verdicts));
+        series.push(std::move(o));
     }
-    out += "]";
+    doc.set("window_series", std::move(series));
 
-    out += ",\"totals\":{\"offered\":" + std::to_string(offered_total);
-    out += ",\"completed\":" + std::to_string(completed_total);
-    out += ",\"errors\":" + std::to_string(errors_total);
-    out += ",\"shed\":" + std::to_string(shed_total);
-    out += ",\"offered_qps\":" + fmt_double(offered_qps);
-    out += ",\"achieved_qps\":" + fmt_double(achieved_qps) + "}";
+    Value totals = Value::object();
+    totals.set("offered", Value::of(offered_total));
+    totals.set("completed", Value::of(completed_total));
+    totals.set("errors", Value::of(errors_total));
+    totals.set("shed", Value::of(shed_total));
+    totals.set("offered_qps", Value::of(offered_qps));
+    totals.set("achieved_qps", Value::of(achieved_qps));
+    doc.set("totals", std::move(totals));
 
-    out += ",\"knee\":{\"found\":";
-    out += knee_found ? "true" : "false";
-    out += ",\"window\":" + std::to_string(knee_window);
-    out += ",\"qps_offered\":" + fmt_double(knee_qps_offered);
-    out += ",\"qps_achieved\":" + fmt_double(knee_qps_achieved) + "}";
+    Value knee = Value::object();
+    knee.set("found", Value::of(knee_found));
+    knee.set("window", Value::of(knee_window));
+    knee.set("qps_offered", Value::of(knee_qps_offered));
+    knee.set("qps_achieved", Value::of(knee_qps_achieved));
+    doc.set("knee", std::move(knee));
 
-    out += ",\"slo_ok\":";
-    out += slo_ok ? "true" : "false";
-    out += "}\n";
-    return out;
+    doc.set("slo_ok", Value::of(slo_ok));
+    return doc;
 }
 
 LoadGen::LoadGen(runtime::ProofService &service,

@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/jsonv.hpp"
 #include "obs/window.hpp"
 
 namespace zkspeed::runtime {
@@ -160,7 +161,7 @@ struct WindowReport {
     bool slo_ok = true;     ///< every verdict passed
 };
 
-/** Whole-run result; `render_json` is the SLO_report.json document. */
+/** Whole-run result; `to_json` is the SLO_report.json document. */
 struct Report {
     Plan plan;
     std::vector<WindowReport> windows;
@@ -179,7 +180,7 @@ struct Report {
     double knee_qps_offered = 0;
     double knee_qps_achieved = 0;
 
-    std::string render_json() const;
+    obs::jsonv::Value to_json() const;
 };
 
 /**

@@ -54,10 +54,4 @@ build_info_json()
     return o;
 }
 
-std::string
-build_info_json_text(int indent)
-{
-    return build_info_json().render(indent);
-}
-
 }  // namespace zkspeed::obs

@@ -35,8 +35,4 @@ const BuildInfo &build_info();
 /** Ordered `{git, compiler, flags, format, features}` object. */
 jsonv::Value build_info_json();
 
-/** `build_info_json().render(indent)` — for string-built documents
- * (pass -1 for a compact single-line splice). */
-std::string build_info_json_text(int indent = -1);
-
 }  // namespace zkspeed::obs

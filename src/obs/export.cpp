@@ -9,6 +9,7 @@
 
 #include "obs/flight.hpp"
 #include "obs/http.hpp"
+#include "obs/jsonv.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
 
@@ -72,6 +73,56 @@ prom_type(MetricKind k)
     return "untyped";
 }
 
+/** The artifact path environment variable `var` names; nullptr when
+ * unset or empty. */
+const char *
+env_path(const char *var)
+{
+    const char *path = std::getenv(var);
+    return path != nullptr && *path != '\0' ? path : nullptr;
+}
+
+/** One series: name, labels and kind, then the counter or gauge value,
+ * or a histogram's exact count/sum/min/max, its derived mean and
+ * quantiles and its sparse [upper, count] buckets. */
+jsonv::Value
+to_json(const MetricSnapshot &m)
+{
+    using jsonv::Value;
+    Value labels = Value::object();
+    for (const auto &[k, v] : m.labels) labels.set(k, Value::of(v));
+    Value o = Value::object();
+    o.set("name", Value::of(m.name));
+    o.set("labels", std::move(labels));
+    o.set("kind", Value::of(to_string(m.kind)));
+    switch (m.kind) {
+        case MetricKind::counter: o.set("value", Value::of(m.counter)); break;
+        case MetricKind::gauge: o.set("value", Value::of(m.gauge)); break;
+        case MetricKind::histogram: {
+            const auto &h = m.hist;
+            o.set("count", Value::of(h.count));
+            o.set("sum", Value::of(h.sum));
+            o.set("min", Value::of(h.min));
+            o.set("max", Value::of(h.max));
+            o.set("mean", Value::of(h.mean()));
+            o.set("p50", Value::of(h.quantile(0.50)));
+            o.set("p90", Value::of(h.quantile(0.90)));
+            o.set("p99", Value::of(h.quantile(0.99)));
+            o.set("p999", Value::of(h.quantile(0.999)));
+            Value buckets = Value::array();
+            for (const auto &b : h.buckets) {
+                Value pair = Value::array();
+                pair.push(Value::of(b.upper));
+                pair.push(Value::of(b.count));
+                buckets.push(std::move(pair));
+            }
+            o.set("buckets", std::move(buckets));
+            break;
+        }
+    }
+    return o;
+}
+
 }  // namespace
 
 std::string
@@ -130,83 +181,13 @@ render_prometheus_text(const Snapshot &snap)
 }
 
 std::string
-json_escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (unsigned char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (c < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += char(c);
-                }
-        }
-    }
-    return out;
-}
-
-std::string
 render_json(const Snapshot &snap)
 {
-    std::string out = "{\"metrics\":[";
-    bool first = true;
-    for (const MetricSnapshot &m : snap.metrics) {
-        if (!first) out += ",";
-        first = false;
-        out += "{\"name\":\"" + json_escape(m.name) + "\",\"labels\":{";
-        bool lfirst = true;
-        for (const auto &[k, v] : m.labels) {
-            if (!lfirst) out += ",";
-            lfirst = false;
-            out += "\"" + json_escape(k) + "\":\"" + json_escape(v) +
-                   "\"";
-        }
-        out += "},\"kind\":\"";
-        out += to_string(m.kind);
-        out += "\"";
-        switch (m.kind) {
-            case MetricKind::counter:
-                out += ",\"value\":" + std::to_string(m.counter);
-                break;
-            case MetricKind::gauge:
-                out += ",\"value\":" + fmt_double(m.gauge);
-                break;
-            case MetricKind::histogram: {
-                const auto &h = m.hist;
-                out += ",\"count\":" + std::to_string(h.count);
-                out += ",\"sum\":" + fmt_double(h.sum);
-                out += ",\"min\":" + fmt_double(h.min);
-                out += ",\"max\":" + fmt_double(h.max);
-                out += ",\"mean\":" + fmt_double(h.mean());
-                out += ",\"p50\":" + fmt_double(h.quantile(0.50));
-                out += ",\"p90\":" + fmt_double(h.quantile(0.90));
-                out += ",\"p99\":" + fmt_double(h.quantile(0.99));
-                out += ",\"p999\":" + fmt_double(h.quantile(0.999));
-                out += ",\"buckets\":[";
-                bool bfirst = true;
-                for (const auto &b : h.buckets) {
-                    if (!bfirst) out += ",";
-                    bfirst = false;
-                    out += "[" + fmt_double(b.upper) + "," +
-                           std::to_string(b.count) + "]";
-                }
-                out += "]";
-                break;
-            }
-        }
-        out += "}";
-    }
-    out += "]}";
-    return out;
+    jsonv::Value metrics = jsonv::Value::array();
+    for (const MetricSnapshot &m : snap.metrics) metrics.push(to_json(m));
+    jsonv::Value doc = jsonv::Value::object();
+    doc.set("metrics", std::move(metrics));
+    return doc.render(-1);
 }
 
 bool
@@ -227,25 +208,27 @@ write_file(const std::string &path, const std::string &content)
 void
 dump_artifacts_to_env()
 {
-    TraceRecorder::dump_to_env();
-    const char *path = std::getenv("ZKSPEED_METRICS_OUT");
-    if (path == nullptr || *path == '\0') return;
-    auto snap = MetricsRegistry::global().snapshot();
-    std::string_view p(path);
-    bool json = p.size() >= 5 && p.substr(p.size() - 5) == ".json";
-    write_file(path, json ? render_json(snap)
-                          : render_prometheus_text(snap));
+    if (const char *path = env_path("ZKSPEED_TRACE_OUT")) {
+        write_file(path, TraceRecorder::global().render_chrome_json());
+    }
+    if (const char *path = env_path("ZKSPEED_METRICS_OUT")) {
+        auto snap = MetricsRegistry::global().snapshot();
+        write_file(path, std::string_view(path).ends_with(".json")
+                             ? render_json(snap)
+                             : render_prometheus_text(snap));
+    }
 }
 
 void
 flush_all()
 {
     dump_artifacts_to_env();
-    LogRecorder::dump_to_env();
-    const char *attrib_out = std::getenv("ZKSPEED_ATTRIB_OUT");
-    if (attrib_out != nullptr && *attrib_out != '\0') {
+    if (const char *path = env_path("ZKSPEED_LOG_OUT")) {
+        write_file(path, LogRecorder::global().render_jsonl());
+    }
+    if (const char *path = env_path("ZKSPEED_ATTRIB_OUT")) {
         std::string attrib = latest_attrib_json();
-        if (!attrib.empty()) write_file(attrib_out, attrib);
+        if (!attrib.empty()) write_file(path, attrib);
     }
     if (flight::installed()) flight::refresh();
 }

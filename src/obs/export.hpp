@@ -23,9 +23,6 @@ std::string render_prometheus_text(const Snapshot &snap);
 /** JSON exposition: {"metrics":[{name, labels, kind, ...}, ...]}. */
 std::string render_json(const Snapshot &snap);
 
-/** Minimal JSON string escaping (quotes, backslashes, control chars). */
-std::string json_escape(const std::string &s);
-
 /** Write a string to a file; @return false (with stderr note) on error. */
 bool write_file(const std::string &path, const std::string &content);
 

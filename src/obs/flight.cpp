@@ -174,15 +174,7 @@ snapshot_json(const char *reason, const char *detail, int signal,
         log.set("rate_limited", Value::of(rec.rate_limited()));
         Value levs = Value::array();
         for (size_t i = log_start; i < log_events.size(); ++i) {
-            const LogEvent &ev = log_events[i];
-            Value o = Value::object();
-            o.set("ts_us", Value::of(ev.ts_us));
-            o.set("level", Value::of(to_string(ev.level)));
-            o.set("tid", Value::of(uint64_t(ev.tid)));
-            o.set("correlation_id", Value::of(ev.correlation_id));
-            o.set("component", Value::of(ev.component));
-            o.set("message", Value::of(ev.message));
-            levs.push(std::move(o));
+            levs.push(to_json(log_events[i]));
         }
         log.set("events", std::move(levs));
         doc.set("log", std::move(log));

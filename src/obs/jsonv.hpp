@@ -4,24 +4,27 @@
  * an ordered value tree (`Value`), a strict recursive-descent parser
  * and a renderer whose output round-trips through the parser.
  *
- * Three consumers, one schema discipline:
- *   - obs/attrib renders ATTRIB_report.json and parses it back for the
- *     schema round-trip test;
- *   - bench/report.hpp wraps every bench's metrics in the unified
- *     `zkspeed-bench-v1` envelope;
- *   - bench_attrib re-reads BENCH_*.json artifacts to merge them into
- *     BENCH_summary.json and to diff bench/baselines.json.
+ * The one JSON encoder: every JSON artifact (/metrics.json, /trace, the
+ * JSON-lines log, the FLIGHT, ATTRIB and SLO reports, the bench
+ * envelopes) is a `Value` tree rendered here, so escaping and number
+ * formatting live in one place. The parser reads artifacts back
+ * (attrib's schema round trip, bench_attrib's summary merge and
+ * baseline diff).
  *
  * Design notes: objects preserve insertion order (artifact diffs stay
- * stable run to run); integers are kept distinct from doubles so exact
- * counters (modmul counts, constraint counts) survive a render/parse
- * round trip bit-exactly; doubles render with %.17g which round-trips
- * IEEE-754 exactly. Header-only; no dependencies beyond the standard
- * library.
+ * stable run to run); integers are kept distinct from doubles, and
+ * unsigned integers from signed ones, so exact counters (modmul counts)
+ * and raw 64-bit ids (request ids up to 2^64-1) survive a render/parse
+ * round trip bit-exactly; doubles render in the shortest form that
+ * parses back to the same IEEE-754 value (std::to_chars), so a
+ * timestamp of whole nanoseconds prints as `1234.567`. Header-only; no
+ * dependencies beyond the standard library.
  */
 #pragma once
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -40,7 +43,8 @@ class Value
     enum class Kind : uint8_t {
         null_v = 0,
         bool_v,
-        int_v,
+        int_v,   ///< signed: negative literals and of(int64_t)
+        uint_v,  ///< unsigned: non-negative literals and of(uint64_t)
         double_v,
         string_v,
         array_v,
@@ -49,7 +53,8 @@ class Value
 
     Kind kind = Kind::null_v;
     bool boolean = false;
-    int64_t integer = 0;
+    int64_t integer = 0;    ///< int_v
+    uint64_t uinteger = 0;  ///< uint_v
     double number = 0;
     std::string str;
     std::vector<Value> items;                            ///< array_v
@@ -79,12 +84,15 @@ class Value
         return v;
     }
 
-    // size_t / uint64_t / uint32_t funnel through here (on LP64 a
-    // separate size_t overload would collide with uint64_t).
+    // size_t / uint64_t funnel through here (on LP64 a separate size_t
+    // overload would collide with uint64_t); cast uint32_t up first.
     static Value
     of(uint64_t u)
     {
-        return of(int64_t(u));
+        Value v;
+        v.kind = Kind::uint_v;
+        v.uinteger = u;
+        return v;
     }
 
     static Value
@@ -139,28 +147,34 @@ class Value
     bool is_array() const { return kind == Kind::array_v; }
     bool is_object() const { return kind == Kind::object_v; }
 
-    bool
-    is_number() const
-    {
-        return kind == Kind::int_v || kind == Kind::double_v;
-    }
+    bool is_number() const { return is_integer() || kind == Kind::double_v; }
 
     /** Exact-integer check (doubles never count, even whole ones). */
-    bool is_integer() const { return kind == Kind::int_v; }
+    bool
+    is_integer() const
+    {
+        return kind == Kind::int_v || kind == Kind::uint_v;
+    }
 
     double
     as_double() const
     {
+        if (kind == Kind::uint_v) return double(uinteger);
         return kind == Kind::int_v ? double(integer) : number;
     }
 
     int64_t
     as_int() const
     {
+        if (kind == Kind::uint_v) return int64_t(uinteger);
         return kind == Kind::int_v ? integer : int64_t(number);
     }
 
-    uint64_t as_u64() const { return uint64_t(as_int()); }
+    uint64_t
+    as_u64() const
+    {
+        return kind == Kind::uint_v ? uinteger : uint64_t(as_int());
+    }
 
     /** Object field append (builder style; keeps insertion order). */
     Value &
@@ -240,10 +254,11 @@ class Value
             case Kind::null_v: out += "null"; break;
             case Kind::bool_v: out += boolean ? "true" : "false"; break;
             case Kind::int_v: out += std::to_string(integer); break;
+            case Kind::uint_v: out += std::to_string(uinteger); break;
             case Kind::double_v: {
-                char buf[40];
-                std::snprintf(buf, sizeof(buf), "%.17g", number);
-                out += buf;
+                char buf[32];
+                auto res = std::to_chars(buf, buf + sizeof(buf), number);
+                out.append(buf, res.ptr);
                 break;
             }
             case Kind::string_v: escape_to(out, str); break;
@@ -389,8 +404,14 @@ struct Parser {
         }
         if (is_int) {
             errno = 0;
-            long long v = std::strtoll(tok.c_str(), nullptr, 10);
-            if (errno == 0) return Value::of(int64_t(v));
+            if (tok[0] == '-') {
+                long long v = std::strtoll(tok.c_str(), nullptr, 10);
+                if (errno == 0) return Value::of(int64_t(v));
+            } else {
+                unsigned long long v =
+                    std::strtoull(tok.c_str(), nullptr, 10);
+                if (errno == 0) return Value::of(uint64_t(v));
+            }
             // Out-of-range integer literal: fall back to double.
         }
         return Value::of(std::strtod(tok.c_str(), nullptr));

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -81,11 +80,8 @@ to_string(LogLevel level)
 }
 
 LogRecorder::LogRecorder(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      rate_per_s_(env_rate()),
-      burst_(64.0)
+    : ring_(capacity), rate_per_s_(env_rate()), burst_(64.0)
 {
-    ring_.reserve(capacity_);
     for (double &t : tokens_) t = burst_;
 }
 
@@ -94,7 +90,7 @@ LogRecorder::global()
 {
     static LogRecorder *rec = [] {
         auto *r = new LogRecorder(env_capacity());
-        register_log_telemetry(r->capacity_);
+        register_log_telemetry(r->ring_.capacity());
         return r;
     }();
     return *rec;
@@ -146,14 +142,7 @@ LogRecorder::record(LogLevel level, std::string component,
         std::lock_guard<std::mutex> lock(mu_);
         admitted = admit(level);
         if (admitted) {
-            if (ring_.size() < capacity_) {
-                ring_.push_back(std::move(ev));
-            } else {
-                ring_[next_ % capacity_] = std::move(ev);
-                evicted = true;
-            }
-            ++next_;
-            ++total_;
+            evicted = ring_.push(std::move(ev));
         } else {
             ++rate_limited_;
         }
@@ -179,17 +168,7 @@ std::vector<LogEvent>
 LogRecorder::events() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<LogEvent> out;
-    out.reserve(ring_.size());
-    if (ring_.size() < capacity_) {
-        out = ring_;
-    } else {
-        size_t start = next_ % capacity_;
-        for (size_t i = 0; i < ring_.size(); ++i) {
-            out.push_back(ring_[(start + i) % capacity_]);
-        }
-    }
-    return out;
+    return ring_.items();
 }
 
 size_t
@@ -203,7 +182,7 @@ uint64_t
 LogRecorder::dropped() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return total_ > ring_.size() ? total_ - ring_.size() : 0;
+    return ring_.evicted();
 }
 
 uint64_t
@@ -218,8 +197,6 @@ LogRecorder::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
     ring_.clear();
-    next_ = 0;
-    total_ = 0;
     rate_limited_ = 0;
     for (double &t : tokens_) t = burst_;
 }
@@ -247,19 +224,18 @@ LogRecorder::stderr_level() const
     return stderr_level_;
 }
 
-std::string
-LogRecorder::render_event(const LogEvent &ev)
+jsonv::Value
+to_json(const LogEvent &ev)
 {
-    char head[96];
-    std::snprintf(head, sizeof(head),
-                  "{\"ts_us\":%.3f,\"level\":\"%s\",\"tid\":%u,"
-                  "\"correlation_id\":%llu,",
-                  ev.ts_us, to_string(ev.level), ev.tid,
-                  (unsigned long long)ev.correlation_id);
-    std::string out = head;
-    out += "\"component\":\"" + json_escape(ev.component) + "\",";
-    out += "\"message\":\"" + json_escape(ev.message) + "\"}";
-    return out;
+    using jsonv::Value;
+    Value o = Value::object();
+    o.set("ts_us", Value::of(ev.ts_us));
+    o.set("level", Value::of(to_string(ev.level)));
+    o.set("tid", Value::of(uint64_t(ev.tid)));
+    o.set("correlation_id", Value::of(ev.correlation_id));
+    o.set("component", Value::of(ev.component));
+    o.set("message", Value::of(ev.message));
+    return o;
 }
 
 std::string
@@ -267,19 +243,10 @@ LogRecorder::render_jsonl() const
 {
     std::string out;
     for (const LogEvent &ev : events()) {
-        out += render_event(ev);
+        out += to_json(ev).render(-1);
         out += '\n';
     }
     return out;
-}
-
-std::string
-LogRecorder::dump_to_env()
-{
-    const char *path = std::getenv("ZKSPEED_LOG_OUT");
-    if (path == nullptr || *path == '\0') return "";
-    if (!write_file(path, global().render_jsonl())) return "";
-    return path;
 }
 
 void

@@ -31,6 +31,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/jsonv.hpp"
+#include "obs/ring.hpp"
+
 namespace zkspeed::obs {
 
 enum class LogLevel : uint8_t { debug = 0, info = 1, warn = 2, error = 3 };
@@ -47,6 +50,11 @@ struct LogEvent {
     std::string component;        ///< subsystem tag ("runtime", "loadgen")
     std::string message;
 };
+
+/** One event as a JSON object, the record of the JSON-lines log and of
+ * FLIGHT_report.json: {"ts_us":..,"level":"..","tid":..,
+ * "correlation_id":..,"component":"..","message":".."}. */
+jsonv::Value to_json(const LogEvent &ev);
 
 class LogRecorder
 {
@@ -83,28 +91,14 @@ class LogRecorder
     void set_stderr_level(LogLevel level);
     LogLevel stderr_level() const;
 
-    /** The ring as JSON lines (one `render_event` document per line). */
+    /** The ring as JSON lines (one `to_json` document per line). */
     std::string render_jsonl() const;
-
-    /** One event as a single-line JSON document:
-     * {"ts_us":..,"level":"..","tid":..,"correlation_id":..,
-     *  "component":"..","message":".."} */
-    static std::string render_event(const LogEvent &ev);
-
-    /**
-     * Write the ring to $ZKSPEED_LOG_OUT if set. @return the path
-     * written, or empty when unset / on write failure.
-     */
-    static std::string dump_to_env();
 
   private:
     bool admit(LogLevel level);  ///< token bucket; callers hold mu_
 
     mutable std::mutex mu_;
-    std::vector<LogEvent> ring_;
-    size_t capacity_;
-    size_t next_ = 0;
-    uint64_t total_ = 0;
+    Ring<LogEvent> ring_;
     uint64_t rate_limited_ = 0;
     double rate_per_s_;
     double burst_;

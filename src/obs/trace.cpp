@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 
-#include "obs/export.hpp"   // json_escape, write_file
+#include "obs/jsonv.hpp"
 #include "obs/metrics.hpp"  // obs::enabled()
 
 namespace zkspeed::obs {
@@ -49,14 +48,6 @@ open_span_unregister(uint64_t span_id)
     }
 }
 
-std::string
-fmt_us(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
-    return buf;
-}
-
 /**
  * Registry series mirroring the global recorder's ring health, so span
  * loss is visible in metrics.prom rather than only via the C++ API:
@@ -89,13 +80,31 @@ ring_telemetry()
     return t;
 }
 
+/** One span as a Chrome trace-event ("ph":"X" complete event). */
+jsonv::Value
+to_json(const SpanEvent &ev)
+{
+    using jsonv::Value;
+    Value args = Value::object();
+    args.set("span", Value::of(ev.span_id));
+    args.set("parent", Value::of(ev.parent_id));
+    args.set("job", Value::of(ev.correlation_id));
+    for (const auto &[key, value] : ev.args) args.set(key, Value::of(value));
+    Value o = Value::object();
+    o.set("name", Value::of(ev.name));
+    o.set("cat", Value::of(ev.category));
+    o.set("ph", Value::of("X"));
+    o.set("pid", Value::of(1));
+    o.set("tid", Value::of(uint64_t(ev.tid)));
+    o.set("ts", Value::of(ev.ts_us));
+    o.set("dur", Value::of(ev.dur_us));
+    o.set("args", std::move(args));
+    return o;
+}
+
 }  // namespace
 
-TraceRecorder::TraceRecorder(size_t capacity)
-    : capacity_(std::max<size_t>(1, capacity))
-{
-    ring_.reserve(capacity_);
-}
+TraceRecorder::TraceRecorder(size_t capacity) : ring_(capacity) {}
 
 size_t
 TraceRecorder::env_capacity()
@@ -114,7 +123,7 @@ TraceRecorder::global()
     static TraceRecorder rec(env_capacity());
     static const bool telemetry_init = [] {
         MetricsRegistry::global().set(ring_telemetry().capacity,
-                                      double(rec.capacity_));
+                                      double(rec.ring_.capacity()));
         return true;
     }();
     (void)telemetry_init;
@@ -144,17 +153,15 @@ TraceRecorder::current_tid()
 void
 TraceRecorder::set_capacity(size_t capacity)
 {
+    size_t effective;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        capacity_ = std::max<size_t>(1, capacity);
-        ring_.clear();
-        ring_.reserve(capacity_);
-        next_ = 0;
-        total_ = 0;
+        ring_ = Ring<SpanEvent>(capacity);
+        effective = ring_.capacity();
     }
     if (this == &global()) {
         auto &reg = MetricsRegistry::global();
-        reg.set(ring_telemetry().capacity, double(capacity_));
+        reg.set(ring_telemetry().capacity, double(effective));
         reg.set(ring_telemetry().live, 0.0);
     }
 }
@@ -168,18 +175,11 @@ TraceRecorder::next_span_id()
 void
 TraceRecorder::record(SpanEvent ev)
 {
-    bool evicted = false;
-    size_t live = 0;
+    bool evicted;
+    size_t live;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ++total_;
-        if (ring_.size() < capacity_) {
-            ring_.push_back(std::move(ev));
-        } else {
-            ring_[next_] = std::move(ev);
-            next_ = (next_ + 1) % capacity_;
-            evicted = true;
-        }
+        evicted = ring_.push(std::move(ev));
         live = ring_.size();
     }
     if (this == &global()) {
@@ -195,7 +195,7 @@ TraceRecorder::events() const
     std::vector<SpanEvent> out;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        out = ring_;
+        out = ring_.items();
     }
     std::stable_sort(out.begin(), out.end(),
                      [](const SpanEvent &a, const SpanEvent &b) {
@@ -215,7 +215,7 @@ uint64_t
 TraceRecorder::dropped() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return total_ - ring_.size();
+    return ring_.evicted();
 }
 
 void
@@ -224,8 +224,6 @@ TraceRecorder::clear()
     {
         std::lock_guard<std::mutex> lock(mu_);
         ring_.clear();
-        next_ = 0;
-        total_ = 0;
     }
     if (this == &global()) {
         MetricsRegistry::global().set(ring_telemetry().live, 0.0);
@@ -235,38 +233,12 @@ TraceRecorder::clear()
 std::string
 TraceRecorder::render_chrome_json() const
 {
-    auto evs = events();
-    std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    bool first = true;
-    for (const SpanEvent &ev : evs) {
-        if (!first) out += ",";
-        first = false;
-        out += "{\"name\":\"" + json_escape(ev.name) + "\",\"cat\":\"" +
-               json_escape(ev.category) + "\",\"ph\":\"X\",\"pid\":1";
-        out += ",\"tid\":" + std::to_string(ev.tid);
-        out += ",\"ts\":" + fmt_us(ev.ts_us);
-        out += ",\"dur\":" + fmt_us(ev.dur_us);
-        out += ",\"args\":{\"span\":" + std::to_string(ev.span_id);
-        out += ",\"parent\":" + std::to_string(ev.parent_id);
-        out += ",\"job\":" + std::to_string(ev.correlation_id);
-        for (const auto &[key, value] : ev.args) {
-            char buf[40];
-            std::snprintf(buf, sizeof(buf), "%.17g", value);
-            out += ",\"" + json_escape(key) + "\":" + buf;
-        }
-        out += "}}";
-    }
-    out += "]}";
-    return out;
-}
-
-std::string
-TraceRecorder::dump_to_env()
-{
-    const char *path = std::getenv("ZKSPEED_TRACE_OUT");
-    if (path == nullptr || *path == '\0') return "";
-    if (!write_file(path, global().render_chrome_json())) return "";
-    return path;
+    jsonv::Value trace_events = jsonv::Value::array();
+    for (const SpanEvent &ev : events()) trace_events.push(to_json(ev));
+    jsonv::Value doc = jsonv::Value::object();
+    doc.set("displayTimeUnit", jsonv::Value::of("ms"));
+    doc.set("traceEvents", std::move(trace_events));
+    return doc.render(-1);
 }
 
 std::vector<OpenSpan>

@@ -16,8 +16,7 @@
  * the most recent `capacity` spans and counts what it dropped). The
  * process-wide `obs::set_enabled(false)` switch makes every span
  * inert. `ZKSPEED_TRACE_OUT=<path>` dumps the ring as Chrome JSON on
- * service shutdown (runtime/service.cpp honors it; `dump_to_env` is
- * the shared hook).
+ * service shutdown (`obs::dump_artifacts_to_env` is the shared hook).
  */
 #pragma once
 
@@ -26,6 +25,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/ring.hpp"
 
 namespace zkspeed::obs {
 
@@ -101,18 +102,9 @@ class TraceRecorder
     /** Chrome trace-event JSON ({"traceEvents":[...]}; ph:"X"). */
     std::string render_chrome_json() const;
 
-    /**
-     * Write the ring to $ZKSPEED_TRACE_OUT if set. @return the path
-     * written, or empty when unset / on write failure.
-     */
-    static std::string dump_to_env();
-
   private:
     mutable std::mutex mu_;
-    std::vector<SpanEvent> ring_;
-    size_t capacity_;
-    size_t next_ = 0;       ///< ring write cursor
-    uint64_t total_ = 0;    ///< spans ever recorded
+    Ring<SpanEvent> ring_;
 };
 
 /**

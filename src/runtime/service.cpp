@@ -45,17 +45,6 @@ status_bucket(JobStatus s)
     return 2;
 }
 
-/**
- * Shutdown artifact hooks: metrics, trace, log ring, attribution and
- * a final flight snapshot all flush through obs::flush_all (shared
- * with the examples' interrupt handlers — obs/export.hpp).
- */
-void
-dump_telemetry_env()
-{
-    obs::flush_all();
-}
-
 /** True when ZKSPEED_FAULT_INJECT names this stage (test/CI hook for
  * exercising the worker-exception flight-recorder path). */
 bool
@@ -83,8 +72,7 @@ ProofService::ProofService(ServiceConfig cfg)
       instance_("svc" + std::to_string(g_next_instance.fetch_add(1))),
       tele_(register_telemetry()),
       queue_(std::max<size_t>(1, cfg.queue_capacity)),
-      cache_(cfg.key_cache_capacity, cfg.srs_seed),
-      trace_(tele_.trace_evicted)
+      cache_(cfg.key_cache_capacity, cfg.srs_seed)
 {
     cfg_.num_workers = std::max<size_t>(1, cfg_.num_workers);
     cfg_.verify_batch_size = std::max<size_t>(1, cfg_.verify_batch_size);
@@ -319,7 +307,7 @@ ProofService::shutdown()
             resp.error = "service shut down before the job ran";
             finish(*job, std::move(resp));
         }
-        dump_telemetry_env();
+        obs::flush_all();  // shutdown artifacts (obs/export.hpp)
         return;
     }
     for (auto &t : workers_) {
@@ -333,7 +321,7 @@ ProofService::shutdown()
     }
     window_cv_.notify_all();
     if (flusher_.joinable()) flusher_.join();
-    dump_telemetry_env();
+    obs::flush_all();
 }
 
 void
@@ -431,14 +419,7 @@ ProofService::process_prove(QueuedJob &job)
     obs::Span::record_complete("job.queue_wait", "service", job.enqueued,
                                picked_up, req.request_id, job_span.id());
 
-    if (req.circuit.num_vars > cfg_.max_circuit_vars) {
-        resp.status = JobStatus::too_large;
-        resp.error = "circuit exceeds this instance's size cap";
-        resp.metrics.total_ms = ms_since(job.enqueued);
-        return resp;
-    }
-
-    if (cfg_.check_witness) {
+    {
         obs::Span check_span("prove.witness_check", "service",
                              req.request_id);
         if (!req.witness.satisfies_gates(req.circuit) ||
@@ -506,7 +487,7 @@ ProofService::process_prove(QueuedJob &job)
     entry.table_rows = req.circuit.table_rows;
     entry.per_table_rows = req.circuit.table_row_counts;
     entry.lookup_gates = req.circuit.num_lookup_gates();
-    trace_.push(std::move(entry));
+    push_trace(std::move(entry));
     return resp;
 }
 
@@ -536,9 +517,9 @@ ProofService::process_verify(QueuedJob &job, JobResponse &resp)
         return std::nullopt;
     }
     resp.metrics.num_vars = uint32_t(vk->num_vars);
-    if (vk->num_vars > cfg_.max_circuit_vars) {
+    if (vk->num_vars > wire::kMaxRequestVars) {
         resp.status = JobStatus::too_large;
-        resp.error = "verifying key exceeds this instance's size cap";
+        resp.error = "verifying key exceeds the wire format's size cap";
         return std::nullopt;
     }
 
@@ -714,7 +695,7 @@ ProofService::flush_verify_batch(std::vector<PendingVerify> batch,
     entry.num_pairings = uint32_t(result->stats.num_pairings);
     entry.verify_ms = flush_ms;
     entry.pairing_ms = result->stats.pairing_ms;
-    trace_.push(std::move(entry));
+    push_trace(std::move(entry));
 
     for (size_t i = 0; i < batch.size(); ++i) {
         JobResponse resp;
@@ -756,6 +737,17 @@ ProofService::finish_response(std::promise<JobResponse> &promise,
         std::memory_order_relaxed);
     record_job_telemetry(resp);
     promise.set_value(std::move(resp));
+}
+
+void
+ProofService::push_trace(TraceEntry entry)
+{
+    bool evicted;
+    {
+        std::lock_guard<std::mutex> lock(trace_mu_);
+        evicted = trace_.push(std::move(entry));
+    }
+    if (evicted) obs::MetricsRegistry::global().add(tele_.trace_evicted);
 }
 
 ServiceReadiness

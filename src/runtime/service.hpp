@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/ring.hpp"
 #include "runtime/job.hpp"
 #include "runtime/key_cache.hpp"
 #include "runtime/queue.hpp"
@@ -53,12 +54,8 @@ struct ServiceConfig {
     size_t total_parallelism = 0;
     /** Resident proving keys (LRU beyond this). */
     size_t key_cache_capacity = 16;
-    /** Largest circuit (log2 gates) this instance accepts. */
-    size_t max_circuit_vars = wire::kMaxRequestVars;
     /** Seed of the simulated per-size SRS ceremonies. */
     uint64_t srs_seed = 0x7a6b5eedULL;
-    /** Check the witness satisfies the circuit before proving. */
-    bool check_witness = true;
     /** VERIFY jobs folded per batch flush (the size trigger). */
     size_t verify_batch_size = 16;
     /** Max time a parked VERIFY job waits before a timeout flush. */
@@ -86,51 +83,6 @@ struct ServiceReadiness {
     double recent_error_ratio = 0.0;
     /** Human-readable reason when not ready (empty when ready). */
     std::string detail;
-};
-
-/**
- * Fixed-capacity ring of replayable TraceEntry records. Once full, each
- * push overwrites the oldest entry and adds one to the `evicted`
- * registry counter. Storage grows with use up to `Capacity` entries.
- * Thread-safe.
- */
-template <size_t Capacity>
-class TraceRing
-{
-  public:
-    static_assert(Capacity > 0);
-
-    explicit TraceRing(obs::MetricId evicted) : evicted_(evicted) {}
-
-    void
-    push(TraceEntry entry)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (entries_.size() < Capacity) {
-            entries_.push_back(std::move(entry));
-            return;
-        }
-        entries_[oldest_] = std::move(entry);
-        oldest_ = (oldest_ + 1) % Capacity;
-        obs::MetricsRegistry::global().add(evicted_);
-    }
-
-    /** Retained entries, oldest first. */
-    std::vector<TraceEntry>
-    entries() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto split = entries_.begin() + std::ptrdiff_t(oldest_);
-        std::vector<TraceEntry> out(split, entries_.end());
-        out.insert(out.end(), entries_.begin(), split);
-        return out;
-    }
-
-  private:
-    const obs::MetricId evicted_;
-    mutable std::mutex mu_;
-    std::vector<TraceEntry> entries_;
-    size_t oldest_ = 0;  ///< next slot to overwrite once full
 };
 
 class ProofService
@@ -180,7 +132,12 @@ class ProofService
      * verify flush); beyond this the oldest are evicted. */
     static constexpr size_t kTraceCapacity = 16384;
     /** Snapshot of the replayable trace, oldest entry first. */
-    std::vector<TraceEntry> trace() const { return trace_.entries(); }
+    std::vector<TraceEntry>
+    trace() const
+    {
+        std::lock_guard<std::mutex> lock(trace_mu_);
+        return trace_.items();
+    }
     size_t queue_depth() const { return queue_.size(); }
     const ServiceConfig &config() const { return cfg_; }
     /** Kernel-thread budget each worker proves under. */
@@ -253,6 +210,9 @@ class ProofService
     void finish(QueuedJob &job, JobResponse resp);
     void finish_response(std::promise<JobResponse> &promise,
                          JobResponse resp);
+    /** Append to the replay trace, counting an eviction on
+     * zkspeed_trace_entries_evicted_total. */
+    void push_trace(TraceEntry entry);
 
     ServiceConfig cfg_;
     size_t per_worker_budget_ = 1;
@@ -278,7 +238,8 @@ class ProofService
     std::chrono::steady_clock::time_point window_opened_;
     bool draining_ = false;
 
-    TraceRing<kTraceCapacity> trace_;
+    mutable std::mutex trace_mu_;
+    obs::Ring<TraceEntry> trace_{kTraceCapacity};
 };
 
 }  // namespace zkspeed::runtime

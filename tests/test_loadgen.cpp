@@ -553,7 +553,7 @@ TEST(CapacityRun, UnderCapacityPassesAndFindsKneeAtLastWindow)
     EXPECT_EQ(rep.knee_window, cfg.plan.windows - 1);
 
     // The machine-readable report carries the whole window series.
-    std::string json = rep.render_json();
+    std::string json = rep.to_json().render(-1);
     for (const char *key :
          {"\"tool\":\"zkspeed_loadgen\"", "\"window_series\":",
           "\"knee\":", "\"slo_ok\":true", "\"qps_offered\":",

@@ -11,18 +11,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <random>
 #include <thread>
 
 #include "hyperplonk/profile.hpp"
 #include "hyperplonk/serialize.hpp"
+#include "json_check.hpp"
 #include "obs/export.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
+#include "obs/ring.hpp"
 #include "obs/trace.hpp"
 #include "obs/window.hpp"
 #include "runtime/service.hpp"
@@ -30,142 +30,8 @@
 namespace {
 
 using namespace zkspeed;
-
-// ---------------------------------------------------------------------------
-// A minimal JSON validator (recursive descent): enough to assert the
-// trace and metrics exports are well-formed documents that a real
-// parser (Perfetto's, jq) would accept. Returns true iff the whole
-// string is exactly one JSON value.
-// ---------------------------------------------------------------------------
-
-struct JsonCursor {
-    const std::string &s;
-    size_t i = 0;
-
-    void
-    ws()
-    {
-        while (i < s.size() && (s[i] == ' ' || s[i] == '\t' ||
-                                s[i] == '\n' || s[i] == '\r')) {
-            ++i;
-        }
-    }
-    bool
-    lit(const char *t)
-    {
-        size_t n = std::strlen(t);
-        if (s.compare(i, n, t) != 0) return false;
-        i += n;
-        return true;
-    }
-    bool
-    string()
-    {
-        if (i >= s.size() || s[i] != '"') return false;
-        ++i;
-        while (i < s.size() && s[i] != '"') {
-            if (s[i] == '\\') {
-                ++i;
-                if (i >= s.size()) return false;
-                if (s[i] == 'u') {
-                    for (int k = 0; k < 4; ++k) {
-                        if (++i >= s.size() || !std::isxdigit(
-                                                   (unsigned char)s[i])) {
-                            return false;
-                        }
-                    }
-                }
-            }
-            ++i;
-        }
-        if (i >= s.size()) return false;
-        ++i;  // closing quote
-        return true;
-    }
-    bool
-    number()
-    {
-        size_t start = i;
-        if (i < s.size() && s[i] == '-') ++i;
-        while (i < s.size() && std::isdigit((unsigned char)s[i])) ++i;
-        if (i < s.size() && s[i] == '.') {
-            ++i;
-            while (i < s.size() && std::isdigit((unsigned char)s[i])) ++i;
-        }
-        if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
-            ++i;
-            if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
-            while (i < s.size() && std::isdigit((unsigned char)s[i])) ++i;
-        }
-        return i > start;
-    }
-    bool
-    value()
-    {
-        ws();
-        if (i >= s.size()) return false;
-        char c = s[i];
-        if (c == '"') return string();
-        if (c == '{') {
-            ++i;
-            ws();
-            if (i < s.size() && s[i] == '}') {
-                ++i;
-                return true;
-            }
-            for (;;) {
-                ws();
-                if (!string()) return false;
-                ws();
-                if (i >= s.size() || s[i] != ':') return false;
-                ++i;
-                if (!value()) return false;
-                ws();
-                if (i < s.size() && s[i] == ',') {
-                    ++i;
-                    continue;
-                }
-                break;
-            }
-            if (i >= s.size() || s[i] != '}') return false;
-            ++i;
-            return true;
-        }
-        if (c == '[') {
-            ++i;
-            ws();
-            if (i < s.size() && s[i] == ']') {
-                ++i;
-                return true;
-            }
-            for (;;) {
-                if (!value()) return false;
-                ws();
-                if (i < s.size() && s[i] == ',') {
-                    ++i;
-                    continue;
-                }
-                break;
-            }
-            if (i >= s.size() || s[i] != ']') return false;
-            ++i;
-            return true;
-        }
-        if (c == 't') return lit("true");
-        if (c == 'f') return lit("false");
-        if (c == 'n') return lit("null");
-        return number();
-    }
-};
-
-bool
-valid_json(const std::string &s)
-{
-    JsonCursor c{s};
-    if (!c.value()) return false;
-    c.ws();
-    return c.i == s.size();
-}
+using test::check_prometheus_lines;
+using test::valid_json;
 
 // ---------------------------------------------------------------------------
 // Histogram geometry and quantile error.
@@ -445,6 +311,36 @@ TEST(ObsTrace, RingBoundAndDropCount)
     EXPECT_EQ(rec.dropped(), 0u);
 }
 
+TEST(ObsRing, EvictsOldestFirstAndCountsEvictions)
+{
+    obs::Ring<uint64_t> ring(4);
+    uint64_t evictions = 0;
+    auto push_ids = [&](uint64_t from, uint64_t to) {
+        for (uint64_t id = from; id <= to; ++id) {
+            if (ring.push(id)) ++evictions;
+        }
+    };
+
+    push_ids(1, 3);
+    EXPECT_EQ(ring.items(), (std::vector<uint64_t>{1, 2, 3}));
+    EXPECT_EQ(evictions, 0u);
+    push_ids(4, 4);  // exactly full: still nothing evicted
+    EXPECT_EQ(ring.items(), (std::vector<uint64_t>{1, 2, 3, 4}));
+    EXPECT_EQ(evictions, 0u);
+    push_ids(5, 6);
+    EXPECT_EQ(ring.items(), (std::vector<uint64_t>{3, 4, 5, 6}));
+    EXPECT_EQ(evictions, 2u);
+    push_ids(7, 11);  // wraps the ring more than once
+    EXPECT_EQ(ring.items(), (std::vector<uint64_t>{8, 9, 10, 11}));
+    EXPECT_EQ(evictions, 7u);
+    EXPECT_EQ(ring.evicted(), evictions);
+    EXPECT_EQ(ring.size(), 4u);
+
+    ring.clear();
+    EXPECT_TRUE(ring.items().empty());
+    EXPECT_EQ(ring.evicted(), 0u);
+}
+
 TEST(ObsTrace, DisabledSpansAreInert)
 {
     auto &rec = obs::TraceRecorder::global();
@@ -461,68 +357,6 @@ TEST(ObsTrace, DisabledSpansAreInert)
 // ---------------------------------------------------------------------------
 // Exposition formats.
 // ---------------------------------------------------------------------------
-
-/** Strict line check for the Prometheus text format (v0.0.4 subset). */
-void
-check_prometheus_lines(const std::string &text)
-{
-    size_t pos = 0;
-    int series_lines = 0;
-    while (pos < text.size()) {
-        size_t eol = text.find('\n', pos);
-        ASSERT_NE(eol, std::string::npos) << "unterminated last line";
-        std::string line = text.substr(pos, eol - pos);
-        pos = eol + 1;
-        if (line.empty()) continue;
-        if (line.rfind("# HELP ", 0) == 0 ||
-            line.rfind("# TYPE ", 0) == 0) {
-            continue;
-        }
-        ASSERT_NE(line[0], '#') << "unknown comment form: " << line;
-        // <name>[{labels}] <value>
-        size_t sp = line.rfind(' ');
-        ASSERT_NE(sp, std::string::npos) << line;
-        std::string series = line.substr(0, sp);
-        std::string value = line.substr(sp + 1);
-        char *end = nullptr;
-        std::strtod(value.c_str(), &end);
-        EXPECT_EQ(*end, '\0') << "unparseable value in: " << line;
-        size_t brace = series.find('{');
-        std::string name = series.substr(0, brace);
-        ASSERT_FALSE(name.empty());
-        for (char ch : name) {
-            EXPECT_TRUE(std::isalnum((unsigned char)ch) || ch == '_' ||
-                        ch == ':')
-                << "bad metric name char in: " << line;
-        }
-        if (brace != std::string::npos) {
-            EXPECT_EQ(series.back(), '}') << line;
-            // Label values must be quoted: k="v",k2="v2"
-            std::string body = series.substr(brace + 1,
-                                             series.size() - brace - 2);
-            size_t lp = 0;
-            while (lp < body.size()) {
-                size_t eq = body.find('=', lp);
-                ASSERT_NE(eq, std::string::npos) << line;
-                ASSERT_LT(eq + 1, body.size());
-                EXPECT_EQ(body[eq + 1], '"') << line;
-                size_t q = eq + 2;
-                while (q < body.size() &&
-                       !(body[q] == '"' && body[q - 1] != '\\')) {
-                    ++q;
-                }
-                ASSERT_LT(q, body.size()) << "unterminated label: " << line;
-                lp = q + 1;
-                if (lp < body.size()) {
-                    EXPECT_EQ(body[lp], ',') << line;
-                    ++lp;
-                }
-            }
-        }
-        ++series_lines;
-    }
-    EXPECT_GT(series_lines, 0);
-}
 
 TEST(ObsExport, PrometheusTextParses)
 {

@@ -6,13 +6,13 @@
  * invariant, concurrent scrapes while two provers run, readiness
  * flipping under queue saturation, the obs::set_enabled(false) kill
  * switch covering HTTP + log ring, structured-log ring/rate-limit
- * semantics and JSONL rendering, the flight recorder's
- * worker-exception path (forced via ZKSPEED_FAULT_INJECT), and handler
- * threads surviving clients that never read their response.
+ * semantics and JSONL rendering, the escaping and exact 64-bit ids of
+ * every JSON writer, the flight recorder's worker-exception path
+ * (forced via ZKSPEED_FAULT_INJECT), and handler threads surviving
+ * clients that never read their response.
  */
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -28,6 +28,8 @@
 #include <unistd.h>
 
 #include "hyperplonk/serialize.hpp"
+#include "json_check.hpp"
+#include "loadgen/loadgen.hpp"
 #include "obs/build_info.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
@@ -41,181 +43,8 @@
 namespace {
 
 using namespace zkspeed;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON validator (same contract as test_obs.cpp's): true iff
-// the whole string is exactly one JSON value a real parser accepts.
-// ---------------------------------------------------------------------------
-
-struct JsonCursor {
-    const std::string &s;
-    size_t i = 0;
-
-    void
-    ws()
-    {
-        while (i < s.size() && (s[i] == ' ' || s[i] == '\t' ||
-                                s[i] == '\n' || s[i] == '\r')) {
-            ++i;
-        }
-    }
-    bool
-    lit(const char *t)
-    {
-        size_t n = std::strlen(t);
-        if (s.compare(i, n, t) != 0) return false;
-        i += n;
-        return true;
-    }
-    bool
-    string()
-    {
-        if (i >= s.size() || s[i] != '"') return false;
-        ++i;
-        while (i < s.size() && s[i] != '"') {
-            if (s[i] == '\\') {
-                ++i;
-                if (i >= s.size()) return false;
-                if (s[i] == 'u') {
-                    for (int k = 0; k < 4; ++k) {
-                        if (++i >= s.size() || !std::isxdigit(
-                                                   (unsigned char)s[i])) {
-                            return false;
-                        }
-                    }
-                }
-            }
-            ++i;
-        }
-        if (i >= s.size()) return false;
-        ++i;  // closing quote
-        return true;
-    }
-    bool
-    number()
-    {
-        size_t start = i;
-        if (i < s.size() && s[i] == '-') ++i;
-        while (i < s.size() && std::isdigit((unsigned char)s[i])) ++i;
-        if (i < s.size() && s[i] == '.') {
-            ++i;
-            while (i < s.size() && std::isdigit((unsigned char)s[i])) ++i;
-        }
-        if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
-            ++i;
-            if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
-            while (i < s.size() && std::isdigit((unsigned char)s[i])) ++i;
-        }
-        return i > start;
-    }
-    bool
-    value()
-    {
-        ws();
-        if (i >= s.size()) return false;
-        char c = s[i];
-        if (c == '"') return string();
-        if (c == '{') {
-            ++i;
-            ws();
-            if (i < s.size() && s[i] == '}') {
-                ++i;
-                return true;
-            }
-            for (;;) {
-                ws();
-                if (!string()) return false;
-                ws();
-                if (i >= s.size() || s[i] != ':') return false;
-                ++i;
-                if (!value()) return false;
-                ws();
-                if (i < s.size() && s[i] == ',') {
-                    ++i;
-                    continue;
-                }
-                break;
-            }
-            if (i >= s.size() || s[i] != '}') return false;
-            ++i;
-            return true;
-        }
-        if (c == '[') {
-            ++i;
-            ws();
-            if (i < s.size() && s[i] == ']') {
-                ++i;
-                return true;
-            }
-            for (;;) {
-                if (!value()) return false;
-                ws();
-                if (i < s.size() && s[i] == ',') {
-                    ++i;
-                    continue;
-                }
-                break;
-            }
-            if (i >= s.size() || s[i] != ']') return false;
-            ++i;
-            return true;
-        }
-        if (c == 't') return lit("true");
-        if (c == 'f') return lit("false");
-        if (c == 'n') return lit("null");
-        return number();
-    }
-};
-
-bool
-valid_json(const std::string &s)
-{
-    JsonCursor c{s};
-    if (!c.value()) return false;
-    c.ws();
-    return c.i == s.size();
-}
-
-/** Strict line check for the Prometheus text format (v0.0.4 subset),
- * same as test_obs.cpp's — here applied to live scrape bodies. */
-void
-check_prometheus_lines(const std::string &text)
-{
-    size_t pos = 0;
-    int series_lines = 0;
-    while (pos < text.size()) {
-        size_t eol = text.find('\n', pos);
-        ASSERT_NE(eol, std::string::npos) << "unterminated last line";
-        std::string line = text.substr(pos, eol - pos);
-        pos = eol + 1;
-        if (line.empty()) continue;
-        if (line.rfind("# HELP ", 0) == 0 ||
-            line.rfind("# TYPE ", 0) == 0) {
-            continue;
-        }
-        ASSERT_NE(line[0], '#') << "unknown comment form: " << line;
-        size_t sp = line.rfind(' ');
-        ASSERT_NE(sp, std::string::npos) << line;
-        std::string value = line.substr(sp + 1);
-        char *end = nullptr;
-        std::strtod(value.c_str(), &end);
-        EXPECT_EQ(*end, '\0') << "unparseable value in: " << line;
-        std::string series = line.substr(0, sp);
-        size_t brace = series.find('{');
-        std::string name = series.substr(0, brace);
-        ASSERT_FALSE(name.empty());
-        for (char ch : name) {
-            EXPECT_TRUE(std::isalnum((unsigned char)ch) || ch == '_' ||
-                        ch == ':')
-                << "bad metric name char in: " << line;
-        }
-        if (brace != std::string::npos) {
-            EXPECT_EQ(series.back(), '}') << line;
-        }
-        ++series_lines;
-    }
-    EXPECT_GT(series_lines, 0);
-}
+using test::check_prometheus_lines;
+using test::valid_json;
 
 /** Series identities (`name{labels}`, value stripped) of an
  * exposition — the live-vs-shutdown comparison key. The `le` label is
@@ -690,8 +519,10 @@ TEST(ObsLog, JsonlRenderingEscapesAndParses)
 {
     obs::LogRecorder rec(8);
     rec.set_rate_limit(0, 0);
-    rec.record(obs::LogLevel::warn, "t26",
-               "quote \" backslash \\ newline \n tab \t done", 77);
+    const std::string message =
+        std::string("quote \" backslash \\ newline \n tab \t ctrl ") +
+        '\x01' + " done";
+    rec.record(obs::LogLevel::warn, "t26", message, 77);
     rec.record(obs::LogLevel::error, "t26", "plain");
     std::string jsonl = rec.render_jsonl();
     size_t lines = 0, pos = 0;
@@ -705,11 +536,148 @@ TEST(ObsLog, JsonlRenderingEscapesAndParses)
         ++lines;
     }
     EXPECT_EQ(lines, 2u);
-    auto parsed = obs::jsonv::parse(
-        obs::LogRecorder::render_event(rec.events()[0]));
+    auto parsed = obs::jsonv::parse(jsonl.substr(0, jsonl.find('\n')));
     ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->find("message")->str, message);
     EXPECT_EQ(parsed->find("correlation_id")->as_u64(), 77u);
     EXPECT_EQ(parsed->find("level")->str, "warn");
+}
+
+// ---------------------------------------------------------------------------
+// One encoder behind every writer: the same escaping everywhere, and raw
+// 64-bit request ids kept exact.
+// ---------------------------------------------------------------------------
+
+/** Both oracles accept `json`; @return jsonv's parse of it. */
+obs::jsonv::Value
+parse_checked(const std::string &json)
+{
+    EXPECT_TRUE(valid_json(json)) << json.substr(0, 400);
+    auto doc = obs::jsonv::parse(json);
+    EXPECT_TRUE(doc.has_value()) << json.substr(0, 400);
+    return doc.value_or(obs::jsonv::Value::null());
+}
+
+/** Field `key` of object `v`; fails the test when it is missing. */
+const obs::jsonv::Value &
+field(const obs::jsonv::Value &v, const char *key)
+{
+    static const obs::jsonv::Value missing;
+    const obs::jsonv::Value *f = v.find(key);
+    EXPECT_NE(f, nullptr) << "missing field " << key;
+    return f != nullptr ? *f : missing;
+}
+
+/** The first element of array `v`; fails the test when it is empty. */
+const obs::jsonv::Value &
+first(const obs::jsonv::Value &v)
+{
+    static const obs::jsonv::Value missing;
+    EXPECT_FALSE(v.items.empty());
+    return v.items.empty() ? missing : v.items.front();
+}
+
+TEST(ObsJson, EveryWriterEscapesAndRoundTrips)
+{
+    // A quote, a backslash, a newline and byte 0x01 each need their own
+    // escape.
+    const std::string nasty = std::string("q\"b\\s\nn") + '\x01' + "end";
+
+    // A metric label value, through /metrics.json (and /metrics).
+    obs::MetricsRegistry reg;
+    reg.add(reg.counter("t14_escape_total", {{"tag", nasty}}), 3);
+    auto metrics = parse_checked(obs::render_json(reg.snapshot()));
+    const auto &series = first(field(metrics, "metrics"));
+    EXPECT_EQ(field(field(series, "labels"), "tag").str, nasty);
+    EXPECT_EQ(field(series, "value").as_u64(), 3u);
+    check_prometheus_lines(obs::render_prometheus_text(reg.snapshot()));
+
+    // A span name and a span arg key, through /trace.
+    obs::TraceRecorder rec(4);
+    obs::SpanEvent ev;
+    ev.name = nasty;
+    ev.category = "test";
+    ev.args = {{nasty, 1.5}};
+    rec.record(ev);
+    auto trace = parse_checked(rec.render_chrome_json());
+    const auto &span = first(field(trace, "traceEvents"));
+    EXPECT_EQ(field(span, "name").str, nasty);
+    EXPECT_EQ(field(field(span, "args"), nasty.c_str()).as_double(), 1.5);
+
+    // A loadgen objective name, through SLO_report.json.
+    loadgen::Report rep;
+    obs::SloObjective objective;
+    objective.name = nasty;
+    objective.series = {"t14_latency_ms", {}};
+    rep.plan.objectives.push_back(objective);
+    loadgen::WindowReport window;
+    obs::SloVerdict verdict;
+    verdict.objective = nasty;
+    window.verdicts.push_back(verdict);
+    rep.windows.push_back(window);
+    auto slo = parse_checked(rep.to_json().render(-1));
+    EXPECT_EQ(field(first(field(slo, "objectives")), "name").str, nasty);
+    const auto &window_json = first(field(slo, "window_series"));
+    EXPECT_EQ(field(first(field(window_json, "verdicts")), "objective").str,
+              nasty);
+}
+
+TEST(ObsJson, MaxRequestIdSurvivesSpanLogAndFlight)
+{
+    // Request ids are raw caller-chosen u64s.
+    constexpr uint64_t kMaxId = ~uint64_t(0);
+    EXPECT_EQ(obs::jsonv::Value::of(kMaxId).render(-1),
+              "18446744073709551615");
+    EXPECT_EQ(obs::jsonv::Value::of(uint64_t(1) << 63).render(-1),
+              "9223372036854775808");
+
+    auto &log = obs::LogRecorder::global();
+    log.set_rate_limit(0, 0);  // the event under test is never dropped
+    std::string flight;
+    {
+        obs::Span span("t14.max_id", "test", kMaxId);
+        obs::log_event(obs::LogLevel::info, "t14", "max id", kMaxId);
+        flight = obs::flight::snapshot_json("snapshot", "", 9999, 64, 32);
+    }
+    auto has_max_id = [&](const obs::jsonv::Value &items, const char *key,
+                          const char *value, const char *id_key) {
+        for (const auto &item : items.items) {
+            const auto *k = item.find(key);
+            const auto *id = item.find(id_key);
+            if (k != nullptr && k->str == value && id != nullptr &&
+                id->is_integer() && id->as_u64() == kMaxId) {
+                return true;
+            }
+        }
+        return false;
+    };
+
+    // The flight snapshot: the still-open span and the log event.
+    auto doc = parse_checked(flight);
+    EXPECT_TRUE(has_max_id(field(field(doc, "trace"), "open"), "name",
+                           "t14.max_id", "correlation_id"));
+    EXPECT_TRUE(has_max_id(field(field(doc, "log"), "events"), "message",
+                           "max id", "correlation_id"));
+
+    // /trace: the closed span's `job` arg.
+    auto trace =
+        parse_checked(obs::TraceRecorder::global().render_chrome_json());
+    bool span_found = false;
+    for (const auto &ev : field(trace, "traceEvents").items) {
+        const auto *name = ev.find("name");
+        if (name == nullptr || name->str != "t14.max_id") continue;
+        const auto &job = field(field(ev, "args"), "job");
+        if (job.is_integer() && job.as_u64() == kMaxId) span_found = true;
+    }
+    EXPECT_TRUE(span_found);
+
+    // The JSON-lines log.
+    obs::jsonv::Value lines = obs::jsonv::Value::array();
+    std::istringstream jsonl(log.render_jsonl());
+    for (std::string line; std::getline(jsonl, line);) {
+        lines.push(parse_checked(line));
+    }
+    EXPECT_TRUE(has_max_id(lines, "message", "max id", "correlation_id"));
 }
 
 // ---------------------------------------------------------------------------
@@ -800,7 +768,7 @@ TEST(ObsBuildInfo, EnvelopeMatchesGaugeAndParses)
     EXPECT_NE(b.features.find("log"), std::string::npos);
     EXPECT_NE(b.features.find("flight"), std::string::npos);
 
-    std::string compact = obs::build_info_json_text(-1);
+    std::string compact = obs::build_info_json().render(-1);
     EXPECT_TRUE(valid_json(compact)) << compact;
     auto doc = obs::jsonv::parse(compact);
     ASSERT_TRUE(doc.has_value());

@@ -352,39 +352,6 @@ TEST(Service, TraceReplaysThroughChipModel)
     EXPECT_GT(report.speedup, 1.0);
 }
 
-TEST(Service, TraceRingEvictsOldestFirstAndCountsEvictions)
-{
-    auto &reg = obs::MetricsRegistry::global();
-    obs::MetricId evicted = reg.counter("zkspeed_test_trace_evicted_total");
-    TraceRing<4> ring(evicted);
-    auto push_ids = [&](uint64_t from, uint64_t to) {
-        for (uint64_t id = from; id <= to; ++id) {
-            TraceEntry e;
-            e.request_id = id;
-            ring.push(e);
-        }
-    };
-    auto kept_ids = [&] {
-        std::vector<uint64_t> ids;
-        for (const auto &e : ring.entries()) ids.push_back(e.request_id);
-        return ids;
-    };
-    auto evictions = [&] { return reg.snapshot()[evicted]->counter; };
-
-    push_ids(1, 3);
-    EXPECT_EQ(kept_ids(), (std::vector<uint64_t>{1, 2, 3}));
-    EXPECT_EQ(evictions(), 0u);
-    push_ids(4, 4);  // exactly full: still nothing evicted
-    EXPECT_EQ(kept_ids(), (std::vector<uint64_t>{1, 2, 3, 4}));
-    EXPECT_EQ(evictions(), 0u);
-    push_ids(5, 6);
-    EXPECT_EQ(kept_ids(), (std::vector<uint64_t>{3, 4, 5, 6}));
-    EXPECT_EQ(evictions(), 2u);
-    push_ids(7, 11);  // wraps the ring more than once
-    EXPECT_EQ(kept_ids(), (std::vector<uint64_t>{8, 9, 10, 11}));
-    EXPECT_EQ(evictions(), 7u);
-}
-
 TEST(Service, ShutdownCancelsQueuedJobs)
 {
     ServiceConfig cfg;
