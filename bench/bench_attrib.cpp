@@ -7,9 +7,10 @@
  *  1. Baseline ledger: bench/baselines.json pins, per scenario, the
  *     *exact* deterministic counters of the proving pipeline — gate
  *     counts, prove modmuls (Fr/Fq, measured with parallelism pinned to
- *     1 so the counts are machine-independent) and proof bytes. Any
- *     divergence is a silent perf/correctness regression and fails the
- *     build naming the scenario and field.
+ *     1 so the counts are machine-independent) and proof bytes — and,
+ *     per size n = 2^0 .. 2^16, the exact Fq-mul count of curve::msm.
+ *     Any divergence is a silent perf/correctness regression and fails
+ *     the build naming the scenario (or MSM size) and field.
  *
  *  2. Drift gate: runs the same roster through the conformance Harness
  *     and checks the kernel-level attribution report (obs/attrib):
@@ -22,20 +23,25 @@
  * BENCH_summary.json and fails if any merged gate failed.
  *
  * Usage:
- *   bench_attrib [--quick] [--baselines PATH] [--json PATH]
- *                [--summary PATH] [--attrib PATH]
+ *   bench_attrib [--baselines PATH] [--json PATH] [--summary PATH]
+ *                [--attrib PATH]
  *   bench_attrib --write-baselines PATH   # regenerate the ledger
  */
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "curve/msm.hpp"
+#include "ff/parallel.hpp"
 #include "obs/attrib.hpp"
 #include "obs/jsonv.hpp"
 #include "report.hpp"
@@ -127,6 +133,57 @@ measure_counters()
     return out;
 }
 
+/** Exact serial cost of one curve::msm size; `ms` is report-only. */
+struct MsmRow {
+    uint64_t n = 0;
+    uint64_t fq_muls = 0;
+    double ms = 0;
+};
+
+/** Largest ledger MSM size is 2^kMsmMaxLog points. */
+constexpr unsigned kMsmMaxLog = 16;
+
+/**
+ * Measure curve::msm at n = 2^0 .. 2^kMsmMaxLog with ff parallelism
+ * pinned to 1. Bases are the orbit P_i = (i+1) G; scalars come from one
+ * mt19937_64(0x5eed1) stream, and every size takes a prefix of both.
+ */
+std::vector<MsmRow>
+measure_msm()
+{
+    const size_t max_n = size_t(1) << kMsmMaxLog;
+    const curve::G1Affine gen = curve::g1_generator().to_affine();
+    std::vector<curve::G1> jac(max_n);
+    curve::G1 acc = curve::G1::from_affine(gen);
+    for (size_t i = 0; i < max_n; ++i) {
+        jac[i] = acc;
+        acc = acc.add_mixed(gen);
+    }
+    const auto points = curve::batch_to_affine<curve::G1Params>(
+        std::span<const curve::G1>(jac));
+    std::mt19937_64 rng(0x5eed1);
+    std::vector<ff::Fr> scalars(max_n);
+    for (auto &s : scalars) s = ff::Fr::random(rng);
+    const std::span<const curve::G1Affine> pts(points);
+    const std::span<const ff::Fr> sc(scalars);
+
+    ff::ParallelismGuard guard(1);
+    // The first MSM in a process also builds the GLV constants; keep
+    // that one-off cost out of the n = 1 row.
+    curve::msm(pts.first(1), sc.first(1));
+    std::vector<MsmRow> rows;
+    for (unsigned k = 0; k <= kMsmMaxLog; ++k) {
+        const size_t n = size_t(1) << k;
+        ff::ModmulScope scope;
+        auto t0 = std::chrono::steady_clock::now();
+        curve::msm(pts.first(n), sc.first(n));
+        std::chrono::duration<double, std::milli> dt =
+            std::chrono::steady_clock::now() - t0;
+        rows.push_back({n, scope.fq_delta(), dt.count()});
+    }
+    return rows;
+}
+
 /** Run the roster through the conformance harness and return the
  * attribution report (spans joined against the chip-model replay). */
 obs::attrib::Report
@@ -164,6 +221,7 @@ counters_json(const Counters &c)
 
 std::string
 render_baselines(const std::vector<Counters> &counters,
+                 const std::vector<MsmRow> &msm,
                  const obs::attrib::Report &attrib)
 {
     Value doc = Value::object();
@@ -171,6 +229,14 @@ render_baselines(const std::vector<Counters> &counters,
     Value scen = Value::array();
     for (const Counters &c : counters) scen.push(counters_json(c));
     doc.set("scenarios", std::move(scen));
+    Value msm_rows = Value::array();
+    for (const MsmRow &r : msm) {
+        Value o = Value::object();
+        o.set("n", Value::of(r.n));
+        o.set("fq_muls", Value::of(r.fq_muls));
+        msm_rows.push(std::move(o));
+    }
+    doc.set("msm", std::move(msm_rows));
     Value drift = Value::object();
     // Default bounds are deliberately generous: drift compares *shares*
     // of runtime (machine speed cancels), but relative kernel speeds
@@ -224,11 +290,59 @@ u64s(uint64_t v)
     return std::to_string(v);
 }
 
-/** Diff measured counters against the ledger, one gate per scenario. */
+/** Diff the measured MSM costs against the ledger's `msm` rows, one
+ * gate per size; a size missing on either side fails. */
+void
+check_msm(const Value &baselines, const std::vector<MsmRow> &measured,
+          GateLog &log)
+{
+    const Value *rows = baselines.find("msm");
+    if (rows == nullptr || !rows->is_array()) {
+        log.check("baselines_schema", false,
+                  "baselines.json has no msm array");
+        return;
+    }
+    std::map<uint64_t, uint64_t> ledger;  // n -> fq_muls
+    for (const Value &b : rows->items) {
+        const Value *n = b.find("n");
+        const Value *fq = b.find("fq_muls");
+        if (n == nullptr || !n->is_integer() || fq == nullptr ||
+            !fq->is_integer()) {
+            log.check("baseline_field", false,
+                      "curve.msm ledger row lacks an integer n/fq_muls");
+            continue;
+        }
+        ledger[n->as_u64()] = fq->as_u64();
+    }
+    for (const MsmRow &r : measured) {
+        const std::string where = "curve.msm n=" + u64s(r.n);
+        auto it = ledger.find(r.n);
+        if (it == ledger.end()) {
+            log.check("baseline_msm_present", false,
+                      where + " is measured but missing from the ledger");
+            continue;
+        }
+        log.check("baseline:" + where + ":fq_muls",
+                  it->second == r.fq_muls,
+                  where + " fq_muls: ledger " + u64s(it->second) +
+                      ", measured " + u64s(r.fq_muls));
+        ledger.erase(it);
+    }
+    for (const auto &[n, fq] : ledger) {
+        log.check("baseline_msm_present", false,
+                  "curve.msm n=" + u64s(n) +
+                      " is in the ledger but not measured");
+    }
+}
+
+/** Diff measured counters against the ledger, one gate per scenario
+ * and one per MSM size. */
 void
 check_counters(const Value &baselines,
-               const std::vector<Counters> &measured, GateLog &log)
+               const std::vector<Counters> &measured,
+               const std::vector<MsmRow> &msm, GateLog &log)
 {
+    check_msm(baselines, msm, log);
     const Value *scen = baselines.find("scenarios");
     if (scen == nullptr || !scen->is_array()) {
         log.check("baselines_schema", false,
@@ -425,10 +539,7 @@ main(int argc, char **argv)
             }
             return true;
         };
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            // The roster is already CI-sized; accepted for symmetry
-            // with the other benches' flags.
-        } else if (arg("--baselines")) {
+        if (arg("--baselines")) {
             baselines_path = argv[++i];
         } else if (arg("--write-baselines")) {
             write_path = argv[++i];
@@ -440,7 +551,7 @@ main(int argc, char **argv)
             attrib_path = argv[++i];
         } else {
             std::fprintf(stderr,
-                         "usage: bench_attrib [--quick] [--baselines P] "
+                         "usage: bench_attrib [--baselines P] "
                          "[--json P] [--summary P] [--attrib P] | "
                          "--write-baselines P\n");
             return 2;
@@ -458,6 +569,16 @@ main(int argc, char **argv)
                bench::fmt_int(c.lookup_gates),
                bench::fmt_int(c.modmul_fr), bench::fmt_int(c.modmul_fq),
                bench::fmt_int(c.proof_bytes)});
+    }
+
+    bench::title("Exact MSM cost per size (parallelism pinned to 1)");
+    auto msm = measure_msm();
+    bench::Table mt({{"n", 8}, {"Fq muls", 12}, {"Fq muls/pt", 12},
+                     {"Wall ms", 10}});
+    for (const MsmRow &r : msm) {
+        mt.row({bench::fmt_int(r.n), bench::fmt_int(r.fq_muls),
+                bench::fmt(double(r.fq_muls) / double(r.n), 1),
+                bench::fmt(r.ms)});
     }
 
     bench::title("Kernel drift vs chip model (conformance harness)");
@@ -488,7 +609,7 @@ main(int argc, char **argv)
 
     if (!write_path.empty()) {
         if (!obs::write_file(write_path,
-                             render_baselines(counters, attrib))) {
+                             render_baselines(counters, msm, attrib))) {
             std::fprintf(stderr, "cannot write %s\n", write_path.c_str());
             return 2;
         }
@@ -515,7 +636,7 @@ main(int argc, char **argv)
                      baselines_path.c_str());
         return 2;
     }
-    check_counters(*ledger, counters, log);
+    check_counters(*ledger, counters, msm, log);
     check_drift(*ledger, attrib, log);
     if (!summary_path.empty()) {
         merge_bench_reports(summary_path, json_path, log);

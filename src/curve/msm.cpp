@@ -9,26 +9,7 @@ namespace zkspeed::curve {
 using ff::Fq;
 using ff::Fr;
 
-unsigned
-pippenger_window_size(size_t n)
-{
-    unsigned bits = 0;
-    while ((size_t(1) << (bits + 1)) <= n) ++bits;
-    if (bits <= 5) return std::max(2u, bits);
-    return std::min(16u, bits - 3);
-}
-
 namespace {
-
-/** Window override clamp: w >= 64 shifts are UB and huge w allocates
- * 2^w buckets per worker, so every user-supplied value is forced into
- * the same [2, 16] range pippenger_window_size chooses from. */
-unsigned
-clamp_window(unsigned window, size_t n)
-{
-    if (window == 0) return pippenger_window_size(n);
-    return std::clamp(window, kMinWindowBits, kMaxWindowBits);
-}
 
 /** Extract the w-bit digit starting at bit offset off (w <= 16, so the
  * mask shift is always defined; offsets past the top limb read as 0). */
@@ -75,8 +56,7 @@ num_signed_windows(unsigned w, unsigned bits)
 
 /** Cost-model window choice for the signed kernel: the bucket phase
  * costs ~6 Fq muls per nonzero digit and the chunked aggregation
- * ~12.5 per bucket, so minimize nw(w) * (6n + 12.5 * 2^{w-1}). The
- * reference kernel keeps its own pre-PR heuristic. */
+ * ~12.5 per bucket, so minimize nw(w) * (6n + 12.5 * 2^{w-1}). */
 unsigned
 auto_signed_window(size_t n, unsigned bits)
 {
@@ -91,6 +71,16 @@ auto_signed_window(size_t n, unsigned bits)
         }
     }
     return best_w;
+}
+
+/** Window for an n-point MSM over `bits`-bit scalars: the cost model's
+ * choice when window == 0, else the override clamped to
+ * [kMinWindowBits, kMaxWindowBits]. */
+unsigned
+signed_window(unsigned window, size_t n, unsigned bits)
+{
+    if (window == 0) return auto_signed_window(n, bits);
+    return std::clamp(window, kMinWindowBits, kMaxWindowBits);
 }
 
 /** Signed-digit recoding of one scalar into a column-major digit matrix
@@ -684,57 +674,8 @@ pippenger_glv(std::span<const G1Affine> points,
             }
         },
         1024);
-    unsigned w = window == 0
-                     ? auto_signed_window(2 * n, kGlvBits)
-                     : std::clamp(window, kMinWindowBits, kMaxWindowBits);
-    return pippenger_signed(pts2, reprs2, w, kGlvBits);
-}
-
-// ---------------------------------------------------------------------------
-// Pre-PR 8 kernel: unsigned digits, Jacobian bucket accumulation. Kept
-// verbatim as the bench_msm baseline and an independent cross-check.
-// ---------------------------------------------------------------------------
-
-G1
-pippenger_reference_impl(std::span<const G1Affine> points,
-                         std::span<const Fr::Repr> reprs, unsigned w)
-{
-    const unsigned kScalarBits = Fr::kBits;
-    const unsigned num_windows = (kScalarBits + w - 1) / w;
-    const size_t num_buckets = (size_t(1) << w) - 1;
-
-    std::vector<G1> window_sums(num_windows, G1::identity());
-    ff::parallel_for(
-        num_windows,
-        [&](size_t win_begin, size_t win_end) {
-            std::vector<G1> buckets(num_buckets);
-            for (size_t win = win_begin; win < win_end; ++win) {
-                std::fill(buckets.begin(), buckets.end(), G1::identity());
-                unsigned off = unsigned(win) * w;
-                unsigned width = std::min(w, kScalarBits - off);
-                for (size_t i = 0; i < points.size(); ++i) {
-                    uint64_t d = digit_at(reprs[i], off, width);
-                    if (d != 0) {
-                        buckets[d - 1] = buckets[d - 1].add_mixed(points[i]);
-                    }
-                }
-                // Running-sum aggregation: 2*(2^w - 1) adds per window.
-                G1 acc = G1::identity();
-                G1 window_sum = G1::identity();
-                for (size_t b = num_buckets; b-- > 0;) {
-                    acc += buckets[b];
-                    window_sum += acc;
-                }
-                window_sums[win] = window_sum;
-            }
-        },
-        points.size() >= 4096 ? 1 : num_windows);
-    G1 result = G1::identity();
-    for (unsigned win = num_windows; win-- > 0;) {
-        for (unsigned b = 0; b < w; ++b) result = result.dbl();
-        result += window_sums[win];
-    }
-    return result;
+    return pippenger_signed(pts2, reprs2,
+                            signed_window(window, 2 * n, kGlvBits), kGlvBits);
 }
 
 std::vector<Fr::Repr>
@@ -761,23 +702,9 @@ msm(std::span<const G1Affine> points, std::span<const Fr> scalars,
     if (g.ok && points.size() >= kGlvMinPoints) {
         return pippenger_glv(points, to_reprs(scalars), window, g);
     }
-    unsigned w = window == 0
-                     ? auto_signed_window(points.size(), Fr::kBits)
-                     : std::clamp(window, kMinWindowBits, kMaxWindowBits);
-    return pippenger_signed(points, to_reprs(scalars), w, Fr::kBits);
-}
-
-G1
-msm_reference(std::span<const G1Affine> points, std::span<const Fr> scalars,
-              unsigned window)
-{
-    if (points.size() != scalars.size()) {
-        throw MsmSizeError("curve::msm_reference", points.size(),
-                           scalars.size());
-    }
-    if (points.empty()) return G1::identity();
-    unsigned w = clamp_window(window, points.size());
-    return pippenger_reference_impl(points, to_reprs(scalars), w);
+    return pippenger_signed(points, to_reprs(scalars),
+                            signed_window(window, points.size(), Fr::kBits),
+                            Fr::kBits);
 }
 
 G1

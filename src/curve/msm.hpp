@@ -57,15 +57,8 @@ class MsmSizeError : public std::runtime_error
     size_t scalars;  ///< number of scalars passed
 };
 
-/**
- * Heuristic Pippenger window size (bits) for an n-point MSM,
- * approximately log2(n) - 3, clamped to [2, 16]. User-supplied window
- * overrides outside [2, 16] are clamped to the same range (a shift by
- * >= 64 bits is UB and 2^w buckets per worker must stay bounded).
- */
-unsigned pippenger_window_size(size_t n);
-
-/** Clamp of user-supplied window overrides; [2, 16]. */
+/** Clamp of user-supplied window overrides; [2, 16]. A shift by >= 64
+ * bits is UB and 2^w buckets per worker must stay bounded. */
 inline constexpr unsigned kMinWindowBits = 2;
 inline constexpr unsigned kMaxWindowBits = 16;
 
@@ -104,14 +97,5 @@ G1 tree_sum(std::span<const G1Affine> points);
  * @throws MsmSizeError when the span lengths differ. */
 G1 msm_naive(std::span<const G1Affine> points,
              std::span<const ff::Fr> scalars);
-
-/**
- * The pre-PR 8 Pippenger kernel (unsigned digits, Jacobian bucket
- * accumulation), kept verbatim as the bench_msm baseline and as an
- * independent correctness cross-check for the signed-digit kernel.
- * Same validation and window clamping as msm().
- */
-G1 msm_reference(std::span<const G1Affine> points,
-                 std::span<const ff::Fr> scalars, unsigned window = 0);
 
 }  // namespace zkspeed::curve

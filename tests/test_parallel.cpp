@@ -48,26 +48,35 @@ TEST(Parallel, CounterMigrationPreservesTotals)
 
 TEST(Parallel, MsmIdenticalAcrossThreadCounts)
 {
+    // Values *and* Fq-mul counts must not depend on the worker count.
+    // The first MSM also builds the process-wide GLV constants; do that
+    // up front so its one-off muls stay out of the serial count.
     std::mt19937_64 rng(602);
-    const size_t n = 6000;  // above the parallel threshold
-    std::vector<curve::G1Affine> pts(n);
-    std::vector<Fr> scalars(n);
-    for (size_t i = 0; i < n; ++i) {
-        pts[i] = curve::g1_generator()
-                     .mul(Fr::from_uint(i * 7 + 1))
-                     .to_affine();
-        scalars[i] = Fr::random(rng);
+    const curve::G1 g = curve::g1_generator();
+    curve::msm(std::vector{g.to_affine()}, std::vector{Fr::one()});
+    const curve::G1 step = g.mul(Fr::from_uint(7));
+    for (size_t n : {6000u, 1u << 15}) {  // both above the threshold
+        std::vector<curve::G1> jac(n);  // P_i = (7i + 1) G
+        std::vector<Fr> scalars(n);
+        curve::G1 acc = g;
+        for (size_t i = 0; i < n; ++i) {
+            jac[i] = acc;
+            acc += step;
+            scalars[i] = Fr::random(rng);
+        }
+        auto pts = curve::batch_to_affine<curve::G1Params>(
+            std::span<const curve::G1>(jac));
+        auto run = [&](size_t threads) {
+            ParallelismGuard guard(threads);
+            ff::ModmulScope scope;
+            curve::G1 r = curve::msm(pts, scalars);
+            return std::make_pair(r, scope.fq_delta());
+        };
+        auto [serial, serial_fq] = run(1);
+        auto [parallel, parallel_fq] = run(8);
+        EXPECT_EQ(serial, parallel) << "n = " << n;
+        EXPECT_EQ(serial_fq, parallel_fq) << "n = " << n;
     }
-    curve::G1 serial, parallel;
-    {
-        ParallelismGuard guard(1);
-        serial = curve::msm(pts, scalars);
-    }
-    {
-        ParallelismGuard guard(8);
-        parallel = curve::msm(pts, scalars);
-    }
-    EXPECT_EQ(serial, parallel);
 }
 
 TEST(Parallel, ProofsIdenticalAcrossThreadCounts)
