@@ -18,6 +18,12 @@
  *     may be unmapped, and each kernel's share-of-runtime drift ratio
  *     must stay inside the ledger's per-kernel bounds.
  *
+ * It also reports, never gates, the exact serial share of one
+ * sparse-arithmetic 2^12 proof at a worker budget of 4: the modmuls that
+ * ran outside multi-chunk parallel_for regions (tests/test_parallel.cpp
+ * gates the same share). The --attrib report carries it as
+ * "serial_share".
+ *
  * It also merges every sibling BENCH_*.json artifact (the unified
  * "zkspeed-bench-v1" envelopes the other benches emit) into one
  * BENCH_summary.json and fails if any merged gate failed.
@@ -42,6 +48,7 @@
 
 #include "curve/msm.hpp"
 #include "ff/parallel.hpp"
+#include "hyperplonk/prover.hpp"
 #include "obs/attrib.hpp"
 #include "obs/jsonv.hpp"
 #include "report.hpp"
@@ -184,10 +191,38 @@ measure_msm()
     return rows;
 }
 
+/** Prove one sparse-arithmetic 2^12 circuit under a budget of 4 and
+ * return its exact serial/parallel modmul split. */
+obs::attrib::SerialShare
+measure_serial_share()
+{
+    scenarios::Spec spec;
+    spec.name = "sparse-arithmetic";
+    spec.log_size = 12;
+    spec.seed = 7;
+    auto inst = scenarios::Registry::global().build(spec);
+    std::mt19937_64 rng(7);
+    auto srs = std::make_shared<pcs::Srs>(
+        pcs::Srs::generate(inst.circuit.num_vars, rng));
+    auto keys = hyperplonk::keygen(inst.circuit, srs);
+    obs::attrib::SerialShare share;
+    share.circuit =
+        "sparse-arithmetic 2^" + std::to_string(inst.circuit.num_vars);
+    share.budget = 4;
+    ff::WorkerBudgetScope budget(share.budget);
+    ff::ModmulScope muls;
+    hyperplonk::prove(keys.first, inst.witness);
+    share.fr_muls = muls.fr_delta();
+    share.fr_parallel = muls.parallel_fr_delta();
+    share.fq_muls = muls.fq_delta();
+    share.fq_parallel = muls.parallel_fq_delta();
+    return share;
+}
+
 /** Run the roster through the conformance harness and return the
  * attribution report (spans joined against the chip-model replay). */
 obs::attrib::Report
-measure_attrib(std::string *attrib_json)
+measure_attrib()
 {
     scenarios::Harness harness;
     for (const RosterEntry &e : roster()) {
@@ -198,9 +233,7 @@ measure_attrib(std::string *attrib_json)
                          "conformant: %s\n", e.family, res.detail.c_str());
         }
     }
-    auto suite = harness.finish();
-    if (attrib_json != nullptr) *attrib_json = suite.attrib_json;
-    return suite.attrib;
+    return harness.finish().attrib;
 }
 
 Value
@@ -582,8 +615,7 @@ main(int argc, char **argv)
     }
 
     bench::title("Kernel drift vs chip model (conformance harness)");
-    std::string attrib_json;
-    auto attrib = measure_attrib(&attrib_json);
+    auto attrib = measure_attrib();
     bench::Table dt({{"Kernel", 20}, {"Meas ms", 10}, {"Model Mcyc", 12},
                      {"Meas %", 8}, {"Model %", 9}, {"Drift", 8}});
     for (const auto &row : attrib.kernels) {
@@ -598,8 +630,21 @@ main(int argc, char **argv)
                 attrib.jobs_joined, attrib.jobs_modeled_only,
                 attrib.jobs_measured_only, attrib.spans_joined,
                 attrib.spans_seen);
+
+    bench::title("Serial modmul share under a worker budget (report-only)");
+    attrib.serial_share = measure_serial_share();
+    const auto &share = *attrib.serial_share;
+    auto serial = [](uint64_t total, uint64_t parallel) {
+        return bench::fmt(100.0 * double(total - parallel) / double(total),
+                          1) +
+               "% serial of " + bench::fmt_int(total);
+    };
+    std::printf("%s at budget %s: Fr %s, Fq %s\n", share.circuit.c_str(),
+                u64s(share.budget).c_str(),
+                serial(share.fr_muls, share.fr_parallel).c_str(),
+                serial(share.fq_muls, share.fq_parallel).c_str());
     if (!attrib_path.empty()) {
-        if (!obs::write_file(attrib_path, attrib_json)) {
+        if (!obs::write_file(attrib_path, obs::attrib::render_json(attrib))) {
             std::fprintf(stderr, "cannot write %s\n",
                          attrib_path.c_str());
             return 2;

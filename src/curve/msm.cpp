@@ -54,17 +54,24 @@ num_signed_windows(unsigned w, unsigned bits)
     return nw;
 }
 
-/** Cost-model window choice for the signed kernel: the bucket phase
- * costs ~6 Fq muls per nonzero digit and the chunked aggregation
- * ~12.5 per bucket, so minimize nw(w) * (6n + 12.5 * 2^{w-1}). */
+/** Modeled Fq muls of one w-bit window over n points: the bucket phase
+ * costs ~6 per nonzero digit and the chunked aggregation ~12.5 per
+ * bucket. */
+inline double
+window_cost(size_t n, unsigned w)
+{
+    return 6.0 * double(n) + 12.5 * double(1u << (w - 1));
+}
+
+/** Cost-model window choice for the signed kernel: minimize
+ * nw(w) * window_cost(n, w). */
 unsigned
 auto_signed_window(size_t n, unsigned bits)
 {
     unsigned best_w = kMinWindowBits;
     double best_cost = 0;
     for (unsigned w = kMinWindowBits; w <= kMaxWindowBits; ++w) {
-        double cost = double(num_signed_windows(w, bits)) *
-                      (6.0 * double(n) + 12.5 * double(1u << (w - 1)));
+        double cost = double(num_signed_windows(w, bits)) * window_cost(n, w);
         if (best_cost == 0 || cost < best_cost) {
             best_cost = cost;
             best_w = w;
@@ -595,37 +602,33 @@ pippenger_signed(std::span<const G1Affine> points,
     // Signed-digit recoding, column-major so each window walks a
     // contiguous digit column. Identity points decompose to all-zero
     // columns (they contribute nothing and the affine kernel assumes
-    // finite points).
+    // finite points). Recoding a scalar costs about one modmul's time.
     std::vector<int32_t> digits(size_t(nw) * n);
-    ff::parallel_for(
-        n,
-        [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) {
-                if (points[i].is_identity()) {
-                    for (unsigned win = 0; win < nw; ++win) {
-                        digits[size_t(win) * n + i] = 0;
-                    }
-                    continue;
+    ff::parallel_for(n, 1, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+            if (points[i].is_identity()) {
+                for (unsigned win = 0; win < nw; ++win) {
+                    digits[size_t(win) * n + i] = 0;
                 }
-                decompose_signed(reprs[i], w, nw, digits.data() + i, n);
+                continue;
             }
-        },
-        1024);
+            decompose_signed(reprs[i], w, nw, digits.data() + i, n);
+        }
+    });
 
     // Windows are independent: reduce them in parallel (per-worker
-    // scratch), then combine serially MSB-first.
+    // scratch), then combine serially MSB-first. Each window's digit
+    // column and bucket set are fixed, so its muls do not depend on
+    // which chunk (or scratch) runs it.
     std::vector<G1> window_sums(nw, G1::identity());
     ff::parallel_for(
-        nw,
-        [&](size_t win_begin, size_t win_end) {
+        nw, size_t(window_cost(n, w)), [&](size_t win_begin, size_t win_end) {
             WindowScratch ws;
             for (size_t win = win_begin; win < win_end; ++win) {
                 window_sums[win] = accumulate_window(
                     points, digits.data() + win * n, half, ws);
             }
-        },
-        // Threading only pays off for MSMs with real work per window.
-        n >= 4096 ? 1 : nw);
+        });
 
     G1 result = G1::identity();
     for (unsigned win = nw; win-- > 0;) {
@@ -651,29 +654,28 @@ pippenger_glv(std::span<const G1Affine> points,
     // stays a single sequential read; the matching scalar halves sit at
     // the same indices. phi of the identity is the identity (the digit
     // pass zeroes its columns either way).
+    // Per point: one Fq mul for phi plus the scalar division (about
+    // another mul's time).
     std::vector<G1Affine> pts2(2 * n);
     std::vector<Fr::Repr> reprs2(2 * n);
-    ff::parallel_for(
-        n,
-        [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) {
-                pts2[2 * i] = points[i];
-                pts2[2 * i + 1] =
-                    points[i].is_identity()
-                        ? points[i]
-                        : G1Affine(g.beta * points[i].x, points[i].y);
-                uint64_t s1[2], s2[2];
-                glv_split(reprs[i], g, s1, s2);
-                Fr::Repr r1(0), r2(0);
-                r1.limbs[0] = s1[0];
-                r1.limbs[1] = s1[1];
-                r2.limbs[0] = s2[0];
-                r2.limbs[1] = s2[1];
-                reprs2[2 * i] = r1;
-                reprs2[2 * i + 1] = r2;
-            }
-        },
-        1024);
+    ff::parallel_for(n, 2, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+            pts2[2 * i] = points[i];
+            pts2[2 * i + 1] =
+                points[i].is_identity()
+                    ? points[i]
+                    : G1Affine(g.beta * points[i].x, points[i].y);
+            uint64_t s1[2], s2[2];
+            glv_split(reprs[i], g, s1, s2);
+            Fr::Repr r1(0), r2(0);
+            r1.limbs[0] = s1[0];
+            r1.limbs[1] = s1[1];
+            r2.limbs[0] = s2[0];
+            r2.limbs[1] = s2[1];
+            reprs2[2 * i] = r1;
+            reprs2[2 * i + 1] = r2;
+        }
+    });
     return pippenger_signed(pts2, reprs2,
                             signed_window(window, 2 * n, kGlvBits), kGlvBits);
 }
@@ -681,10 +683,11 @@ pippenger_glv(std::span<const G1Affine> points,
 std::vector<Fr::Repr>
 to_reprs(std::span<const Fr> scalars)
 {
+    // One (uncounted) Montgomery reduction per scalar.
     std::vector<Fr::Repr> reprs(scalars.size());
-    for (size_t i = 0; i < scalars.size(); ++i) {
-        reprs[i] = scalars[i].to_repr();
-    }
+    ff::parallel_for(scalars.size(), 1, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) reprs[i] = scalars[i].to_repr();
+    });
     return reprs;
 }
 

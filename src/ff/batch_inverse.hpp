@@ -77,16 +77,14 @@ parallel_batch_inverse(std::span<F> xs)
         return;
     }
     const size_t nchunks = (xs.size() + kChunk - 1) / kChunk;
-    parallel_for(
-        nchunks,
-        [&](size_t cb, size_t ce) {
-            for (size_t c = cb; c < ce; ++c) {
-                size_t b = c * kChunk;
-                size_t e = std::min(xs.size(), b + kChunk);
-                batch_inverse(xs.subspan(b, e - b));
-            }
-        },
-        /*min_chunk=*/1);
+    // Montgomery's trick: ~3 muls per element of a grid chunk.
+    parallel_for(nchunks, 3 * kChunk, [&](size_t cb, size_t ce) {
+        for (size_t c = cb; c < ce; ++c) {
+            size_t b = c * kChunk;
+            size_t e = std::min(xs.size(), b + kChunk);
+            batch_inverse(xs.subspan(b, e - b));
+        }
+    });
 }
 
 /** Convenience overload for vectors. */

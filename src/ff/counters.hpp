@@ -8,6 +8,12 @@
  * letting the Table-1 benchmark measure the real kernel costs of our own
  * prover. The single-add overhead is negligible next to a 4x4 or 6x6 limb
  * multiply.
+ *
+ * A second tally, `parallel`, counts the subset of those multiplications
+ * that ran inside a multi-chunk ff::parallel_for region (the caller's own
+ * chunks plus the deltas migrated from pool workers). total - parallel is
+ * the exact serial share of a kernel under a worker budget, which is what
+ * the thread-budget gate in tests/test_parallel.cpp asserts on.
  */
 #pragma once
 
@@ -23,11 +29,12 @@ enum class CounterTag : int {
 
 struct ModmulCounters {
     uint64_t counts[2] = {0, 0};
+    uint64_t parallel[2] = {0, 0};  ///< subset run in multi-chunk regions
 
     uint64_t fr() const { return counts[0]; }
     uint64_t fq() const { return counts[1]; }
     uint64_t total() const { return counts[0] + counts[1]; }
-    void reset() { counts[0] = counts[1] = 0; }
+    void reset() { *this = ModmulCounters{}; }
 };
 
 /** Thread-local counter instance used by all field multiplications. */
@@ -60,6 +67,20 @@ class ModmulScope
     }
 
     uint64_t total_delta() const { return fr_delta() + fq_delta(); }
+
+    /** Of fr_delta(), the muls that ran inside multi-chunk regions. */
+    uint64_t
+    parallel_fr_delta() const
+    {
+        return modmul_counters().parallel[0] - start_.parallel[0];
+    }
+
+    /** Of fq_delta(), the muls that ran inside multi-chunk regions. */
+    uint64_t
+    parallel_fq_delta() const
+    {
+        return modmul_counters().parallel[1] - start_.parallel[1];
+    }
 
   private:
     ModmulCounters start_;

@@ -9,11 +9,18 @@
  * Table-1 instrumentation stays exact under parallel execution. Field
  * arithmetic is exact, so results are bit-identical to serial runs as
  * long as callers merge per-range partial results deterministically;
- * the chunk partition depends only on (n, workers, min_chunk), never on
- * which thread runs a chunk.
+ * the chunk partition depends only on (n, item_modmuls, budget), never
+ * on which thread runs a chunk.
+ *
+ * Grain rule: every caller states roughly how many modmuls one item
+ * costs, and a region splits only into chunks that each carry at least
+ * kGrainModmuls of work. There are no per-kernel size thresholds; a
+ * kernel honours the caller's budget at every size where its work pays
+ * for the dispatch.
  */
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <thread>
@@ -42,23 +49,28 @@ effective_parallelism()
 }
 
 /**
- * Run fn(begin, end) over a partition of [0, n). Falls back to a
- * single inline call when the range is small or workers are disabled.
- *
- * @param min_chunk smallest range worth a thread.
- * @param workers explicit worker budget for this call; 0 uses the
- *        calling thread's budget, falling back to the global count.
+ * Modmuls' worth of work one chunk must carry before a region splits.
+ * Measured on a 4-core 2 GHz host: a 4-chunk parallel_for of empty
+ * chunks, issued after enough serial work that the pool workers are
+ * asleep (as between prover steps), takes 14-18 us from dispatch to
+ * join, about 250 Fr muls at ~60 ns each. 1024 keeps that round trip
+ * under a quarter of each chunk's work.
+ */
+inline constexpr size_t kGrainModmuls = 1024;
+
+/**
+ * Run fn(begin, end) over a partition of [0, n), where one item costs
+ * about `item_modmuls` modular multiplications (or the equivalent
+ * time). The region splits into at most the calling thread's budget of
+ * chunks, each carrying at least kGrainModmuls of work; with less than
+ * two grains of work, or a budget of 1, fn runs inline as fn(0, n).
  */
 inline void
-parallel_for(size_t n, const std::function<void(size_t, size_t)> &fn,
-             size_t min_chunk = 4096, size_t workers = 0)
+parallel_for(size_t n, size_t item_modmuls,
+             const std::function<void(size_t, size_t)> &fn)
 {
-    if (workers == 0) workers = effective_parallelism();
-    if (workers <= 1 || n <= min_chunk) {
-        fn(0, n);
-        return;
-    }
-    size_t chunks = std::min(workers, (n + min_chunk - 1) / min_chunk);
+    const size_t chunks = std::min(
+        {effective_parallelism(), n, n * item_modmuls / kGrainModmuls});
     if (chunks <= 1) {
         fn(0, n);
         return;

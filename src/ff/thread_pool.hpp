@@ -15,7 +15,8 @@
  *    bit-identical results at any worker count;
  *  - modmul counters are exact: chunks run on pool workers measure
  *    their counter delta and migrate it back to the caller, chunks run
- *    inline on the calling thread count directly;
+ *    inline on the calling thread count directly; both also land in the
+ *    caller's `parallel` tally (ff/counters.hpp);
  *  - chunks execute with worker_budget() == 1 so a kernel that nests
  *    parallel_for runs its inner loops inline instead of forking a
  *    second level.
@@ -72,7 +73,8 @@ class WorkerPool
      * threads (the caller plus pool workers) execute concurrently, so a
      * caller's worker budget bounds its parallelism exactly as before.
      * Blocks until every chunk has finished; worker-side modmul deltas
-     * are migrated into the caller's counters before returning.
+     * are migrated into the caller's counters before returning, and
+     * every mul of the region is tallied as parallel.
      */
     void
     run(size_t n, const std::function<void(size_t, size_t)> &fn,
@@ -92,6 +94,7 @@ class WorkerPool
             active_.push_back(&call);
         }
         work_cv_.notify_all();
+        const ModmulCounters before = modmul_counters();
         // The caller participates: claim and run chunks until none are
         // left, so the call completes even with zero free workers.
         for (;;) {
@@ -108,9 +111,14 @@ class WorkerPool
             std::unique_lock<std::mutex> lock(mu_);
             done_cv_.wait(lock, [&] { return call.done == call.chunks; });
         }
-        // Migrate worker-thread counter deltas into the caller.
-        modmul_counters().counts[0] += call.migrated_fr.load();
-        modmul_counters().counts[1] += call.migrated_fq.load();
+        // Migrate worker-thread counter deltas into the caller, then
+        // tally the whole region (its own chunks included) as parallel.
+        ModmulCounters &c = modmul_counters();
+        c.counts[0] += call.migrated_fr.load();
+        c.counts[1] += call.migrated_fq.load();
+        for (int t = 0; t < 2; ++t) {
+            c.parallel[t] += c.counts[t] - before.counts[t];
+        }
     }
 
     size_t

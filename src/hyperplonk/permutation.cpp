@@ -5,6 +5,22 @@
 
 namespace zkspeed::hyperplonk {
 
+namespace {
+
+/** k * x by double-and-add: additions only, so re-seating a chunk's
+ * running identity term costs no modmuls. */
+Fr
+small_multiple(const Fr &x, size_t k)
+{
+    Fr acc = Fr::zero();
+    for (Fr pow = x; k != 0; k >>= 1, pow += pow) {
+        if (k & 1) acc += pow;
+    }
+    return acc;
+}
+
+}  // namespace
+
 PermutationOracles
 build_permutation_oracles(const CircuitIndex &index, const Witness &witness,
                           const Fr &beta, const Fr &gamma)
@@ -15,16 +31,17 @@ build_permutation_oracles(const CircuitIndex &index, const Witness &witness,
 
     // Construct N&D: elementwise affine combinations of witness, identity
     // and permutation MLEs. The id_j term folds into an incrementing
-    // constant; each parallel range re-seats it with one multiply at its
-    // start (beta * (j*n + begin)), so chunking adds a handful of muls
-    // per worker range but every element's value is chunk-independent.
+    // constant, beta * (j*n + i) + gamma: one multiply per table seeds
+    // it, and each parallel range re-seats it by additions only, so
+    // both values and modmul counts are chunk-independent.
     {
         ProfileRegion reg("Construct N & D");
         for (size_t j = 0; j < 3; ++j) {
             out.n_parts[j] = std::make_shared<Mle>(mu);
             out.d_parts[j] = std::make_shared<Mle>(mu);
-            ff::parallel_for(n, [&](size_t begin, size_t end) {
-                Fr id_term = beta * Fr::from_uint(j * n + begin) + gamma;
+            const Fr id_base = beta * Fr::from_uint(j * n) + gamma;
+            ff::parallel_for(n, 1, [&](size_t begin, size_t end) {
+                Fr id_term = id_base + small_multiple(beta, begin);
                 for (size_t i = begin; i < end; ++i) {
                     (*out.n_parts[j])[i] = witness.w[j][i] + id_term;
                     (*out.d_parts[j])[i] =

@@ -96,6 +96,29 @@ alias(const Mle &m)
                                 const_cast<Mle *>(&m));
 }
 
+/** One MLE Combine input: out += coeff * in. */
+struct ScaledMle {
+    Mle *out;
+    const Mle *in;
+    Fr coeff;
+};
+
+/** Apply every `out += coeff * in` in one parallel pass over the n
+ * hypercube entries (one Fr mul per term per entry). Terms that share an
+ * output accumulate in list order, as a serial add_scaled sequence
+ * would. */
+void
+linear_combine(std::span<const ScaledMle> terms, size_t n)
+{
+    ff::parallel_for(n, terms.size(), [&](size_t begin, size_t end) {
+        for (const auto &t : terms) {
+            for (size_t i = begin; i < end; ++i) {
+                (*t.out)[i] += (*t.in)[i] * t.coeff;
+            }
+        }
+    });
+}
+
 /** Record a sumcheck's two kernels under their Table-1 row names. */
 void
 record_sumcheck(const std::string &round_name, const SumcheckCosts &costs,
@@ -368,34 +391,50 @@ prove(const ProvingKey &pk, const Witness &witness)
         m_mle.get(), lk.h_f.get(), lk.h_t.get()};
     {
         ProfileRegion reg("Batch Evaluations");
-        auto ev = [&](size_t poly, size_t point) {
-            reg.add_bytes_in(n * kFrBytes);
-            return polys[poly]->evaluate(points[point]);
+        // Each claim is an independent MLE Evaluate (~n Fr muls): list
+        // them, then run them in parallel, each writing its own slot.
+        struct Eval {
+            size_t poly, point;
+            Fr *out;
         };
-        for (size_t i = 0; i < 5; ++i) proof.evals.at_gate[i] = ev(i, 0);
+        std::vector<Eval> evs;
+        auto ev = [&](size_t poly, size_t point, Fr &out) {
+            evs.push_back({poly, point, &out});
+        };
+        auto &e = proof.evals;
+        for (size_t i = 0; i < 5; ++i) ev(i, 0, e.at_gate[i]);
         for (size_t i = 0; i < 3; ++i) {
-            proof.evals.at_gate[5 + i] = ev(kW1 + i, 0);
-            proof.evals.at_perm[i] = ev(kW1 + i, 1);
-            proof.evals.at_perm[3 + i] = ev(kS1 + i, 1);
+            ev(kW1 + i, 0, e.at_gate[5 + i]);
+            ev(kW1 + i, 1, e.at_perm[i]);
+            ev(kS1 + i, 1, e.at_perm[3 + i]);
         }
-        proof.evals.at_perm[6] = ev(kPhi, 1);
-        proof.evals.at_perm[7] = ev(kPi, 1);
-        proof.evals.at_u0 = {ev(kPhi, 2), ev(kPi, 2)};
-        proof.evals.at_u1 = {ev(kPhi, 3), ev(kPi, 3)};
+        ev(kPhi, 1, e.at_perm[6]);
+        ev(kPi, 1, e.at_perm[7]);
+        ev(kPhi, 2, e.at_u0[0]);
+        ev(kPi, 2, e.at_u0[1]);
+        ev(kPhi, 3, e.at_u1[0]);
+        ev(kPi, 3, e.at_u1[1]);
         // The root point is boolean: the evaluation is a table lookup.
-        proof.evals.pi_at_root = (*oracles.pi)[n - 2];
-        proof.evals.w1_at_pub = ev(kW1, 5);
-        proof.evals.custom = index.custom_gates;
-        if (index.custom_gates) proof.evals.qh_at_gate = ev(kQh, 0);
-        proof.evals.lookup = index.has_lookup;
+        e.pi_at_root = (*oracles.pi)[n - 2];
+        ev(kW1, 5, e.w1_at_pub);
+        e.custom = index.custom_gates;
+        if (index.custom_gates) ev(kQh, 0, e.qh_at_gate);
+        e.lookup = index.has_lookup;
         if (index.has_lookup) {
             const size_t lk_polys[BatchEvaluations::kLookupCount] = {
                 kW1, kW2, kW3, kQLookup, kTTag,
                 kT1, kT2, kT3, kM, kHf, kHt};
             for (size_t i = 0; i < BatchEvaluations::kLookupCount; ++i) {
-                proof.evals.at_lookup[i] = ev(lk_polys[i], 6);
+                ev(lk_polys[i], 6, e.at_lookup[i]);
             }
         }
+        ff::parallel_for(evs.size(), n, [&](size_t begin, size_t end) {
+            for (size_t i = begin; i < end; ++i) {
+                const Eval &v = evs[i];
+                *v.out = polys[v.poly]->evaluate(points[v.point]);
+            }
+        });
+        reg.add_bytes_in(evs.size() * n * kFrBytes);
     }
     tr.append_frs("batch_evals", proof.evals.flatten());
 
@@ -407,14 +446,16 @@ prove(const ProvingKey &pk, const Witness &witness)
     auto claims = claim_list(index.custom_gates, index.has_lookup);
     std::vector<Fr> pw = powers(a, claims.size());
 
-    // k_j = eq(X, z_j): six Build MLEs.
+    // k_j = eq(X, z_j): six independent Build MLEs (~n Fr muls each).
     std::vector<std::shared_ptr<Mle>> k_mles(points.size());
     {
         ProfileRegion reg("Build MLE");
-        for (size_t j = 0; j < points.size(); ++j) {
-            k_mles[j] = std::make_shared<Mle>(Mle::eq_table(points[j]));
-            reg.add_bytes_out(n * kFrBytes);
-        }
+        ff::parallel_for(points.size(), n, [&](size_t begin, size_t end) {
+            for (size_t j = begin; j < end; ++j) {
+                k_mles[j] = std::make_shared<Mle>(Mle::eq_table(points[j]));
+            }
+        });
+        reg.add_bytes_out(points.size() * n * kFrBytes);
     }
     // y_j = sum of a^c-weighted polynomials claimed at point j.
     std::vector<std::shared_ptr<Mle>> y_mles(points.size());
@@ -423,11 +464,13 @@ prove(const ProvingKey &pk, const Witness &witness)
         for (size_t j = 0; j < points.size(); ++j) {
             y_mles[j] = std::make_shared<Mle>(mu);
         }
+        std::vector<ScaledMle> terms;
         for (size_t c = 0; c < claims.size(); ++c) {
-            y_mles[claims[c].point]->add_scaled(*polys[claims[c].poly],
-                                                pw[c]);
-            reg.add_bytes_in(n * kFrBytes);
+            terms.push_back({y_mles[claims[c].point].get(),
+                             polys[claims[c].poly], pw[c]});
         }
+        linear_combine(terms, n);
+        reg.add_bytes_in(claims.size() * n * kFrBytes);
         reg.add_bytes_out(points.size() * n * kFrBytes);
     }
     VirtualPolynomial f_open(mu);
@@ -442,10 +485,13 @@ prove(const ProvingKey &pk, const Witness &witness)
     Mle gprime(mu);
     {
         ProfileRegion reg("Linear Combine");
+        std::vector<ScaledMle> terms;
         for (size_t j = 0; j < points.size(); ++j) {
-            gprime.add_scaled(*y_mles[j], Mle::eq_eval(r_o, points[j]));
-            reg.add_bytes_in(n * kFrBytes);
+            terms.push_back(
+                {&gprime, y_mles[j].get(), Mle::eq_eval(r_o, points[j])});
         }
+        linear_combine(terms, n);
+        reg.add_bytes_in(points.size() * n * kFrBytes);
         reg.add_bytes_out(n * kFrBytes);
     }
     {

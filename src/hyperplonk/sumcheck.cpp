@@ -56,6 +56,12 @@ sumcheck_prove(const VirtualPolynomial &vp, Transcript &transcript,
     out.proof.round_evals.reserve(nv);
     out.challenges.reserve(nv);
 
+    // Fr muls per hypercube pair in a round: every term multiplies its
+    // coefficient by each factor at each of the d + 1 points.
+    size_t pair_modmuls = 0;
+    for (const auto &t : vp.terms()) pair_modmuls += t.factors.size();
+    pair_modmuls *= d + 1;
+
     size_t len = size_t(1) << nv;
     for (size_t round = 0; round < nv; ++round) {
         const size_t pairs = len / 2;
@@ -65,7 +71,7 @@ sumcheck_prove(const VirtualPolynomial &vp, Transcript &transcript,
         // Hypercube pairs are independent (the zkSpeed SumCheck PEs
         // exploit the same parallelism); field addition is exact, so
         // the merge order cannot change the result.
-        ff::parallel_for(pairs, [&](size_t begin, size_t end) {
+        ff::parallel_for(pairs, pair_modmuls, [&](size_t begin, size_t end) {
             std::vector<std::vector<Fr>> ext(num_mles,
                                              std::vector<Fr>(d + 1));
             std::vector<Fr> local(d + 1, Fr::zero());
@@ -104,22 +110,20 @@ sumcheck_prove(const VirtualPolynomial &vp, Transcript &transcript,
         // MLE Update (Eq. 2), batched: all tables fold in ONE
         // parallel_for over the flattened (mle, pair) index space, so a
         // round costs a single pool dispatch instead of num_mles of
-        // them and short tables still fill worker chunks. Folds write
-        // into per-MLE ping-pong scratch (out of place, so chunks never
-        // write entries another chunk still reads), then swap.
+        // them and short tables still fill worker chunks. Each entry is
+        // one Fr mul. Folds write into per-MLE ping-pong scratch (out of
+        // place, so chunks never write entries another chunk still
+        // reads), then swap.
         ff::ModmulScope update_scope;
         for (size_t m = 0; m < num_mles; ++m) scratch[m].resize(pairs);
-        ff::parallel_for(
-            num_mles * pairs,
-            [&](size_t begin, size_t end) {
-                for (size_t idx = begin; idx < end; ++idx) {
-                    const size_t m = idx / pairs;
-                    const size_t i = idx % pairs;
-                    const auto &t = tables[m];
-                    scratch[m][i] = t[2 * i] + (t[2 * i + 1] - t[2 * i]) * r;
-                }
-            },
-            std::max<size_t>(size_t(64), 4096 / std::max<size_t>(num_mles, 1)));
+        ff::parallel_for(num_mles * pairs, 1, [&](size_t begin, size_t end) {
+            for (size_t idx = begin; idx < end; ++idx) {
+                const size_t m = idx / pairs;
+                const size_t i = idx % pairs;
+                const auto &t = tables[m];
+                scratch[m][i] = t[2 * i] + (t[2 * i + 1] - t[2 * i]) * r;
+            }
+        });
         for (size_t m = 0; m < num_mles; ++m) tables[m].swap(scratch[m]);
         if (costs != nullptr) {
             costs->update_modmuls += update_scope.total_delta();

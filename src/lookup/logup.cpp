@@ -119,7 +119,8 @@ multiplicities(const Mle &q_lookup, const Mle &table_tag,
     // identical to a serial scan regardless of chunking.
     std::vector<uint64_t> counts(table_rows, 0);
     std::mutex merge_mu;
-    ff::parallel_for(q_lookup.size(), [&](size_t begin, size_t end) {
+    // One hash probe per row, about two modmuls' time.
+    ff::parallel_for(q_lookup.size(), 2, [&](size_t begin, size_t end) {
         std::vector<uint64_t> local(table_rows, 0);
         bool any = false;
         for (size_t i = begin; i < end; ++i) {
@@ -163,7 +164,7 @@ build_helper_oracles(const Mle &q_lookup, const Mle &table_tag,
     // inversion runs on parallel_batch_inverse's fixed grid so the
     // modmul counts are identical across thread counts too.
     std::vector<Fr> den_f(n), den_t(n);
-    ff::parallel_for(n, [&](size_t begin, size_t end) {
+    ff::parallel_for(n, 6, [&](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
             den_f[i] = lambda + fold_tagged(q_lookup[i], (*wires[0])[i],
                                             (*wires[1])[i], (*wires[2])[i],
@@ -175,7 +176,7 @@ build_helper_oracles(const Mle &q_lookup, const Mle &table_tag,
     });
     ff::parallel_batch_inverse(den_f);
     ff::parallel_batch_inverse(den_t);
-    ff::parallel_for(n, [&](size_t begin, size_t end) {
+    ff::parallel_for(n, 2, [&](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
             if (!q_lookup[i].is_zero()) {
                 (*o.h_f)[i] = q_lookup[i] * den_f[i];

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "ff/fr.hpp"
+#include "ff/parallel.hpp"
 
 namespace zkspeed::mle {
 
@@ -112,7 +113,8 @@ class Mle
      * Build MLE (paper Sections 3.3.2 / 4.3): the eq polynomial table
      *   eq(x; r)[i] = prod_k (i_k ? r_k : 1 - r_k),
      * built as a forward binary tree with 2^{mu+1} - 4 multiplications
-     * (one child per pair is derived by subtraction, footnote 3).
+     * (one child per pair is derived by subtraction, footnote 3). Each
+     * level's parents are independent, so a level runs in parallel.
      */
     static Mle
     eq_table(std::span<const Fr> point)
@@ -125,10 +127,12 @@ class Mle
         // process the point back-to-front to leave x_1 at the LSB.
         for (size_t k = point.size(); k-- > 0;) {
             std::vector<Fr> next(cur.size() * 2);
-            for (size_t i = 0; i < cur.size(); ++i) {
-                next[2 * i + 1] = cur[i] * point[k];
-                next[2 * i] = cur[i] - next[2 * i + 1];  // (1-r)*c, mul-free
-            }
+            ff::parallel_for(cur.size(), 1, [&](size_t begin, size_t end) {
+                for (size_t i = begin; i < end; ++i) {
+                    next[2 * i + 1] = cur[i] * point[k];
+                    next[2 * i] = cur[i] - next[2 * i + 1];  // (1-r)*c
+                }
+            });
             cur = std::move(next);
         }
         m.evals_ = std::move(cur);

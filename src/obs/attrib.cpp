@@ -348,6 +348,11 @@ const char *const kKernelRowKeys[] = {
 const char *const kJobRowKeys[] = {"job", "mu", "sw_ms", "chip_ms",
                                    "kernels"};
 
+const char *const kSerialShareKeys[] = {"circuit",     "budget",
+                                        "fr_muls",     "fr_parallel",
+                                        "fq_muls",     "fq_parallel"};
+
+/** Required report keys; "serial_share" may appear on top of them. */
 const char *const kReportKeys[] = {
     "schema",           "build",
     "clock_ghz",
@@ -358,12 +363,16 @@ const char *const kReportKeys[] = {
     "kernels",          "jobs",
 };
 
-/** Strict object shape check: every listed key present, none extra. */
+/** Strict object shape check: every listed key present, and no others
+ * beyond `optional_present` known optional ones. */
 template <size_t N>
 bool
-exact_keys(const jsonv::Value &obj, const char *const (&keys)[N])
+exact_keys(const jsonv::Value &obj, const char *const (&keys)[N],
+           size_t optional_present = 0)
 {
-    if (!obj.is_object() || obj.fields.size() != N) return false;
+    if (!obj.is_object() || obj.fields.size() != N + optional_present) {
+        return false;
+    }
     for (const char *key : keys) {
         if (obj.find(key) == nullptr) return false;
     }
@@ -439,6 +448,17 @@ render_json(const Report &report)
         jobs.push(std::move(o));
     }
     doc.set("jobs", std::move(jobs));
+    if (report.serial_share.has_value()) {
+        const SerialShare &s = *report.serial_share;
+        jsonv::Value o = jsonv::Value::object();
+        o.set("circuit", jsonv::Value::of(s.circuit));
+        o.set("budget", jsonv::Value::of(s.budget));
+        o.set("fr_muls", jsonv::Value::of(s.fr_muls));
+        o.set("fr_parallel", jsonv::Value::of(s.fr_parallel));
+        o.set("fq_muls", jsonv::Value::of(s.fq_muls));
+        o.set("fq_parallel", jsonv::Value::of(s.fq_parallel));
+        doc.set("serial_share", std::move(o));
+    }
     return doc.render();
 }
 
@@ -448,7 +468,10 @@ parse_json(const std::string &text)
     auto parsed = jsonv::parse(text);
     if (!parsed.has_value()) return std::nullopt;
     const jsonv::Value &doc = *parsed;
-    if (!exact_keys(doc, kReportKeys)) return std::nullopt;
+    const jsonv::Value *share = doc.find("serial_share");
+    if (!exact_keys(doc, kReportKeys, share != nullptr ? 1 : 0)) {
+        return std::nullopt;
+    }
     const jsonv::Value *schema = doc.find("schema");
     if (!schema->is_string() || schema->str != "zkspeed-attrib-v1") {
         return std::nullopt;
@@ -520,6 +543,22 @@ parse_json(const std::string &text)
             job.kernels.push_back(std::move(*row));
         }
         report.jobs.push_back(std::move(job));
+    }
+    if (share != nullptr) {
+        if (!exact_keys(*share, kSerialShareKeys) ||
+            !share->find("circuit")->is_string()) {
+            return std::nullopt;
+        }
+        SerialShare s;
+        s.circuit = share->find("circuit")->str;
+        uint64_t *fields[] = {&s.budget,  &s.fr_muls, &s.fr_parallel,
+                              &s.fq_muls, &s.fq_parallel};
+        for (size_t k = 0; k < 5; ++k) {
+            const jsonv::Value *v = share->find(kSerialShareKeys[k + 1]);
+            if (!v->is_integer()) return std::nullopt;
+            *fields[k] = v->as_u64();
+        }
+        report.serial_share = std::move(s);
     }
     return report;
 }

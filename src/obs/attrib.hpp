@@ -90,6 +90,18 @@ struct JobRow {
     std::vector<KernelRow> kernels;
 };
 
+/** Exact serial share of one proof under a worker budget: how many of
+ * its modmuls ran inside multi-chunk ff::parallel_for regions
+ * (report-only; bench_attrib fills it). */
+struct SerialShare {
+    std::string circuit;  ///< e.g. "sparse-arithmetic 2^12"
+    uint64_t budget = 0;
+    uint64_t fr_muls = 0;
+    uint64_t fr_parallel = 0;
+    uint64_t fq_muls = 0;
+    uint64_t fq_parallel = 0;
+};
+
 struct Report {
     double clock_ghz = 1.0;
     /** Aggregate rows over every joined job, one per group with any
@@ -112,6 +124,8 @@ struct Report {
      * empty unless a new ProfileRegion was added without extending the
      * group table (bench_attrib fails CI on it). */
     std::vector<std::string> unmapped_kernels;
+    /** Rendered as the optional "serial_share" object when set. */
+    std::optional<SerialShare> serial_share;
 };
 
 struct Options {

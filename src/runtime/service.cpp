@@ -592,6 +592,10 @@ ProofService::park_verify(PendingVerify pending)
 void
 ProofService::flusher_loop()
 {
+    // A timer flush runs the same kernels as a size flush on a worker,
+    // so it gets the same budget instead of fanning out to every core
+    // while the workers prove.
+    ff::WorkerBudgetScope budget(per_worker_budget_);
     std::unique_lock<std::mutex> lock(window_mu_);
     for (;;) {
         if (window_.empty()) {

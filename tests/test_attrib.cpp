@@ -227,6 +227,11 @@ TEST(AttribSchema, JsonRoundTripIsExactAndStrict)
 {
     Synthetic fx;
     Report rep = obs::attrib::build(fx.events, fx.jobs, fx.opts);
+    EXPECT_EQ(obs::attrib::render_json(rep).find("serial_share"),
+              std::string::npos)
+        << "the optional block renders only when set";
+    rep.serial_share =
+        obs::attrib::SerialShare{"sparse-arithmetic 2^12", 4, 10, 9, 20, 19};
     std::string text = obs::attrib::render_json(rep);
     EXPECT_NE(text.find("\"schema\": \"zkspeed-attrib-v1\""),
               std::string::npos);
@@ -263,6 +268,9 @@ TEST(AttribSchema, JsonRoundTripIsExactAndStrict)
     EXPECT_EQ(back->jobs[0].job_id, rep.jobs[0].job_id);
     EXPECT_EQ(back->jobs[0].mu, rep.jobs[0].mu);
     EXPECT_EQ(back->jobs[0].kernels.size(), rep.jobs[0].kernels.size());
+    ASSERT_TRUE(back->serial_share.has_value());
+    EXPECT_EQ(back->serial_share->circuit, "sparse-arithmetic 2^12");
+    EXPECT_EQ(back->serial_share->fq_parallel, 19u);
 
     // A second render of the parsed report reproduces the document
     // bit-for-bit — nothing is lost or reordered in flight.
@@ -276,6 +284,10 @@ TEST(AttribSchema, JsonRoundTripIsExactAndStrict)
 
     bad = text;
     bad.replace(bad.find("\"jobs_joined\""), 13, "\"jobs_joinedX\"");
+    EXPECT_FALSE(obs::attrib::parse_json(bad).has_value());
+
+    bad = text;
+    bad.replace(bad.find("\"fq_parallel\""), 13, "\"fq_parallelX\"");
     EXPECT_FALSE(obs::attrib::parse_json(bad).has_value());
 
     EXPECT_FALSE(
@@ -336,7 +348,7 @@ TEST(AttribSpans, CrossThreadModmulsFoldIntoEnclosingSpan)
         ff::ParallelismGuard guard(threads);
         {
             hyperplonk::ProfileRegion region("Build MLE");
-            ff::parallel_for(kN, [&](size_t b, size_t e) {
+            ff::parallel_for(kN, 1, [&](size_t b, size_t e) {
                 for (size_t i = b; i < e; ++i) {
                     vals[i] = vals[i] * vals[i];
                 }

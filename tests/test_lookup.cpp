@@ -171,8 +171,9 @@ TEST(LogUp, MultiplicitiesCountEveryLookupAndFractionsBalance)
 TEST(LogUp, ParallelMultiplicityConstructionMatchesSerial)
 {
     SCOPED_TRACE(repro());
-    // Big enough that ff::parallel_for actually forks (2^mu > its
-    // min_chunk): ~2000 lookup gates put the circuit at 2^13 rows.
+    // Big enough that ff::parallel_for actually forks (2^mu rows carry
+    // several grains of work): ~2000 lookup gates put the circuit at
+    // 2^13 rows.
     std::mt19937_64 rng(kSeed + 40);
     auto [index, wit] =
         scenarios::circuits::range_bank_lookup(2000, 8, rng, 2);

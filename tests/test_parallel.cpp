@@ -1,8 +1,10 @@
 /**
  * @file
  * Parallel-kernel tests: serial and parallel runs must be bit-identical
- * (field arithmetic is exact), and the modmul-counter migration must
- * keep instrumentation totals intact under threading.
+ * (field arithmetic is exact), the modmul-counter migration must keep
+ * instrumentation totals intact under threading, and a proof under a
+ * worker budget must run nearly all of its modmuls inside multi-chunk
+ * regions.
  */
 #include <gtest/gtest.h>
 
@@ -10,6 +12,8 @@
 
 #include "ff/parallel.hpp"
 #include "hyperplonk/prover.hpp"
+#include "hyperplonk/serialize.hpp"
+#include "scenarios/registry.hpp"
 
 namespace {
 
@@ -19,10 +23,12 @@ using ff::ParallelismGuard;
 
 TEST(Parallel, ParallelForCoversRangeExactlyOnce)
 {
+    ParallelismGuard guard(4);
     std::vector<std::atomic<int>> hits(10000);
-    ff::parallel_for(hits.size(), [&](size_t b, size_t e) {
-        for (size_t i = b; i < e; ++i) ++hits[i];
-    }, 16);
+    ff::parallel_for(hits.size(), ff::kGrainModmuls / 16,
+                     [&](size_t b, size_t e) {
+                         for (size_t i = b; i < e; ++i) ++hits[i];
+                     });
     for (size_t i = 0; i < hits.size(); ++i) {
         ASSERT_EQ(hits[i].load(), 1) << i;
     }
@@ -37,13 +43,35 @@ TEST(Parallel, CounterMigrationPreservesTotals)
         ParallelismGuard guard(threads);
         ff::ModmulScope scope;
         std::vector<Fr> out(xs.size());
-        ff::parallel_for(xs.size(), [&](size_t b, size_t e) {
+        ff::parallel_for(xs.size(), 1, [&](size_t b, size_t e) {
             for (size_t i = b; i < e; ++i) out[i] = xs[i] * xs[i];
-        }, 64);
-        return scope.fr_delta();
+        });
+        return std::make_pair(scope.fr_delta(), scope.parallel_fr_delta());
     };
-    EXPECT_EQ(run(1), xs.size());
-    EXPECT_EQ(run(4), xs.size()) << "worker muls must migrate back";
+    EXPECT_EQ(run(1), std::make_pair(uint64_t(xs.size()), uint64_t(0)));
+    EXPECT_EQ(run(4), std::make_pair(uint64_t(xs.size()), uint64_t(xs.size())))
+        << "worker muls must migrate back, all tallied as parallel";
+}
+
+TEST(Parallel, GrainRuleSplitsByWorkNotSize)
+{
+    // The same item count runs inline or splits depending only on the
+    // stated per-item cost: a region splits into chunks of at least
+    // kGrainModmuls each, up to the budget.
+    ff::WorkerBudgetScope budget(4);
+    auto chunks = [](size_t n, size_t item_modmuls) {
+        std::atomic<size_t> calls{0};
+        ff::parallel_for(n, item_modmuls,
+                         [&](size_t, size_t) { ++calls; });
+        return calls.load();
+    };
+    EXPECT_EQ(chunks(8, 1), 1u);
+    EXPECT_EQ(chunks(8, ff::kGrainModmuls), 4u);
+    EXPECT_EQ(chunks(2 * ff::kGrainModmuls - 1, 1), 1u);
+    EXPECT_EQ(chunks(2 * ff::kGrainModmuls, 1), 2u);
+    EXPECT_EQ(chunks(3, 100 * ff::kGrainModmuls), 3u) << "capped at n";
+    ff::WorkerBudgetScope serial(1);
+    EXPECT_EQ(chunks(1000, 100 * ff::kGrainModmuls), 1u);
 }
 
 TEST(Parallel, MsmIdenticalAcrossThreadCounts)
@@ -55,7 +83,10 @@ TEST(Parallel, MsmIdenticalAcrossThreadCounts)
     const curve::G1 g = curve::g1_generator();
     curve::msm(std::vector{g.to_affine()}, std::vector{Fr::one()});
     const curve::G1 step = g.mul(Fr::from_uint(7));
-    for (size_t n : {6000u, 1u << 15}) {  // both above the threshold
+    // n = 1 and 4 take the direct 255-bit path, 31 is the last size
+    // below the GLV split and 32 the first above it, and 1024 sits in
+    // the range whose windows used to run serially.
+    for (size_t n : {1u, 4u, 31u, 32u, 1024u, 6000u, 1u << 15}) {
         std::vector<curve::G1> jac(n);  // P_i = (7i + 1) G
         std::vector<Fr> scalars(n);
         curve::G1 acc = g;
@@ -70,42 +101,83 @@ TEST(Parallel, MsmIdenticalAcrossThreadCounts)
             ParallelismGuard guard(threads);
             ff::ModmulScope scope;
             curve::G1 r = curve::msm(pts, scalars);
-            return std::make_pair(r, scope.fq_delta());
+            return std::make_tuple(r, scope.fq_delta(),
+                                   scope.parallel_fq_delta());
         };
-        auto [serial, serial_fq] = run(1);
-        auto [parallel, parallel_fq] = run(8);
+        auto [serial, serial_fq, serial_par] = run(1);
+        auto [parallel, parallel_fq, parallel_par] = run(8);
         EXPECT_EQ(serial, parallel) << "n = " << n;
         EXPECT_EQ(serial_fq, parallel_fq) << "n = " << n;
+        EXPECT_EQ(serial_par, 0u) << "n = " << n;
+        // Windows thread at every size.
+        EXPECT_GT(parallel_par, 0u) << "n = " << n;
     }
 }
 
 TEST(Parallel, ProofsIdenticalAcrossThreadCounts)
 {
-    std::mt19937_64 rng(603);
-    auto [index, wit] = hyperplonk::random_circuit(6, rng);
-    auto srs = std::make_shared<pcs::Srs>(pcs::Srs::generate(6, rng));
-    auto [pk, vk] = hyperplonk::keygen(std::move(index), srs);
+    // At mu = 12 the sumcheck rounds, opening MSM windows and the Fr
+    // kernels of Batch Evaluations / Linear Combine / Build MLE all split
+    // under a budget of 4. Proof bytes and both modmul counts must match
+    // a budget-1 run exactly.
+    for (auto [mu, budget] : {std::pair<size_t, size_t>{6, 8}, {12, 4}}) {
+        std::mt19937_64 rng(603);
+        auto [index, wit] = hyperplonk::random_circuit(mu, rng);
+        auto srs = std::make_shared<pcs::Srs>(pcs::Srs::generate(mu, rng));
+        auto [pk, vk] = hyperplonk::keygen(std::move(index), srs);
+        auto run = [&](size_t b) {
+            ff::WorkerBudgetScope scope(b);
+            ff::ModmulScope muls;
+            auto proof = hyperplonk::prove(pk, wit);
+            return std::make_tuple(proof, muls.fr_delta(), muls.fq_delta());
+        };
+        auto [p1, fr1, fq1] = run(1);
+        auto [p2, fr2, fq2] = run(budget);
+        EXPECT_EQ(hyperplonk::serde::serialize_proof(p1),
+                  hyperplonk::serde::serialize_proof(p2))
+            << "mu = " << mu;
+        EXPECT_EQ(fr1, fr2) << "mu = " << mu;
+        EXPECT_EQ(fq1, fq2) << "mu = " << mu;
+        auto publics = wit.public_inputs(pk.index);
+        EXPECT_TRUE(hyperplonk::verify(vk, publics, p2)) << "mu = " << mu;
+    }
+}
 
-    hyperplonk::Proof p1, p2;
-    {
-        ParallelismGuard guard(1);
-        p1 = hyperplonk::prove(pk, wit);
+TEST(Parallel, ProofKernelsStayInsideTheBudget)
+{
+    // Under a budget of 4, a 2^12 proof must run its modmuls inside
+    // multi-chunk regions: at most 5% of Fq muls and 20% of Fr muls may
+    // run serially. The tally is exact (ff/counters.hpp), so this gates
+    // deterministically on any host.
+    const auto &reg = scenarios::Registry::global();
+    for (const char *family :
+         {"sparse-arithmetic", "dense-arithmetic", "rescue-chain"}) {
+        scenarios::Spec spec;
+        spec.name = family;
+        spec.log_size = 12;
+        spec.seed = 7;
+        auto inst = reg.build(spec);
+        std::mt19937_64 rng(7);
+        auto srs = std::make_shared<pcs::Srs>(
+            pcs::Srs::generate(inst.circuit.num_vars, rng));
+        auto [pk, vk] = hyperplonk::keygen(inst.circuit, srs);
+        ff::WorkerBudgetScope budget(4);
+        ff::ModmulScope muls;
+        auto proof = hyperplonk::prove(pk, inst.witness);
+        const double fr_serial =
+            1.0 - double(muls.parallel_fr_delta()) / double(muls.fr_delta());
+        const double fq_serial =
+            1.0 - double(muls.parallel_fq_delta()) / double(muls.fq_delta());
+        EXPECT_LE(fq_serial, 0.05)
+            << family << ": serial share of " << muls.fq_delta()
+            << " Fq muls";
+        EXPECT_LE(fr_serial, 0.20)
+            << family << ": serial share of " << muls.fr_delta()
+            << " Fr muls";
+        EXPECT_TRUE(hyperplonk::verify(
+            vk, inst.witness.public_inputs(pk.index), proof))
+            << family;
     }
-    {
-        ParallelismGuard guard(8);
-        p2 = hyperplonk::prove(pk, wit);
-    }
-    // Bit-identical transcripts: every message matches.
-    EXPECT_EQ(p1.evals.flatten(), p2.evals.flatten());
-    EXPECT_EQ(p1.gprime_value, p2.gprime_value);
-    ASSERT_EQ(p1.zerocheck.round_evals.size(),
-              p2.zerocheck.round_evals.size());
-    for (size_t i = 0; i < p1.zerocheck.round_evals.size(); ++i) {
-        EXPECT_EQ(p1.zerocheck.round_evals[i],
-                  p2.zerocheck.round_evals[i]);
-    }
-    auto publics = wit.public_inputs(pk.index);
-    EXPECT_TRUE(hyperplonk::verify(vk, publics, p2));
 }
 
 TEST(Parallel, ConcurrentCallersShareThePersistentPool)
@@ -127,9 +199,9 @@ TEST(Parallel, ConcurrentCallersShareThePersistentPool)
             for (auto &x : xs) x = Fr::random(rng);
             ff::ModmulScope scope;
             std::vector<Fr> out(xs.size());
-            ff::parallel_for(xs.size(), [&](size_t b, size_t e) {
+            ff::parallel_for(xs.size(), 1, [&](size_t b, size_t e) {
                 for (size_t i = b; i < e; ++i) out[i] = xs[i] * xs[i];
-            }, 64);
+            });
             deltas[c] = scope.fr_delta();
             bool all = true;
             for (size_t i = 0; i < xs.size(); ++i) {
@@ -157,9 +229,9 @@ TEST(Parallel, PoolReusesWorkersAcrossCalls)
     std::vector<Fr> xs(50000, Fr::one());
     for (int rep = 0; rep < 20; ++rep) {
         std::vector<Fr> out(xs.size());
-        ff::parallel_for(xs.size(), [&](size_t b, size_t e) {
+        ff::parallel_for(xs.size(), 1, [&](size_t b, size_t e) {
             for (size_t i = b; i < e; ++i) out[i] = xs[i] + xs[i];
-        }, 64);
+        });
     }
     // 4-way calls need at most 3 pool workers (the caller runs one
     // chunk stream itself); concurrent-caller tests may have grown the
