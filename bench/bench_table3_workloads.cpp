@@ -18,30 +18,6 @@
 #include "sim/chip.hpp"
 #include "sim/cpu_model.hpp"
 
-namespace {
-
-/** Measure the witness scalar population across the three wire MLEs. */
-zkspeed::sim::Workload
-workload_from_instance(const zkspeed::scenarios::Instance &inst)
-{
-    size_t zeros = 0, ones = 0, total = 0;
-    for (const auto &w : inst.witness.w) {
-        for (size_t i = 0; i < w.size(); ++i) {
-            if (w[i].is_zero()) ++zeros;
-            else if (w[i].is_one()) ++ones;
-            ++total;
-        }
-    }
-    auto wl = zkspeed::sim::Workload::from_stats(
-        inst.spec.name, inst.circuit.num_vars, zeros, ones, total);
-    // Lookup circuits carry an extra protocol step; price it.
-    wl.table_rows = inst.circuit.table_rows;
-    wl.lookup_gates = inst.circuit.num_lookup_gates();
-    return wl;
-}
-
-}  // namespace
-
 int
 main()
 {
@@ -93,7 +69,8 @@ main()
         const auto *family = reg.find(spec.name);
         if (family->adversarial()) continue;  // no honest witness stats
         auto inst = reg.build(spec);
-        Workload wl = workload_from_instance(inst);
+        Workload wl = Workload::of(inst.spec.name, inst.circuit,
+                                   inst.witness);
         double cpu = CpuModel::total_ms(wl.mu);
         auto rep = chip.run(wl);
         st.row({wl.name, "2^" + std::to_string(wl.mu),

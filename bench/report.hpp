@@ -22,8 +22,8 @@
 namespace zkspeed::bench {
 
 /** Count circuit rows with any active selector (tag-valued q_lookup
- * included) — the "active gates" column shared by the constraint-count
- * benches (bench_lookup, bench_keccak_circuit). */
+ * included) — the "active gates" column of bench_lookup and the
+ * bench_attrib ledger. */
 inline size_t
 active_gates(const hyperplonk::CircuitIndex &index)
 {

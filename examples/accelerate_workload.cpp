@@ -47,25 +47,18 @@ main()
                 proof.size_bytes(), ok ? "ACCEPT" : "REJECT");
 
     // 3. Measure the witness scalar population (what the Sparse MSMs
-    // actually see) and build a calibrated simulator workload.
-    size_t zeros = 0, ones = 0, total = 0;
-    for (const auto &w : witness.w) {
-        for (size_t i = 0; i < w.size(); ++i) {
-            if (w[i].is_zero()) ++zeros;
-            else if (w[i].is_one()) ++ones;
-            ++total;
-        }
-    }
+    // actually see) into a calibrated simulator workload.
+    sim::Workload wl = sim::Workload::of("rescue batch (measured stats)",
+                                         pk.index, witness);
     std::printf("Witness scalars: %.1f%% zero, %.1f%% one, %.1f%% "
                 "dense\n",
-                100.0 * zeros / total, 100.0 * ones / total,
-                100.0 * (total - zeros - ones) / total);
+                100.0 * wl.zeros_fraction, 100.0 * wl.ones_fraction,
+                100.0 * wl.dense_fraction);
 
     // 4. What would zkSpeed do with this workload at paper scale?
     // Scale the measured statistics up to a 2^21 version of the same
     // application (the Table-3 Rescue row).
-    sim::Workload wl = sim::Workload::from_stats(
-        "rescue batch (measured stats)", 21, zeros, ones, total);
+    wl.mu = 21;
     sim::Chip chip(sim::DesignConfig::paper_default());
     auto rep = chip.run(wl);
     double cpu_ms = sim::CpuModel::total_ms(wl.mu);

@@ -21,7 +21,7 @@
  * single tagged LogUp argument proves every lookup the permutation
  * makes. The gate_based mode is the benchmark baseline: 1-bit limbs,
  * logic gates instead of lookups (rotations stay free), the circuit
- * bench_keccak_circuit measures the lookup path against.
+ * bench_lookup's keccak case measures the lookup path against.
  *
  * The permutation is round-parameterised (ZKSPEED_KECCAK_ROUNDS in CI):
  * tests compare reduced-round circuits against the reduced-round native

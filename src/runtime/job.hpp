@@ -130,16 +130,14 @@ struct TraceEntry {
     uint64_t zero_scalars = 0;
     uint64_t one_scalars = 0;
     uint64_t total_scalars = 0;
-    /** Lookup argument shape (prove; 0 when the circuit has none): the
-     * sim LookupUnit prices the helper-MLE and LookupCheck work.
+    /** Lookup argument shape (prove; empty when the circuit has none):
+     * the sim LookupUnit prices the helper-MLE and LookupCheck work.
      * `per_table_rows` carries each fused table's height in tag order
-     * (table_rows is their sum) so replay can price the per-bank CAM
-     * fills of a multi-table circuit. */
+     * so replay can price the per-bank CAM fills of a multi-table
+     * circuit. */
     uint64_t lookup_gates = 0;
-    uint64_t table_rows = 0;
     std::vector<uint64_t> per_table_rows;
     double prove_ms = 0;
-    bool key_cache_hit = false;
 
     // VERIFY-flush fields.
     /** Proofs folded into this flush. */
@@ -148,8 +146,6 @@ struct TraceEntry {
      * including every bisection probe (matches pairing_ms, which also
      * sums the probes). */
     uint64_t msm_points = 0;
-    /** Multi-pairing pairs across the whole flush, probes included. */
-    uint32_t num_pairings = 0;
     /** Measured software wall time of the whole flush. */
     double verify_ms = 0;
     /** Portion spent in Miller loops + final exponentiation (stays on

@@ -476,7 +476,6 @@ ProofService::process_prove(QueuedJob &job)
     entry.request_id = req.request_id;
     entry.num_vars = uint32_t(req.circuit.num_vars);
     entry.prove_ms = resp.metrics.prove_ms;
-    entry.key_cache_hit = cache_hit;
     for (const auto &w : req.witness.w) {
         for (size_t i = 0; i < w.size(); ++i) {
             if (w[i].is_zero()) ++entry.zero_scalars;
@@ -484,7 +483,6 @@ ProofService::process_prove(QueuedJob &job)
             ++entry.total_scalars;
         }
     }
-    entry.table_rows = req.circuit.table_rows;
     entry.per_table_rows = req.circuit.table_row_counts;
     entry.lookup_gates = req.circuit.num_lookup_gates();
     push_trace(std::move(entry));
@@ -696,7 +694,6 @@ ProofService::flush_verify_batch(std::vector<PendingVerify> batch,
     entry.num_vars = max_vars;
     entry.batch_size = uint32_t(batch.size());
     entry.msm_points = result->stats.msm_points;
-    entry.num_pairings = uint32_t(result->stats.num_pairings);
     entry.verify_ms = flush_ms;
     entry.pairing_ms = result->stats.pairing_ms;
     push_trace(std::move(entry));

@@ -80,7 +80,7 @@ std::pair<CircuitIndex, Witness> range_bank(size_t values, unsigned bits,
  * The same range-bank statement proved through the lookup argument:
  * one lookup gate per value against a lookup::Table::range(bits)
  * table, sum public. Head-to-head with range_bank this is the
- * constraint-count and prover-time win bench_lookup measures.
+ * constraint-count and prove-modmul win bench_lookup measures.
  */
 std::pair<CircuitIndex, Witness> range_bank_lookup(size_t values,
                                                    unsigned bits,

@@ -136,12 +136,12 @@ Chip::run(const Workload &wl) const
     uint64_t lookup_cycles = 0;
     if (wl.has_lookup()) {
         uint64_t mult =
-            LookupUnit::multiplicity_cycles(mu, wl.per_table_rows());
+            LookupUnit::multiplicity_cycles(mu, wl.table_row_counts);
         uint64_t fold = LookupUnit::fold_cycles(mu);
         uint64_t helpers = lookup_.helper_cycles(mu);
-        // m is multiplicity-sparse (at most table_rows non-zeros); the
-        // helpers are dense 255-bit tables. Three commits on the MSM
-        // unit, concurrent across cores like the phi/pi pair.
+        // m is multiplicity-sparse (at most one non-zero per bank
+        // row); the helpers are dense 255-bit tables. Three commits on
+        // the MSM unit, concurrent across cores like the phi/pi pair.
         uint64_t one_msm = msm_.dense_cycles(n, pes_per_core);
         uint64_t msms =
             (cfg_.msm_cores >= 2) ? 2 * one_msm : 3 * one_msm;

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "hyperplonk/circuit.hpp"
+
 namespace zkspeed::sim {
 
 std::string
@@ -71,6 +73,25 @@ Workload::from_stats(std::string name, size_t mu, size_t zeros,
         w.dense_fraction = 1.0 - w.zeros_fraction - w.ones_fraction;
     }
     return w;
+}
+
+Workload
+Workload::of(std::string name, const hyperplonk::CircuitIndex &index,
+             const hyperplonk::Witness &witness)
+{
+    size_t zeros = 0, ones = 0, total = 0;
+    for (const auto &w : witness.w) {
+        for (size_t i = 0; i < w.size(); ++i) {
+            if (w[i].is_zero()) ++zeros;
+            else if (w[i].is_one()) ++ones;
+            ++total;
+        }
+    }
+    Workload wl =
+        from_stats(std::move(name), index.num_vars, zeros, ones, total);
+    wl.lookup_gates = index.num_lookup_gates();
+    wl.table_row_counts = index.table_row_counts;
+    return wl;
 }
 
 }  // namespace zkspeed::sim

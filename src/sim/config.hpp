@@ -10,6 +10,11 @@
 #include <string>
 #include <vector>
 
+namespace zkspeed::hyperplonk {
+struct CircuitIndex;
+struct Witness;
+}  // namespace zkspeed::hyperplonk
+
 namespace zkspeed::sim {
 
 /** One zkSpeed design point: the knobs of Table 2. */
@@ -53,24 +58,13 @@ struct Workload {
     double zeros_fraction = 0.45;
 
     /** Lookup-argument shape (sim/lookup_unit.hpp prices the helper
-     * construction, extra commits and the LookupCheck). table_rows = 0
-     * means the circuit carries no lookup argument. `table_row_counts`
-     * holds each fused table's height in tag order (the LookupUnit
-     * prices one CAM bank fill per table); when empty but table_rows is
-     * set, the workload is treated as one table of table_rows rows. */
+     * construction, extra commits and the LookupCheck):
+     * `table_row_counts` holds each fused table's height in tag order
+     * (the LookupUnit prices one CAM bank fill per table); empty means
+     * the circuit carries no lookup argument. */
     uint64_t lookup_gates = 0;
-    uint64_t table_rows = 0;
     std::vector<uint64_t> table_row_counts;
-    bool has_lookup() const { return table_rows > 0; }
-
-    /** Per-table heights, normalising the single-table legacy shape. */
-    std::vector<uint64_t>
-    per_table_rows() const
-    {
-        if (!table_row_counts.empty()) return table_row_counts;
-        if (table_rows > 0) return {table_rows};
-        return {};
-    }
+    bool has_lookup() const { return !table_row_counts.empty(); }
 
     size_t num_gates() const { return size_t(1) << mu; }
 
@@ -86,6 +80,15 @@ struct Workload {
      */
     static Workload from_stats(std::string name, size_t mu, size_t zeros,
                                size_t ones, size_t total);
+
+    /**
+     * The workload of one proved circuit: its size, the zero / one
+     * population of the three wire MLEs (from_stats) and its lookup
+     * shape (lookup gate count and per-table heights).
+     */
+    static Workload of(std::string name,
+                       const hyperplonk::CircuitIndex &index,
+                       const hyperplonk::Witness &witness);
 };
 
 }  // namespace zkspeed::sim

@@ -68,15 +68,11 @@ replay_trace(const std::vector<runtime::TraceEntry> &trace,
             report.sw_verify_ms += job.sw_ms;
             report.chip_verify_ms += job.chip_ms;
         } else {
-            // Legacy single-table entries memoise under {table_rows}.
-            std::vector<uint64_t> bank_shape =
-                entry.per_table_rows.empty() && entry.table_rows > 0
-                    ? std::vector<uint64_t>{entry.table_rows}
-                    : entry.per_table_rows;
             auto key = std::make_tuple(entry.num_vars, entry.zero_scalars,
                                        entry.one_scalars,
                                        entry.total_scalars,
-                                       entry.lookup_gates, bank_shape);
+                                       entry.lookup_gates,
+                                       entry.per_table_rows);
             auto it = memo.find(key);
             if (it == memo.end()) {
                 Workload wl = Workload::from_stats(
@@ -84,8 +80,7 @@ replay_trace(const std::vector<runtime::TraceEntry> &trace,
                     entry.one_scalars,
                     std::max<uint64_t>(1, entry.total_scalars));
                 wl.lookup_gates = entry.lookup_gates;
-                wl.table_rows = entry.table_rows;
-                wl.table_row_counts = bank_shape;
+                wl.table_row_counts = entry.per_table_rows;
                 ChipReport rep = chip.run(wl);
                 Modeled m;
                 m.runtime_ms = rep.runtime_ms;

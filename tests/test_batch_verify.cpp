@@ -658,7 +658,7 @@ TEST(ServiceVerify, ProveThenVerifyRoundTripWithCorruptionAndFuzz)
             ++verify_entries;
             EXPECT_EQ(e.batch_size, 4u);
             EXPECT_GT(e.msm_points, 0u);
-            EXPECT_GT(e.num_pairings, 0u);
+            EXPECT_GT(e.pairing_ms, 0.0);
             EXPECT_GT(e.verify_ms, 0.0);
         }
     }

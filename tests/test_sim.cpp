@@ -5,9 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include "runtime/service.hpp"
+#include "scenarios/registry.hpp"
 #include "sim/chip.hpp"
 #include "sim/cpu_model.hpp"
 #include "sim/dse.hpp"
+#include "sim/replay.hpp"
 
 namespace {
 
@@ -214,6 +217,42 @@ TEST(ChipModel, MorePesNeverHurt)
         EXPECT_LE(t, prev * 1.001) << pes;
         prev = t;
     }
+}
+
+TEST(ChipModel, ProvedCircuitPricesLikeItsServiceTrace)
+{
+    // keccak-merkle at the registry's size floor: a multi-table lookup
+    // bank (xor, chi and the rotation range widths), one round pinned
+    // against ZKSPEED_KECCAK_ROUNDS.
+    zkspeed::scenarios::Spec spec;
+    spec.name = "keccak-merkle";
+    spec.knobs["rounds"] = 1;
+    auto inst = zkspeed::scenarios::Registry::global().build(spec);
+    ASSERT_GT(inst.circuit.num_tables(), 1u);
+
+    Workload wl = Workload::of(spec.name, inst.circuit, inst.witness);
+    EXPECT_EQ(wl.mu, inst.circuit.num_vars);
+    EXPECT_EQ(wl.lookup_gates, inst.circuit.num_lookup_gates());
+    EXPECT_EQ(wl.table_row_counts, inst.circuit.table_row_counts);
+    EXPECT_TRUE(wl.has_lookup());
+
+    // The bench pricing path (Workload::of) and the service pricing
+    // path (trace entry -> replay) must agree bit for bit.
+    zkspeed::runtime::ServiceConfig cfg;
+    cfg.num_workers = 1;
+    zkspeed::runtime::ProofService service(cfg);
+    zkspeed::runtime::JobRequest req;
+    req.request_id = 1;
+    req.circuit = inst.circuit;
+    req.witness = inst.witness;
+    auto resp = service.submit(req).get();
+    ASSERT_TRUE(resp.ok()) << resp.error;
+    service.shutdown();
+    DesignConfig design = DesignConfig::paper_default();
+    ReplayReport report = replay_trace(service.trace(), design);
+    ASSERT_EQ(report.prove_jobs, 1u);
+    ASSERT_EQ(report.jobs.size(), 1u);
+    EXPECT_EQ(Chip(design).run(wl).runtime_ms, report.jobs[0].chip_ms);
 }
 
 TEST(CpuModel, AnchorsToTable3)
