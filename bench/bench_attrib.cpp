@@ -9,8 +9,12 @@
  *     counts, prove modmuls (Fr/Fq, measured with parallelism pinned to
  *     1 so the counts are machine-independent) and proof bytes — and,
  *     per size n = 2^0 .. 2^16, the exact Fq-mul count of curve::msm.
- *     Any divergence is a silent perf/correctness regression and fails
- *     the build naming the scenario (or MSM size) and field.
+ *     The verify layer adds, per scenario, the Fr/Fq muls of a VERIFY
+ *     job's algebraic stage, and one pairing row: the Fq muls of one
+ *     final exponentiation and of one BatchVerifier flush over the
+ *     roster proofs. Any divergence is a silent perf/correctness
+ *     regression and fails the build naming the scenario (or MSM size)
+ *     and field.
  *
  *  2. Drift gate: runs the same roster through the conformance Harness
  *     and checks the kernel-level attribution report (obs/attrib):
@@ -49,12 +53,16 @@
 #include "curve/msm.hpp"
 #include "ff/parallel.hpp"
 #include "hyperplonk/prover.hpp"
+#include "hyperplonk/serialize.hpp"
 #include "obs/attrib.hpp"
 #include "obs/jsonv.hpp"
 #include "report.hpp"
+#include "runtime/key_cache.hpp"
 #include "runtime/service.hpp"
+#include "runtime/wire.hpp"
 #include "scenarios/harness.hpp"
 #include "scenarios/registry.hpp"
+#include "verify/batch_verifier.hpp"
 
 using namespace zkspeed;
 using obs::jsonv::Value;
@@ -92,6 +100,16 @@ struct Counters {
     uint64_t modmul_fr = 0;
     uint64_t modmul_fq = 0;
     uint64_t proof_bytes = 0;
+    /** Modmuls of a VERIFY job's algebraic stage for the same proof. */
+    uint64_t verify_fr = 0;
+    uint64_t verify_fq = 0;
+};
+
+/** One roster proof as a verifier receives it. */
+struct RosterProof {
+    hyperplonk::VerifyingKey vk;
+    std::vector<ff::Fr> publics;
+    hyperplonk::Proof proof;
 };
 
 scenarios::Spec
@@ -107,15 +125,19 @@ make_spec(const RosterEntry &e)
 /**
  * Measure the roster's exact counters: prove each scenario through a
  * single-worker service with ff parallelism pinned to 1, so the modmul
- * counts are independent of the host's core count.
+ * counts are independent of the host's core count, then verify the
+ * proof through the same service. Each proof is also appended to
+ * `proofs` for the pairing row.
  */
 std::vector<Counters>
-measure_counters()
+measure_counters(std::vector<RosterProof> &proofs)
 {
     runtime::ServiceConfig cfg;
     cfg.num_workers = 1;
     cfg.total_parallelism = 1;
+    cfg.verify_batch_size = 1;
     runtime::ProofService service(cfg);
+    runtime::KeyCache client(1, cfg.srs_seed);
     std::vector<Counters> out;
     for (const RosterEntry &e : roster()) {
         auto inst = scenarios::Registry::global().build(make_spec(e));
@@ -134,10 +156,68 @@ measure_counters()
         c.modmul_fr = resp.metrics.modmul_fr;
         c.modmul_fq = resp.metrics.modmul_fq;
         c.proof_bytes = resp.ok() ? resp.proof.size() : 0;
+        if (resp.ok()) {
+            auto vk = client.get_or_create(inst.circuit).first.vk;
+            runtime::VerifyRequest vreq;
+            vreq.request_id = e.seed;
+            vreq.vk = hyperplonk::serde::serialize_verifying_key(*vk);
+            vreq.public_inputs = inst.witness.public_inputs(inst.circuit);
+            vreq.proof = resp.proof;
+            auto vresp =
+                service.submit(runtime::wire::encode_verify_request(vreq))
+                    .get();
+            c.verify_fr = vresp.metrics.modmul_fr;
+            c.verify_fq = vresp.metrics.modmul_fq;
+            auto proof = hyperplonk::serde::deserialize_proof(resp.proof);
+            if (vresp.ok() && proof.has_value()) {
+                proofs.push_back({*vk, std::move(vreq.public_inputs),
+                                  std::move(*proof)});
+            }
+        }
         out.push_back(std::move(c));
     }
     service.shutdown();
     return out;
+}
+
+/** Exact Fq muls of the pairing layer; every field is gated. */
+struct PairingRow {
+    uint64_t final_exp_fq_muls = 0;
+    uint64_t flush_proofs = 0;
+    uint64_t flush_fq_muls = 0;
+};
+
+/**
+ * Measure one final exponentiation (of e(g, h)'s Miller output) and one
+ * BatchVerifier flush over the roster proofs, with ff parallelism
+ * pinned to 1. A warm-up exponentiation derives the one-time constants
+ * first, so neither figure pays for them.
+ */
+PairingRow
+measure_pairing(const std::vector<RosterProof> &proofs)
+{
+    ff::ParallelismGuard guard(1);
+    const curve::Fq12 f = curve::miller_loop(curve::G1Params::generator(),
+                                             curve::G2Params::generator());
+    curve::final_exponentiation(f);
+    PairingRow row;
+    {
+        ff::ModmulScope scope;
+        curve::final_exponentiation(f);
+        row.final_exp_fq_muls = scope.fq_delta();
+    }
+    verifier::BatchVerifier bv;
+    for (const RosterProof &p : proofs) {
+        verifier::PairingAccumulator acc;
+        if (hyperplonk::verify_deferred(p.vk, p.publics, p.proof, acc)) {
+            bv.add(std::move(acc));
+        }
+    }
+    row.flush_proofs = bv.size();
+    ff::ModmulScope scope;
+    bool ok = bv.flush().all_ok();
+    row.flush_fq_muls = ok ? scope.fq_delta() : 0;
+    return row;
 }
 
 /** Exact serial cost of one curve::msm size; `ms` is report-only. */
@@ -254,7 +334,7 @@ counters_json(const Counters &c)
 
 std::string
 render_baselines(const std::vector<Counters> &counters,
-                 const std::vector<MsmRow> &msm,
+                 const std::vector<MsmRow> &msm, const PairingRow &pairing,
                  const obs::attrib::Report &attrib)
 {
     Value doc = Value::object();
@@ -270,6 +350,21 @@ render_baselines(const std::vector<Counters> &counters,
         msm_rows.push(std::move(o));
     }
     doc.set("msm", std::move(msm_rows));
+    Value verify_rows = Value::array();
+    for (const Counters &c : counters) {
+        Value o = Value::object();
+        o.set("name", Value::of(c.name));
+        o.set("modmul_fr", Value::of(c.verify_fr));
+        o.set("modmul_fq", Value::of(c.verify_fq));
+        verify_rows.push(std::move(o));
+    }
+    doc.set("verify", std::move(verify_rows));
+    Value pairing_row = Value::object();
+    pairing_row.set("final_exp_fq_muls",
+                    Value::of(pairing.final_exp_fq_muls));
+    pairing_row.set("flush_proofs", Value::of(pairing.flush_proofs));
+    pairing_row.set("flush_fq_muls", Value::of(pairing.flush_fq_muls));
+    doc.set("pairing", std::move(pairing_row));
     Value drift = Value::object();
     // Default bounds are deliberately generous: drift compares *shares*
     // of runtime (machine speed cancels), but relative kernel speeds
@@ -368,25 +463,49 @@ check_msm(const Value &baselines, const std::vector<MsmRow> &measured,
     }
 }
 
-/** Diff measured counters against the ledger, one gate per scenario
- * and one per MSM size. */
+/** Gate one integer field of a ledger row; `where` names the row. */
 void
-check_counters(const Value &baselines,
-               const std::vector<Counters> &measured,
-               const std::vector<MsmRow> &msm, GateLog &log)
+check_field(const Value &row, const std::string &where, const char *key,
+            uint64_t got, GateLog &log)
 {
-    check_msm(baselines, msm, log);
-    const Value *scen = baselines.find("scenarios");
-    if (scen == nullptr || !scen->is_array()) {
-        log.check("baselines_schema", false,
-                  "baselines.json has no scenarios array");
+    const Value *want = row.find(key);
+    if (want == nullptr || !want->is_integer()) {
+        log.check("baseline_field", false,
+                  where + "." + key + " missing from ledger");
         return;
     }
-    log.check("baseline_roster_size",
-              scen->items.size() == measured.size(),
-              "ledger has " + u64s(scen->items.size()) +
-                  " scenario(s), roster has " + u64s(measured.size()));
-    for (const Value &b : scen->items) {
+    log.check("baseline:" + where + ":" + key, want->as_u64() == got,
+              where + "." + key + ": ledger " + u64s(want->as_u64()) +
+                  ", measured " + u64s(got));
+}
+
+using FieldList = std::vector<std::pair<const char *, uint64_t>>;
+
+/**
+ * Diff the ledger array `section` of per-scenario rows, matched to the
+ * roster by name, against the measured counters; `fields` lists a
+ * row's gated (key, value) pairs and `prefix` is prepended to the row
+ * name in gate messages.
+ */
+template <typename Fields>
+void
+check_scenario_rows(const Value &baselines, const std::string &section,
+                    const std::string &prefix,
+                    const std::vector<Counters> &measured,
+                    const Fields &fields, GateLog &log)
+{
+    const Value *rows = baselines.find(section);
+    if (rows == nullptr || !rows->is_array()) {
+        log.check("baselines_schema", false,
+                  "baselines.json has no " + section + " array");
+        return;
+    }
+    log.check(prefix.empty() ? "baseline_roster_size"
+                             : "baseline_roster_size:" + section,
+              rows->items.size() == measured.size(),
+              "ledger has " + u64s(rows->items.size()) + " " + section +
+                  " row(s), roster has " + u64s(measured.size()));
+    for (const Value &b : rows->items) {
         const Value *name = b.find("name");
         if (name == nullptr || !name->is_string()) continue;
         const Counters *m = nullptr;
@@ -395,30 +514,54 @@ check_counters(const Value &baselines,
         }
         if (m == nullptr) {
             log.check("baseline_scenario_present", false,
-                      "ledger scenario '" + name->str +
+                      "ledger " + section + " row '" + name->str +
                           "' is not in the roster");
             continue;
         }
-        auto field = [&](const char *key, uint64_t got) {
-            const Value *want = b.find(key);
-            if (want == nullptr || !want->is_integer()) {
-                log.check("baseline_field", false,
-                          name->str + "." + key + " missing from ledger");
-                return;
-            }
-            log.check(
-                "baseline:" + name->str + ":" + key,
-                want->as_u64() == got,
-                name->str + "." + key + ": ledger " +
-                    u64s(want->as_u64()) + ", measured " + u64s(got));
-        };
-        field("num_gates", m->num_gates);
-        field("active_gates", m->active_gates);
-        field("lookup_gates", m->lookup_gates);
-        field("modmul_fr", m->modmul_fr);
-        field("modmul_fq", m->modmul_fq);
-        field("proof_bytes", m->proof_bytes);
+        for (const auto &[key, got] : fields(*m)) {
+            check_field(b, prefix + name->str, key, got, log);
+        }
     }
+}
+
+/** Diff measured counters against the ledger: one gate per scenario
+ * field, per MSM size, per VERIFY-stage field and per pairing field. */
+void
+check_counters(const Value &baselines,
+               const std::vector<Counters> &measured,
+               const std::vector<MsmRow> &msm, const PairingRow &pairing,
+               GateLog &log)
+{
+    check_msm(baselines, msm, log);
+    check_scenario_rows(
+        baselines, "scenarios", "", measured,
+        [](const Counters &c) {
+            return FieldList{{"num_gates", c.num_gates},
+                             {"active_gates", c.active_gates},
+                             {"lookup_gates", c.lookup_gates},
+                             {"modmul_fr", c.modmul_fr},
+                             {"modmul_fq", c.modmul_fq},
+                             {"proof_bytes", c.proof_bytes}};
+        },
+        log);
+    check_scenario_rows(
+        baselines, "verify", "verify.", measured,
+        [](const Counters &c) {
+            return FieldList{{"modmul_fr", c.verify_fr},
+                             {"modmul_fq", c.verify_fq}};
+        },
+        log);
+    const Value *row = baselines.find("pairing");
+    if (row == nullptr || !row->is_object()) {
+        log.check("baselines_schema", false,
+                  "baselines.json has no pairing row");
+        return;
+    }
+    check_field(*row, "pairing", "final_exp_fq_muls",
+                pairing.final_exp_fq_muls, log);
+    check_field(*row, "pairing", "flush_proofs", pairing.flush_proofs, log);
+    check_field(*row, "pairing", "flush_fq_muls", pairing.flush_fq_muls,
+                log);
 }
 
 /** Gate the attribution report against the ledger's drift bounds. */
@@ -592,7 +735,8 @@ main(int argc, char **argv)
     }
 
     bench::title("Exact baseline counters (parallelism pinned to 1)");
-    auto counters = measure_counters();
+    std::vector<RosterProof> proofs;
+    auto counters = measure_counters(proofs);
     bench::Table t({{"Scenario", 20}, {"Gates", 8}, {"Active", 8},
                     {"Lookup", 8}, {"Fr muls", 10}, {"Fq muls", 10},
                     {"Proof B", 9}});
@@ -603,6 +747,20 @@ main(int argc, char **argv)
                bench::fmt_int(c.modmul_fr), bench::fmt_int(c.modmul_fq),
                bench::fmt_int(c.proof_bytes)});
     }
+
+    bench::title("Exact VERIFY-layer cost (parallelism pinned to 1)");
+    bench::Table vt({{"Scenario", 20}, {"Alg Fr muls", 12},
+                     {"Alg Fq muls", 12}});
+    for (const Counters &c : counters) {
+        vt.row({c.name, bench::fmt_int(c.verify_fr),
+                bench::fmt_int(c.verify_fq)});
+    }
+    auto pairing = measure_pairing(proofs);
+    std::printf("final exponentiation: %s Fq muls; flush of %s roster "
+                "proof(s): %s Fq muls\n",
+                bench::fmt_int(pairing.final_exp_fq_muls).c_str(),
+                u64s(pairing.flush_proofs).c_str(),
+                bench::fmt_int(pairing.flush_fq_muls).c_str());
 
     bench::title("Exact MSM cost per size (parallelism pinned to 1)");
     auto msm = measure_msm();
@@ -653,8 +811,8 @@ main(int argc, char **argv)
     }
 
     if (!write_path.empty()) {
-        if (!obs::write_file(write_path,
-                             render_baselines(counters, msm, attrib))) {
+        if (!obs::write_file(write_path, render_baselines(counters, msm,
+                                                          pairing, attrib))) {
             std::fprintf(stderr, "cannot write %s\n", write_path.c_str());
             return 2;
         }
@@ -681,7 +839,7 @@ main(int argc, char **argv)
                      baselines_path.c_str());
         return 2;
     }
-    check_counters(*ledger, counters, msm, log);
+    check_counters(*ledger, counters, msm, pairing, log);
     check_drift(*ledger, attrib, log);
     if (!summary_path.empty()) {
         merge_bench_reports(summary_path, json_path, log);

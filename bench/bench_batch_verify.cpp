@@ -14,7 +14,9 @@
  *
  * Usage: bench_batch_verify [--n N] [--mu M] [--quick] [--json PATH]
  * --quick shrinks to a CI-smoke size; --json writes the measurements
- * as a single JSON object (the perf-trajectory artifact).
+ * as a single JSON object (the perf-trajectory artifact). Both paths
+ * also report their exact Fq muls per proof (ff counters; reported,
+ * not gated).
  */
 #include <chrono>
 #include <cstdio>
@@ -22,6 +24,7 @@
 #include <random>
 #include <string>
 
+#include "ff/counters.hpp"
 #include "hyperplonk/prover.hpp"
 #include "report.hpp"
 #include "verify/batch_verifier.hpp"
@@ -103,6 +106,7 @@ main(int argc, char **argv)
 
     // --- single: N independent pairing-mode verifications. ---
     auto single_start = Clock::now();
+    ff::ModmulScope single_muls;
     size_t single_ok = 0;
     for (size_t i = 0; i < n; ++i) {
         const Statement &s = stmt(i);
@@ -112,9 +116,11 @@ main(int argc, char **argv)
         }
     }
     double single_ms = ms_since(single_start);
+    const double single_fq = double(single_muls.fq_delta()) / double(n);
 
     // --- batch: N algebraic passes + one folded flush. ---
     auto batch_start = Clock::now();
+    ff::ModmulScope batch_muls;
     verifier::BatchVerifier bv;
     for (size_t i = 0; i < n; ++i) {
         const Statement &s = stmt(i);
@@ -127,6 +133,7 @@ main(int argc, char **argv)
     }
     auto result = bv.flush();
     double batch_ms = ms_since(batch_start);
+    const double batch_fq = double(batch_muls.fq_delta()) / double(n);
 
     // Assertion note: the single path pairs through the *fused*
     // unprepared Miller loop (no G2Prepared coefficient vectors are
@@ -139,13 +146,15 @@ main(int argc, char **argv)
     double speedup = batch_ms > 0 ? single_ms / batch_ms : 0;
 
     bench::Table table({{"path", 28}, {"total ms", 12}, {"ms/proof", 12},
-                        {"proofs/s", 12}});
+                        {"proofs/s", 12}, {"Fq muls/proof", 14}});
     table.row({"single verify x N", bench::fmt(single_ms),
                bench::fmt(single_ms / double(n)),
-               bench::fmt(1000.0 * double(n) / single_ms, 1)});
+               bench::fmt(1000.0 * double(n) / single_ms, 1),
+               bench::fmt_int(uint64_t(single_fq))});
     table.row({"batch (fold + 1 pairing)", bench::fmt(batch_ms),
                bench::fmt(batch_ms / double(n)),
-               bench::fmt(1000.0 * double(n) / batch_ms, 1)});
+               bench::fmt(1000.0 * double(n) / batch_ms, 1),
+               bench::fmt_int(uint64_t(batch_fq))});
     std::printf("\nspeedup: %.2fx   (folded MSM: %zu points, "
                 "multi-pairing: %zu pairs, %zu check(s))\n",
                 speedup, result.stats.msm_points,
@@ -193,6 +202,8 @@ main(int argc, char **argv)
                     Value::of(1000.0 * double(n) / single_ms));
         metrics.set("batch_proofs_per_s",
                     Value::of(1000.0 * double(n) / batch_ms));
+        metrics.set("single_fq_muls_per_proof", Value::of(single_fq));
+        metrics.set("batch_fq_muls_per_proof", Value::of(batch_fq));
         metrics.set("folded_msm_points",
                     Value::of(uint64_t(result.stats.msm_points)));
         metrics.set("multi_pairing_pairs",

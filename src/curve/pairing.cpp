@@ -1,6 +1,9 @@
 #include "curve/pairing.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <stdexcept>
 
 namespace zkspeed::curve {
 
@@ -76,23 +79,101 @@ ell(Fq12 &f, const LineEval &line, const G1Affine &p)
     f = f.mul_by_014(line.c0, c1, c4);
 }
 
-/** Exponent of the hard part, (q^4 - q^2 + 1) / r, computed once. */
-const BigInt<24> &
-hard_part_exponent()
+/**
+ * The hard part's exponent d = (q^4 - q^2 + 1)/r, split in base q:
+ * d = mu_0 + mu_1 q + mu_2 q^2 + mu_3 q^3 with mu_i = lambda_i / 3 and
+ * the BLS12 polynomials lambda_3 = (x-1)^2, lambda_2 = lambda_3 x,
+ * lambda_1 = lambda_2 x - lambda_3, lambda_0 = lambda_1 x + 3. For the
+ * negative x of BLS12-381, mu_0 and mu_2 are negative; `mag` holds the
+ * magnitudes (317, 254, 190 and 126 bits).
+ */
+struct HardPart {
+    std::array<BigInt<Fq::kLimbs>, 4> mag;
+    size_t bits = 0;  ///< widest magnitude
+};
+
+using Wide = BigInt<24>;
+
+/** a * b, throwing if the product overflows Wide. */
+Wide
+mul_checked(const Wide &a, const Wide &b)
 {
-    static const BigInt<24> kExp = [] {
-        BigInt<12> q2 = Fq::kModulus.mul_wide(Fq::kModulus);
-        BigInt<24> q4 = q2.mul_wide(q2);
-        BigInt<24> e = q4;
-        e.sub_assign(ff::widen<24>(q2));
-        e.add_assign(BigInt<24>(1));
-        BigInt<24> r = ff::widen<24>(ff::Fr::kModulus);
-        BigInt<24> quot, rem;
-        ff::divmod(e, r, quot, rem);
-        // r divides q^4 - q^2 + 1 exactly for BLS12 curves.
-        return rem.is_zero() ? quot : BigInt<24>();
-    }();
-    return kExp;
+    auto p = a.mul_wide(b);
+    Wide r;
+    for (size_t i = 0; i < p.limbs.size(); ++i) {
+        if (i < r.limbs.size()) {
+            r.limbs[i] = p.limbs[i];
+        } else if (p.limbs[i] != 0) {
+            throw std::logic_error("final exponentiation constant overflow");
+        }
+    }
+    return r;
+}
+
+/**
+ * Derive the mu_i from kAbsX and check them, failing closed: the split
+ * needs x = 1 (mod 3) and r | q^4 - q^2 + 1, and the result must satisfy
+ * sum mu_i q^i == d as an exact integer identity. Any failure throws, so
+ * a wrong constant can never degrade the pairing check to "always 1".
+ */
+HardPart
+build_hard_part()
+{
+    // x = -a, so x = 1 (mod 3) iff a = 2 (mod 3).
+    const uint64_t a = kAbsX;
+    if (a % 3 != 2) {
+        throw std::logic_error("BLS parameter x is not 1 mod 3");
+    }
+    const Wide wa(a);
+    // Magnitudes of mu_3 = (x-1)^2/3, mu_2 = mu_3 x, mu_1 = mu_2 x - mu_3
+    // and mu_0 = mu_1 x + 1 with x = -a.
+    Wide m3 = mul_checked(Wide((a + 1) / 3), Wide(a + 1));
+    Wide m2 = mul_checked(m3, wa);
+    Wide m1 = mul_checked(m2, wa);
+    m1.sub_assign(m3);
+    Wide m0 = mul_checked(m1, wa);
+    m0.sub_assign(Wide(1));
+
+    const Wide q = ff::widen<24>(Fq::kModulus);
+    const Wide q2 = mul_checked(q, q);
+    const Wide q3 = mul_checked(q2, q);
+    Wide num = mul_checked(q2, q2);
+    num.sub_assign(q2);
+    num.add_assign(Wide(1));
+    Wide d, rem;
+    ff::divmod(num, ff::widen<24>(ff::Fr::kModulus), d, rem);
+    if (!rem.is_zero()) {
+        throw std::logic_error("r does not divide q^4 - q^2 + 1");
+    }
+    // mu_1 q + mu_3 q^3 == d + |mu_0| + |mu_2| q^2.
+    Wide lhs = mul_checked(m1, q);
+    lhs.add_assign(mul_checked(m3, q3));
+    Wide rhs = d;
+    rhs.add_assign(m0);
+    rhs.add_assign(mul_checked(m2, q2));
+    if (!(lhs == rhs)) {
+        throw std::logic_error("hard-part split does not sum to d");
+    }
+
+    HardPart h;
+    const Wide *ms[4] = {&m0, &m1, &m2, &m3};
+    for (size_t i = 0; i < 4; ++i) {
+        if (ms[i]->num_bits() > 64 * Fq::kLimbs) {
+            throw std::logic_error("hard-part exponent too wide");
+        }
+        for (size_t l = 0; l < Fq::kLimbs; ++l) {
+            h.mag[i].limbs[l] = ms[i]->limbs[l];
+        }
+        h.bits = std::max(h.bits, ms[i]->num_bits());
+    }
+    return h;
+}
+
+const HardPart &
+hard_part()
+{
+    static const HardPart kHard = build_hard_part();
+    return kHard;
 }
 
 }  // namespace
@@ -205,12 +286,40 @@ miller_loop(const G1Affine &p, const G2Affine &q)
 Fq12
 final_exponentiation(const Fq12 &f)
 {
-    // Easy part: f^{(q^6 - 1)(q^2 + 1)}.
-    Fq12 t = f.conjugate() * f.inverse();       // f^{q^6 - 1}
-    BigInt<12> q2 = Fq::kModulus.mul_wide(Fq::kModulus);
-    t = t.pow(q2) * t;                          // ^(q^2 + 1)
-    // Hard part: ^(q^4 - q^2 + 1)/r.
-    return t.pow(hard_part_exponent());
+    // Easy part: f^{(q^6 - 1)(q^2 + 1)}. The result lies in the
+    // cyclotomic subgroup, where conjugation inverts and
+    // cyclotomic_square squares.
+    Fq12 t = f.conjugate() * f.inverse();
+    t = t.frobenius().frobenius() * t;
+
+    // Hard part: t^d = prod_i (t^{q^i})^{mu_i}, one simultaneous
+    // exponentiation over a 16-entry table of subset products.
+    const HardPart &h = hard_part();
+    const Fq12 t1 = t.frobenius();
+    const Fq12 t2 = t1.frobenius();
+    const std::array<Fq12, 4> bases = {t.conjugate(), t1, t2.conjugate(),
+                                       t2.frobenius()};
+    std::array<Fq12, 16> table;
+    table[0] = Fq12::one();
+    for (unsigned m = 1; m < 16; ++m) {
+        unsigned low = unsigned(std::countr_zero(m));
+        table[m] = m == (1u << low) ? bases[low]
+                                    : table[m & (m - 1)] * bases[low];
+    }
+    Fq12 r = Fq12::one();
+    bool started = false;
+    for (size_t bit = h.bits; bit-- > 0;) {
+        if (started) r = r.cyclotomic_square();
+        unsigned idx = 0;
+        for (unsigned i = 0; i < 4; ++i) {
+            if (h.mag[i].bit(bit)) idx |= 1u << i;
+        }
+        if (idx != 0) {
+            r = started ? r * table[idx] : table[idx];
+            started = true;
+        }
+    }
+    return r;
 }
 
 Fq12

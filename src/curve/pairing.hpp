@@ -9,12 +9,20 @@
  * Implementation notes: Miller loop over |x| = 0xd201000000010000 with
  * homogeneous-projective line evaluation (M-twist, mul_by_014 sparse
  * multiplication), conjugation at the end because the BLS parameter is
- * negative. The final exponentiation uses the cheap "easy part"
- * ((q^6-1)(q^2+1) via conjugate/inverse and one pow) and performs the hard
- * part as a plain exponentiation by (q^4 - q^2 + 1)/r, derived at runtime
- * by big-integer division so no hand-copied chain constants are required.
- * This trades speed for transparency; pairings are only on the verifier
- * path, which the paper leaves on the CPU.
+ * negative.
+ *
+ * The final exponentiation (Scott et al., ePrint 2008/490) computes the
+ * easy part (q^6-1)(q^2+1) with one inversion, a conjugation and the
+ * q^2-power Frobenius. Its output lies in the cyclotomic subgroup, where
+ * conjugation inverts and Granger-Scott squaring (ePrint 2009/565) is
+ * cheap. The hard part raises to d = (q^4 - q^2 + 1)/r through the
+ * exact split d = mu_0 + mu_1 q + mu_2 q^2 + mu_3 q^3, mu_i = lambda_i/3
+ * for the BLS12 polynomials lambda_i in x, evaluated as one simultaneous
+ * exponentiation of t, t^q, t^{q^2}, t^{q^3} (Frobenius maps) with a
+ * 16-entry subset table and cyclotomic squarings. The mu_i are derived
+ * from |x| on first use and checked: x = 1 (mod 3), r | q^4 - q^2 + 1
+ * and sum mu_i q^i == d as integers. A failed check throws; there is no
+ * fallback exponent.
  */
 #pragma once
 

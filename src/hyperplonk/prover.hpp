@@ -135,7 +135,9 @@ bool verify(const VerifyingKey &vk, std::span<const Fr> public_inputs,
  * Deferred verification for batching: run every algebraic check
  * (transcript, sumchecks, claimed-evaluation consistency, public
  * inputs) inline, but push the final PCS pairing check into `acc`
- * instead of evaluating it.
+ * instead of evaluating it. No G1 work runs here: the opened
+ * commitment C_{g'} enters `acc` as its unscaled combination of the
+ * proof's and key's commitments, so the flush's MSM pays for it.
  *
  * @return false when an algebraic check fails (nothing is accumulated
  *   in that case); true means the proof is valid iff the accumulator's

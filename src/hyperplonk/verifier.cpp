@@ -22,16 +22,14 @@ public_input_mle(std::span<const Fr> publics, size_t num_public)
 
 /**
  * Shared verification body. With `acc` set the PCS check is deferred
- * into the accumulator (mode is ignored); with `acc` null the check
- * runs inline in the requested mode.
+ * into the accumulator and the body does no G1 work; with `acc` null it
+ * runs inline against the SRS trapdoor (ideal mode).
  */
 bool
 verify_impl(const VerifyingKey &vk, std::span<const Fr> public_inputs,
-            const Proof &proof, PcsCheckMode mode,
-            zkspeed::verifier::PairingAccumulator *acc)
+            const Proof &proof, zkspeed::verifier::PairingAccumulator *acc)
 {
     const size_t mu = vk.num_vars;
-    const size_t n = size_t(1) << mu;
     if (public_inputs.size() != vk.num_public) return false;
 
     hash::Transcript tr("hyperplonk-v1");
@@ -144,8 +142,8 @@ verify_impl(const VerifyingKey &vk, std::span<const Fr> public_inputs,
     // f_open(r_o) == g'(r_o): both equal sum_j eq(r_o,z_j) y_j(r_o).
     if (!(oc.final_value == proof.gprime_value)) return false;
 
-    // Homomorphically derive C_{g'} = sum_c a^c eq(r_o, z_{point(c)})
-    // * C_{poly(c)} from the known commitments.
+    // C_{g'} = sum_c coeff_c * C_c over the known commitments, with
+    // coeff_c = sum over claims on poly c of a^claim * eq(r_o, z_point).
     std::vector<Fr> k_vals(points.size());
     for (size_t j = 0; j < points.size(); ++j) {
         k_vals[j] = Mle::eq_eval(r_o, points[j]);
@@ -164,27 +162,23 @@ verify_impl(const VerifyingKey &vk, std::span<const Fr> public_inputs,
         vk.lookup_comms[0], vk.lookup_comms[1], vk.lookup_comms[2],
         vk.lookup_comms[3], vk.lookup_comms[4],
         proof.m_comm, proof.hf_comm, proof.ht_comm};
-    curve::G1 c_gprime = curve::msm(comms, coeff);
 
     tr.append_fr("gprime_value", proof.gprime_value);
     for (const auto &q : proof.gprime_proof.quotients) {
         append_g1(tr, "gprime_quotient", q);
     }
 
-    G1Affine c_aff = c_gprime.to_affine();
     if (acc != nullptr) {
-        return pcs::accumulate(*vk.srs, c_aff, r_o, proof.gprime_value,
-                               proof.gprime_proof, *acc);
+        // The combination goes to the accumulator unscaled: its terms
+        // join the flush's h-slot MSM instead of a per-proof MSM here.
+        return pcs::accumulate(*vk.srs, comms, coeff, r_o,
+                               proof.gprime_value, proof.gprime_proof,
+                               *acc);
     }
-    if (mode == PcsCheckMode::ideal) {
-        assert(!vk.srs->trapdoor.empty() &&
-               "ideal mode requires a test-mode SRS");
-        return pcs::verify_ideal(*vk.srs, c_aff, r_o, proof.gprime_value,
-                                 proof.gprime_proof);
-    }
-    return pcs::verify(*vk.srs, c_aff, r_o, proof.gprime_value,
-                       proof.gprime_proof);
-    (void)n;
+    assert(!vk.srs->trapdoor.empty() &&
+           "ideal mode requires a test-mode SRS");
+    return pcs::verify_ideal(*vk.srs, curve::msm(comms, coeff).to_affine(),
+                             r_o, proof.gprime_value, proof.gprime_proof);
 }
 
 }  // namespace
@@ -193,15 +187,18 @@ bool
 verify(const VerifyingKey &vk, std::span<const Fr> public_inputs,
        const Proof &proof, PcsCheckMode mode)
 {
-    return verify_impl(vk, public_inputs, proof, mode, nullptr);
+    if (mode == PcsCheckMode::ideal) {
+        return verify_impl(vk, public_inputs, proof, nullptr);
+    }
+    zkspeed::verifier::PairingAccumulator acc;
+    return verify_deferred(vk, public_inputs, proof, acc) && acc.check();
 }
 
 bool
 verify_deferred(const VerifyingKey &vk, std::span<const Fr> public_inputs,
                 const Proof &proof, zkspeed::verifier::PairingAccumulator &acc)
 {
-    return verify_impl(vk, public_inputs, proof, PcsCheckMode::pairing,
-                       &acc);
+    return verify_impl(vk, public_inputs, proof, &acc);
 }
 
 }  // namespace zkspeed::hyperplonk

@@ -86,19 +86,22 @@ open(const Srs &srs, const Mle &poly, std::span<const Fr> point)
 }
 
 bool
-accumulate(const Srs &srs, const G1Affine &comm, std::span<const Fr> point,
+accumulate(const Srs &srs, std::span<const G1Affine> comm_bases,
+           std::span<const Fr> comm_coeffs, std::span<const Fr> point,
            const Fr &value, const OpeningProof &proof,
            zkspeed::verifier::PairingAccumulator &acc)
 {
     const size_t mu = point.size();
     if (proof.quotients.size() != mu) return false;
     if (srs.num_vars < mu) return false;
+    if (comm_bases.size() != comm_coeffs.size()) return false;
     // Product form  e(C - v g, -h) * prod_k e(Pi_k, h^{tau_k} - z_k h) = 1
     // decomposed onto the fixed basis {h, h^{tau_k}}:
-    //   slot h:        -(C - v g) - sum_k z_k Pi_k
+    //   slot h:        -sum_c a_c C_c + v g - sum_k z_k Pi_k
     //   slot h^{tau_k}: Pi_k
-    const Fr minus_one = -Fr::one();
-    acc.add_term(minus_one, comm, srs.h);
+    for (size_t c = 0; c < comm_bases.size(); ++c) {
+        acc.add_term(-comm_coeffs[c], comm_bases[c], srs.h);
+    }
     acc.add_term(value, srs.g, srs.h);
     // Polynomials smaller than the SRS are committed against the suffix
     // taus, so the matching tau_h entries start at this offset.
@@ -117,7 +120,11 @@ verify(const Srs &srs, const G1Affine &comm, std::span<const Fr> point,
     // Accumulate then flush: same equation, but the h-slot terms merge
     // into one small G1 MSM and no G2 scalar muls are performed.
     zkspeed::verifier::PairingAccumulator acc;
-    if (!accumulate(srs, comm, point, value, proof, acc)) return false;
+    const Fr one = Fr::one();
+    if (!accumulate(srs, std::span(&comm, 1), std::span(&one, 1), point,
+                    value, proof, acc)) {
+        return false;
+    }
     return acc.check();
 }
 

@@ -98,13 +98,18 @@ bool verify(const Srs &srs, const G1Affine &comm, std::span<const Fr> point,
  * — so no G2 scalar multiplication is ever performed, and openings
  * against the same SRS share their pairing slots when batch-flushed.
  *
+ * The opened commitment is passed unscaled, as the combination
+ * C = sum_c comm_coeffs[c] * comm_bases[c]; each term lands on the h
+ * slot, so a verifier that derives C homomorphically never runs that
+ * MSM itself. A single commitment is the one-term combination.
+ *
  * @return false when the proof shape is wrong (nothing accumulated);
  *   true means "accumulated" — the opening is valid iff the flush
  *   accepts.
  */
-bool accumulate(const Srs &srs, const G1Affine &comm,
-                std::span<const Fr> point, const Fr &value,
-                const OpeningProof &proof,
+bool accumulate(const Srs &srs, std::span<const G1Affine> comm_bases,
+                std::span<const Fr> comm_coeffs, std::span<const Fr> point,
+                const Fr &value, const OpeningProof &proof,
                 zkspeed::verifier::PairingAccumulator &acc);
 
 /**

@@ -77,7 +77,8 @@ struct JobMetrics {
     double queue_ms = 0;  ///< submit -> worker pickup
     double prove_ms = 0;  ///< keygen (on cache miss) + prove + encode
     double total_ms = 0;  ///< submit -> response ready
-    /** Modular multiplications spent by this job (ff counters). */
+    /** Modular multiplications spent by this job (ff counters); for a
+     * VERIFY job, by its algebraic stage (the flush is shared). */
     uint64_t modmul_fr = 0;
     uint64_t modmul_fq = 0;
     bool key_cache_hit = false;

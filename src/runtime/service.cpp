@@ -492,7 +492,6 @@ ProofService::process_prove(QueuedJob &job)
 std::optional<ProofService::PendingVerify>
 ProofService::process_verify(QueuedJob &job, JobResponse &resp)
 {
-    ff::ModmulScope muls;
     auto picked_up = Clock::now();
 
     auto decoded = wire::decode_verify_request(job.request);
@@ -529,8 +528,10 @@ ProofService::process_verify(QueuedJob &job, JobResponse &resp)
     }
 
     // Algebraic stage (transcript, sumchecks, claimed evaluations) runs
-    // inline on this worker; only the pairing check is deferred.
+    // inline on this worker; only the pairing check is deferred. The
+    // job's modmul counts cover this stage alone, not decoding.
     auto alg_start = Clock::now();
+    ff::ModmulScope muls;
     verifier::PairingAccumulator acc;
     bool algebraic_ok;
     {

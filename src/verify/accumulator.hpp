@@ -22,7 +22,9 @@
  *     bad proof with probability <= 1/r (Schwartz-Zippel in the exponent).
  *  3. mKZG openings share the fixed G2 basis {h, h^{tau_k}}, so a folded
  *     batch of N proofs still pairs only mu+1 points: cost moves from
- *     N*(mu+1) pairings to one N*(mu+2)-term MSM plus one multi-pairing.
+ *     N*(mu+1) pairings to one N*(mu+2+k)-term MSM plus one
+ *     multi-pairing, where k <= 22 is the number of commitments a
+ *     HyperPlonk proof's opened g' combines (they sit on the h slot).
  *
  * Header-only so the pcs layer can emit terms without a link-time
  * dependency on the higher verify library.
@@ -48,7 +50,7 @@ struct FlushStats {
 /**
  * Linear-scan lookup of `q` in `qs`, appending when absent; returns its
  * index. The distinct-G2 count is tiny (mu+1 per SRS), so a scan beats
- * building an ordered key. Shared by the accumulator's own flush and
+ * building an ordered key. Shared by the accumulator's add_term and
  * the BatchVerifier's fold.
  */
 inline size_t
@@ -64,11 +66,13 @@ find_or_add_g2(std::vector<curve::G2Affine> &qs, const curve::G2Affine &q)
 class PairingAccumulator
 {
   public:
-    /** One deferred factor e(scalar * base, g2). */
+    /** One deferred factor e(scalar * base, g2_points()[g2]). Terms name
+     * their G2 point by index: an opening has mu+2+k terms but only
+     * mu+1 distinct G2 points, so each term stays G2-free. */
     struct Term {
         ff::Fr scalar;
         curve::G1Affine base;
-        curve::G2Affine g2;
+        size_t g2;
     };
 
     /** Record e(p, q). */
@@ -86,13 +90,21 @@ class PairingAccumulator
         if (base.is_identity() || q.is_identity() || scalar.is_zero()) {
             return;  // contributes e(..)^0 = 1
         }
-        terms_.push_back({scalar, base, q});
+        terms_.push_back({scalar, base, find_or_add_g2(g2s_, q)});
     }
 
     bool empty() const { return terms_.empty(); }
     size_t size() const { return terms_.size(); }
     const std::vector<Term> &terms() const { return terms_; }
-    void clear() { terms_.clear(); }
+    /** The distinct G2 points, in order of first use. */
+    const std::vector<curve::G2Affine> &g2_points() const { return g2s_; }
+
+    void
+    clear()
+    {
+        terms_.clear();
+        g2s_.clear();
+    }
 
     /**
      * Absorb the accumulator's canonical content into a transcript, so
@@ -110,16 +122,17 @@ class PairingAccumulator
             buf.insert(buf.end(), scratch, scratch + ff::Fq::kByteSize);
         };
         for (const Term &t : terms_) {
+            const curve::G2Affine &q = g2s_[t.g2];
             t.scalar.to_bytes(scratch);
             buf.insert(buf.end(), scratch, scratch + ff::Fr::kByteSize);
             buf.push_back(t.base.infinity ? 1 : 0);
             put_fq(t.base.x);
             put_fq(t.base.y);
-            buf.push_back(t.g2.infinity ? 1 : 0);
-            put_fq(t.g2.x.c0);
-            put_fq(t.g2.x.c1);
-            put_fq(t.g2.y.c0);
-            put_fq(t.g2.y.c1);
+            buf.push_back(q.infinity ? 1 : 0);
+            put_fq(q.x.c0);
+            put_fq(q.x.c1);
+            put_fq(q.y.c0);
+            put_fq(q.y.c1);
         }
         tr.append_bytes("pairing_accumulator", buf);
     }
@@ -133,20 +146,14 @@ class PairingAccumulator
     {
         if (terms_.empty()) return true;
         // Group by G2 point: one MSM per distinct point.
-        std::vector<curve::G2Affine> qs;
-        std::vector<std::vector<curve::G1Affine>> bases;
-        std::vector<std::vector<ff::Fr>> scalars;
+        std::vector<std::vector<curve::G1Affine>> bases(g2s_.size());
+        std::vector<std::vector<ff::Fr>> scalars(g2s_.size());
         for (const Term &t : terms_) {
-            size_t gi = find_or_add_g2(qs, t.g2);
-            if (gi == bases.size()) {
-                bases.emplace_back();
-                scalars.emplace_back();
-            }
-            bases[gi].push_back(t.base);
-            scalars[gi].push_back(t.scalar);
+            bases[t.g2].push_back(t.base);
+            scalars[t.g2].push_back(t.scalar);
         }
-        std::vector<curve::G1> sums(qs.size());
-        for (size_t i = 0; i < qs.size(); ++i) {
+        std::vector<curve::G1> sums(g2s_.size());
+        for (size_t i = 0; i < g2s_.size(); ++i) {
             if (bases[i].size() == 1 && scalars[i][0].is_one()) {
                 sums[i] = curve::G1::from_affine(bases[i][0]);
             } else {
@@ -156,13 +163,14 @@ class PairingAccumulator
         auto ps = curve::batch_to_affine<curve::G1Params>(sums);
         if (stats != nullptr) {
             stats->msm_points += terms_.size();
-            stats->num_pairings += qs.size();
+            stats->num_pairings += g2s_.size();
         }
-        return curve::pairing_product_is_one(ps, qs);
+        return curve::pairing_product_is_one(ps, g2s_);
     }
 
   private:
     std::vector<Term> terms_;
+    std::vector<curve::G2Affine> g2s_;
 };
 
 }  // namespace zkspeed::verifier

@@ -21,16 +21,15 @@ struct Fold {
     /** Distinct G2 points across the whole batch, prepared once. */
     std::vector<G2Affine> g2s;
     std::vector<G2Prepared> prepared;
-    /** Per item, per term: index into g2s (parallel to terms()). */
+    /** Per item: its local G2 indices (Term::g2) mapped into g2s. */
     std::vector<std::vector<size_t>> slot;
 
     explicit Fold(const std::vector<PairingAccumulator> &items)
     {
         slot.resize(items.size());
         for (size_t i = 0; i < items.size(); ++i) {
-            slot[i].reserve(items[i].size());
-            for (const auto &t : items[i].terms()) {
-                slot[i].push_back(find_or_add_g2(g2s, t.g2));
+            for (const auto &q : items[i].g2_points()) {
+                slot[i].push_back(find_or_add_g2(g2s, q));
             }
         }
         prepared.reserve(g2s.size());
@@ -49,7 +48,7 @@ struct Fold {
         for (size_t i = begin; i < end; ++i) {
             const auto &terms = items[i].terms();
             for (size_t j = 0; j < terms.size(); ++j) {
-                size_t gi = slot[i][j];
+                size_t gi = slot[i][terms[j].g2];
                 bases[gi].push_back(terms[j].base);
                 scalars[gi].push_back(rho[i] * terms[j].scalar);
                 ++points;

@@ -9,9 +9,13 @@
 
 #include <random>
 
+#include <set>
+
 #include "hyperplonk/serialize.hpp"
 #include "obs/window.hpp"
+#include "runtime/key_cache.hpp"
 #include "runtime/service.hpp"
+#include "scenarios/registry.hpp"
 #include "sim/replay.hpp"
 #include "verify/batch_verifier.hpp"
 
@@ -84,8 +88,12 @@ TEST(Accumulator, PcsAccumulateMatchesInlineVerify)
 
     EXPECT_TRUE(pcs::verify(srs, comm, point, value, proof));
 
+    // A single commitment is the one-term combination 1 * comm.
+    const Fr one = Fr::one();
+    const std::span<const curve::G1Affine> comm1(&comm, 1);
+    const std::span<const Fr> one1(&one, 1);
     verifier::PairingAccumulator acc;
-    ASSERT_TRUE(pcs::accumulate(srs, comm, point, value, proof, acc));
+    ASSERT_TRUE(pcs::accumulate(srs, comm1, one1, point, value, proof, acc));
     verifier::FlushStats stats;
     EXPECT_TRUE(acc.check(&stats));
     // Decomposed onto the fixed basis {h, h^{tau_k}}: mu+1 pairings.
@@ -95,7 +103,8 @@ TEST(Accumulator, PcsAccumulateMatchesInlineVerify)
     Fr bad = value + Fr::one();
     EXPECT_FALSE(pcs::verify(srs, comm, point, bad, proof));
     verifier::PairingAccumulator acc_bad;
-    ASSERT_TRUE(pcs::accumulate(srs, comm, point, bad, proof, acc_bad));
+    ASSERT_TRUE(pcs::accumulate(srs, comm1, one1, point, bad, proof,
+                                acc_bad));
     EXPECT_FALSE(acc_bad.check());
 }
 
@@ -203,6 +212,126 @@ TEST(BatchVerifier, SingleBadProofBatchRejects)
     auto result = bv.flush();
     ASSERT_EQ(result.verdicts.size(), 1u);
     EXPECT_FALSE(result.verdicts[0]);
+}
+
+// ---------------------------------------------------------------------
+// The verify-batch service workload's families (rescue-chain,
+// sparse-arithmetic and range-via-lookup at log size 5 and 8, registry
+// floors applied): the algebraic stage does no G1 work, and a mixed-size
+// 16-proof flush pays for every proof's g' terms in its own MSM.
+// ---------------------------------------------------------------------
+
+/** One proof per (family, log size), keyed like the proving service. */
+const std::vector<ProvenStatement> &
+family_statements()
+{
+    static const std::vector<ProvenStatement> kStatements = [] {
+        runtime::KeyCache cache(8, runtime::ServiceConfig{}.srs_seed);
+        std::vector<ProvenStatement> out;
+        uint64_t seed = 1;
+        for (const char *family :
+             {"rescue-chain", "sparse-arithmetic", "range-via-lookup"}) {
+            for (size_t log_size : {5, 8}) {
+                scenarios::Spec spec;
+                spec.name = family;
+                spec.log_size = log_size;
+                spec.seed = seed++;
+                auto inst = scenarios::Registry::global().build(spec);
+                auto keys = cache.get_or_create(inst.circuit).first;
+                ProvenStatement st;
+                st.vk = *keys.vk;
+                st.publics = inst.witness.public_inputs(inst.circuit);
+                st.proof = hyperplonk::prove(*keys.pk, inst.witness);
+                out.push_back(std::move(st));
+            }
+        }
+        return out;
+    }();
+    return kStatements;
+}
+
+TEST(DeferredVerify, AlgebraicStageSpendsNoFqMuls)
+{
+    for (const ProvenStatement &st : family_statements()) {
+        SCOPED_TRACE("2^" + std::to_string(st.vk.num_vars));
+        verifier::PairingAccumulator acc;
+        ff::ModmulScope muls;
+        ASSERT_TRUE(
+            hyperplonk::verify_deferred(st.vk, st.publics, st.proof, acc));
+        EXPECT_EQ(muls.fq_delta(), 0u)
+            << "verify_deferred must leave all G1 work to the flush";
+        EXPECT_GT(muls.fr_delta(), 0u);
+        // C_{g'} arrives unscaled: more terms than the mu+2 of a single
+        // opened commitment, at most 22 more.
+        const size_t mu = st.vk.num_vars;
+        EXPECT_GT(acc.size(), 2 * mu + 2);
+        EXPECT_LE(acc.size(), 2 * mu + 2 + 22);
+    }
+}
+
+TEST(DeferredVerify, MixedSizeSixteenProofBatch)
+{
+    const auto &sts = family_statements();
+    const size_t kBad = 7;
+    std::set<size_t> sizes;
+    verifier::BatchVerifier clean, poisoned;
+    size_t terms = 0;
+    for (size_t i = 0; i < 16; ++i) {
+        const ProvenStatement &st = sts[i % sts.size()];
+        sizes.insert(st.vk.num_vars);
+        verifier::PairingAccumulator acc;
+        ASSERT_TRUE(
+            hyperplonk::verify_deferred(st.vk, st.publics, st.proof, acc));
+        terms += acc.size();
+        clean.add(std::move(acc));
+
+        auto proof = st.proof;
+        if (i == kBad) corrupt_pairing_side(proof);
+        verifier::PairingAccumulator bad_acc;
+        ASSERT_TRUE(
+            hyperplonk::verify_deferred(st.vk, st.publics, proof, bad_acc));
+        poisoned.add(std::move(bad_acc));
+    }
+    EXPECT_GE(sizes.size(), 3u) << "the batch must mix circuit sizes";
+
+    auto result = clean.flush();
+    EXPECT_TRUE(result.all_ok());
+    EXPECT_EQ(result.stats.pairing_checks, 1u);
+    EXPECT_EQ(result.stats.msm_points, terms);
+
+    auto bad = poisoned.flush();
+    ASSERT_EQ(bad.verdicts.size(), 16u);
+    for (size_t i = 0; i < 16; ++i) {
+        EXPECT_EQ(bad.verdicts[i], i != kBad) << "proof " << i;
+    }
+    EXPECT_GT(bad.stats.bisection_steps, 0u);
+}
+
+TEST(DeferredVerify, PairingModeAgreesWithIdealMode)
+{
+    using hyperplonk::PcsCheckMode;
+    for (const ProvenStatement &st : family_statements()) {
+        SCOPED_TRACE("2^" + std::to_string(st.vk.num_vars));
+        EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, st.proof,
+                                       PcsCheckMode::pairing));
+        EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, st.proof,
+                                       PcsCheckMode::ideal));
+        auto quotient = st.proof;
+        corrupt_pairing_side(quotient);
+        EXPECT_FALSE(hyperplonk::verify(st.vk, st.publics, quotient,
+                                        PcsCheckMode::pairing));
+        EXPECT_FALSE(hyperplonk::verify(st.vk, st.publics, quotient,
+                                        PcsCheckMode::ideal));
+        auto witness = st.proof;
+        witness.witness_comms[1] =
+            (curve::G1::from_affine(witness.witness_comms[1]) +
+             curve::g1_generator())
+                .to_affine();
+        EXPECT_FALSE(hyperplonk::verify(st.vk, st.publics, witness,
+                                        PcsCheckMode::pairing));
+        EXPECT_FALSE(hyperplonk::verify(st.vk, st.publics, witness,
+                                        PcsCheckMode::ideal));
+    }
 }
 
 // ---------------------------------------------------------------------

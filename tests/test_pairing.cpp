@@ -1,17 +1,69 @@
 /**
  * @file
- * Bilinearity and non-degeneracy tests for the optimal-ate pairing.
+ * Bilinearity and non-degeneracy tests for the optimal-ate pairing, and
+ * the final exponentiation's Frobenius/cyclotomic chain against a
+ * generic-power oracle.
  */
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "curve/pairing.hpp"
+#include "ff/counters.hpp"
 
 namespace {
 
 using namespace zkspeed::curve;
+using zkspeed::ff::BigInt;
+using zkspeed::ff::Fq;
 using zkspeed::ff::Fr;
+
+/**
+ * Oracle: the final exponentiation as plain powers, f^{(q^6 - 1)(q^2 + 1)}
+ * then ^(q^4 - q^2 + 1)/r with the exponent from big-integer division.
+ */
+Fq12
+generic_final_exponentiation(const Fq12 &f)
+{
+    Fq12 t = f.conjugate() * f.inverse();
+    BigInt<12> q2 = Fq::kModulus.mul_wide(Fq::kModulus);
+    t = t.pow(q2) * t;
+    BigInt<24> e = q2.mul_wide(q2);
+    e.sub_assign(zkspeed::ff::widen<24>(q2));
+    e.add_assign(BigInt<24>(1));
+    BigInt<24> d, rem;
+    zkspeed::ff::divmod(e, zkspeed::ff::widen<24>(Fr::kModulus), d, rem);
+    EXPECT_TRUE(rem.is_zero());
+    return t.pow(d);
+}
+
+Fq12
+random_fq12(std::mt19937_64 &rng)
+{
+    return {Fq6(Fq2::random(rng), Fq2::random(rng), Fq2::random(rng)),
+            Fq6(Fq2::random(rng), Fq2::random(rng), Fq2::random(rng))};
+}
+
+/** A multi-Miller-loop output over `n` random pairs. */
+Fq12
+random_miller_output(std::mt19937_64 &rng, size_t n)
+{
+    std::vector<G1Affine> ps;
+    std::vector<G2Affine> qs;
+    for (size_t i = 0; i < n; ++i) {
+        ps.push_back(g1_generator().mul(Fr::random(rng)).to_affine());
+        qs.push_back(g2_generator().mul(Fr::random(rng)).to_affine());
+    }
+    return multi_miller_loop(ps, qs);
+}
+
+/** The easy part f^{(q^6 - 1)(q^2 + 1)}: lands in the cyclotomic group. */
+Fq12
+easy_part(const Fq12 &f)
+{
+    Fq12 t = f.conjugate() * f.inverse();
+    return t.frobenius().frobenius() * t;
+}
 
 TEST(Pairing, NonDegenerate)
 {
@@ -140,6 +192,66 @@ TEST(Pairing, MultiMillerMatchesProductOfPairings)
         expect *= pairing(ps.back(), qs.back());
     }
     EXPECT_EQ(final_exponentiation(multi_miller_loop(ps, qs)), expect);
+}
+
+TEST(FinalExponentiation, MatchesGenericPowerOracle)
+{
+    std::mt19937_64 rng(31);
+    EXPECT_TRUE(final_exponentiation(Fq12::one()).is_one());
+    EXPECT_EQ(final_exponentiation(Fq12::one()),
+              generic_final_exponentiation(Fq12::one()));
+    for (size_t n : {1, 2, 3}) {
+        Fq12 f = random_miller_output(rng, n);
+        EXPECT_EQ(final_exponentiation(f), generic_final_exponentiation(f))
+            << n << "-pair Miller output";
+    }
+    // Any nonzero element, not just Miller outputs.
+    Fq12 f = random_fq12(rng);
+    EXPECT_EQ(final_exponentiation(f), generic_final_exponentiation(f));
+}
+
+TEST(FinalExponentiation, FrobeniusIsThePowerQ)
+{
+    std::mt19937_64 rng(32);
+    for (int i = 0; i < 3; ++i) {
+        Fq12 f = random_fq12(rng);
+        EXPECT_EQ(f.frobenius(), f.pow(Fq::kModulus));
+        Fq12 g = f;
+        for (int k = 0; k < 12; ++k) g = g.frobenius();
+        EXPECT_EQ(g, f) << "x^{q^12} == x in Fq12";
+    }
+}
+
+TEST(FinalExponentiation, SquareMatchesMultiply)
+{
+    std::mt19937_64 rng(33);
+    for (int i = 0; i < 3; ++i) {
+        Fq12 f = random_fq12(rng);
+        EXPECT_EQ(f.square(), f * f);
+    }
+}
+
+TEST(FinalExponentiation, CyclotomicSquareMatchesSquareAfterEasyPart)
+{
+    std::mt19937_64 rng(34);
+    for (int i = 0; i < 3; ++i) {
+        Fq12 t = easy_part(i == 0 ? random_miller_output(rng, 2)
+                                  : random_fq12(rng));
+        EXPECT_EQ(t.cyclotomic_square(), t.square());
+        // Unitary: conjugation inverts.
+        EXPECT_TRUE((t * t.conjugate()).is_one());
+    }
+}
+
+TEST(FinalExponentiation, CostsAtMost33kFqMuls)
+{
+    std::mt19937_64 rng(35);
+    Fq12 f = random_miller_output(rng, 2);
+    final_exponentiation(f);  // derive the one-time constants first
+    zkspeed::ff::ModmulScope muls;
+    final_exponentiation(f);
+    EXPECT_LE(muls.fq_delta(), 33000u);
+    EXPECT_EQ(muls.fr_delta(), 0u);
 }
 
 }  // namespace
