@@ -47,6 +47,30 @@ BM_FqMul(benchmark::State &state)
 }
 BENCHMARK(BM_FqMul);
 
+// Report-only: the portable CIOS that BM_FrMul / BM_FqMul replace
+// where CPUID has bmi2 and adx, for the per-multiply gain in one run.
+void
+BM_FrMulPortable(benchmark::State &state)
+{
+    auto a = Fr::random(rng()).mont_repr();
+    const auto b = Fr::random(rng()).mont_repr();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(a = Fr::mont_mul_portable(a, b));
+    }
+}
+BENCHMARK(BM_FrMulPortable);
+
+void
+BM_FqMulPortable(benchmark::State &state)
+{
+    auto a = Fq::random(rng()).mont_repr();
+    const auto b = Fq::random(rng()).mont_repr();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(a = Fq::mont_mul_portable(a, b));
+    }
+}
+BENCHMARK(BM_FqMulPortable);
+
 void
 BM_FrInverse(benchmark::State &state)
 {

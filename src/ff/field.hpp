@@ -3,7 +3,9 @@
  * Generic prime field in Montgomery representation.
  *
  * Fp<Params> stores elements as a*R mod p (R = 2^{64N}) and multiplies with
- * the CIOS (coarsely integrated operand scanning) Montgomery algorithm. All
+ * the CIOS (coarsely integrated operand scanning) Montgomery algorithm:
+ * an x86-64 MULX/ADX kernel where CPUID has it (mont_adx.hpp), else a
+ * portable unrolled form that gives the same bits. All
  * Montgomery constants are derived constexpr from Params::modulus() by
  * bigint.hpp helpers, so a field is fully specified by its modulus, bit
  * width and a generator (see fr.hpp / fq.hpp).
@@ -21,6 +23,7 @@
 
 #include "ff/bigint.hpp"
 #include "ff/counters.hpp"
+#include "ff/mont_adx.hpp"
 
 namespace zkspeed::ff {
 
@@ -68,6 +71,14 @@ class Fp
     static constexpr Repr kR2 = pow2_mod(128 * kLimbs, kModulus);
     /** -p^{-1} mod 2^64 for the REDC step. */
     static constexpr uint64_t kInv = neg_inv64(kModulus.limbs[0]);
+    /** The modulus limbs followed by kInv: the MULX/ADX kernel's
+     * constants, read through one pointer. */
+    static constexpr std::array<uint64_t, kLimbs + 1> kRedc = [] {
+        std::array<uint64_t, kLimbs + 1> c{};
+        for (size_t i = 0; i < kLimbs; ++i) c[i] = kModulus.limbs[i];
+        c[kLimbs] = kInv;
+        return c;
+    }();
 
     constexpr Fp() = default;
 
@@ -90,10 +101,13 @@ class Fp
         return from_repr(Repr(v));
     }
 
-    /** Construct from a canonical (non-Montgomery) representation. */
+    /** Construct from a (non-Montgomery) representation; v >= p is
+     * reduced first. This is the one entry for raw limbs, so every
+     * operand that reaches mont_mul is below p. */
     static Fp
-    from_repr(const Repr &v)
+    from_repr(Repr v)
     {
+        while (v >= kModulus) v.sub_assign(kModulus);  // <= 9 rounds
         Fp r;
         r.repr_ = mont_mul(v, kR2);  // v * R^2 * R^{-1} = v*R
         return r;
@@ -321,7 +335,42 @@ class Fp
     }
 
     /**
-     * CIOS Montgomery multiplication: returns a*b*R^{-1} mod p.
+     * Montgomery multiplication a*b*R^{-1} mod p on the kernel this
+     * process selected: MULX/ADX where CPUID has both (4- and 6-limb
+     * fields), else the portable CIOS. Both give the same bits for
+     * a, b < p. Uncounted; operator* counts.
+     */
+    static Repr
+    mont_mul(const Repr &a, const Repr &b)
+    {
+#if ZKSPEED_MULX_ADX_KERNEL
+        if constexpr (kLimbs == 4 || kLimbs == 6) {
+            if (detail::g_use_mulx_adx) return mont_mul_mulx_adx(a, b);
+        }
+#endif
+        return mont_mul_portable(a, b);
+    }
+
+  public:
+#if ZKSPEED_MULX_ADX_KERNEL
+    /** The MULX/ADX kernel (mont_adx.hpp). @pre a, b < p and the CPU
+     * has BMI2 and ADX. */
+    static Repr
+    mont_mul_mulx_adx(const Repr &a, const Repr &b)
+    {
+        // The no-carry form needs a spare top bit in p.
+        static_assert(kModulus.limbs[kLimbs - 1] < (uint64_t(1) << 63) - 1);
+        Repr r;
+        detail::mont_mul_mulx_adx<kLimbs>(r.limbs.data(), a.limbs.data(),
+                                          b.limbs.data(), kRedc.data());
+        return r;
+    }
+#endif
+
+    /**
+     * Portable CIOS Montgomery multiplication: the fallback, and the
+     * oracle the MULX/ADX kernel is tested against. Correct for any
+     * a < R and b < p.
      *
      * Both limb loops are unrolled at compile time (detail::unroll) and
      * the multiply and REDC passes are fused per outer limb, so each
@@ -331,7 +380,7 @@ class Fp
      * m_i = (t[0] + a_i*b[0]) * (-p^{-1}) mod 2^64.
      */
     static Repr
-    mont_mul(const Repr &a, const Repr &b)
+    mont_mul_portable(const Repr &a, const Repr &b)
     {
         constexpr size_t n = kLimbs;
         uint64_t t[n + 1] = {0};
@@ -363,6 +412,7 @@ class Fp
         return r;
     }
 
+  private:
     Repr repr_{};
 };
 

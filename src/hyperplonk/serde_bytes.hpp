@@ -78,6 +78,25 @@ class ByteWriter
     }
 };
 
+/** ByteWriter's calls, counting bytes instead of writing them: runs
+ * an encoder once to size its buffer exactly. */
+class ByteCounter
+{
+  public:
+    size_t size = 0;
+
+    void u8(uint8_t) { size += 1; }
+    void u64(uint64_t) { size += 8; }
+    void fr(const ff::Fr &) { size += ff::Fr::kByteSize; }
+    void g1(const curve::G1Affine &) { size += 1 + 2 * ff::Fq::kByteSize; }
+
+    void
+    frs(std::span<const ff::Fr> xs)
+    {
+        size += 8 + xs.size() * ff::Fr::kByteSize;
+    }
+};
+
 class ByteReader
 {
   public:

@@ -19,8 +19,9 @@ constexpr uint64_t kVkMagic = 0x7a6b737065656406ULL;
 constexpr uint8_t kFlagCustomGates = 1u << 0;
 constexpr uint8_t kFlagLookup = 1u << 1;
 
+template <typename W>
 void
-write_sumcheck(ByteWriter &w, const SumcheckProof &sc)
+write_sumcheck(W &w, const SumcheckProof &sc)
 {
     w.u64(sc.num_vars);
     w.u64(sc.degree);
@@ -45,12 +46,11 @@ read_sumcheck(ByteReader &r)
     return sc;
 }
 
-}  // namespace
-
-std::vector<uint8_t>
-serialize_proof(const Proof &proof)
+/** The proof layout, for a ByteWriter or a ByteCounter. */
+template <typename W>
+void
+write_proof(W &w, const Proof &proof)
 {
-    ByteWriter w;
     w.u64(kProofMagic);
     uint8_t flags = 0;
     if (proof.evals.custom) flags |= kFlagCustomGates;
@@ -73,6 +73,20 @@ serialize_proof(const Proof &proof)
     w.fr(proof.gprime_value);
     w.u64(proof.gprime_proof.quotients.size());
     for (const auto &q : proof.gprime_proof.quotients) w.g1(q);
+}
+
+}  // namespace
+
+std::vector<uint8_t>
+serialize_proof(const Proof &proof)
+{
+    // Sized exactly up front: a buffer grown by doubling carries spare
+    // capacity, and service responses keep these bytes.
+    ByteCounter count;
+    write_proof(count, proof);
+    ByteWriter w;
+    w.buf.reserve(count.size);
+    write_proof(w, proof);
     return std::move(w.buf);
 }
 

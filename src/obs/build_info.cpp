@@ -1,5 +1,7 @@
 #include "obs/build_info.hpp"
 
+#include "ff/mont_adx.hpp"
+
 namespace zkspeed::obs {
 
 namespace {
@@ -35,7 +37,11 @@ build_info()
         // gauge's label payload and the artifact envelopes must agree
         // on what the build is.
         b.format = "v3";
-        b.features = "lookup,keccak,loadgen,attrib,http,log,flight";
+        // The last entry names the Montgomery multiply this process
+        // selected, so a silent fallback to the portable path shows.
+        b.features = std::string("lookup,keccak,loadgen,attrib,http,log,"
+                                 "flight,") +
+                     ff::mont_mul_kernel();
         return b;
     }();
     return info;

@@ -1,9 +1,10 @@
 /**
  * @file
- * The one bounded buffer of the telemetry plane (span ring, log ring,
- * the service's replay trace): keeps the newest `capacity` entries,
- * overwrites the oldest first and counts what it evicted. No lock of
- * its own; each owner guards it with the mutex of its other state.
+ * The bounded buffer of the telemetry plane (log ring, the service's
+ * replay trace; the span ring packs its records instead, see
+ * obs/trace.hpp): keeps the newest `capacity` entries, overwrites the
+ * oldest first and counts what it evicted. No lock of its own; each
+ * owner guards it with the mutex of its other state.
  */
 #pragma once
 

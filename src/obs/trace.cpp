@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 
 #include "obs/jsonv.hpp"
@@ -104,6 +105,114 @@ to_json(const SpanEvent &ev)
 
 }  // namespace
 
+PackedSpanRing::PackedSpanRing(size_t capacity)
+    : capacity_(std::max<size_t>(1, capacity))
+{
+}
+
+uint32_t
+PackedSpanRing::intern(const std::string &s)
+{
+    auto it = string_ids_.find(s);
+    if (it != string_ids_.end()) return it->second;
+    auto id = uint32_t(strings_.size());
+    strings_.push_back(s);
+    string_ids_.emplace(strings_.back(), id);
+    return id;
+}
+
+uint64_t
+PackedSpanRing::word(size_t i) const
+{
+    size_t at = head_ + i;
+    return blocks_[at / kBlockWords][at % kBlockWords];
+}
+
+void
+PackedSpanRing::push_word(uint64_t w)
+{
+    size_t at = head_ + words_;
+    if (at / kBlockWords == blocks_.size()) {
+        blocks_.push_back(spare_ ? std::move(spare_)
+                                 : std::make_unique<uint64_t[]>(kBlockWords));
+    }
+    blocks_[at / kBlockWords][at % kBlockWords] = w;
+    ++words_;
+}
+
+void
+PackedSpanRing::pop_words(size_t n)
+{
+    head_ += n;
+    words_ -= n;
+    while (head_ >= kBlockWords) {
+        if (!spare_) spare_ = std::move(blocks_.front());
+        blocks_.pop_front();
+        head_ -= kBlockWords;
+    }
+}
+
+bool
+PackedSpanRing::push(const SpanEvent &ev)
+{
+    bool evict = size_ == capacity_;
+    if (evict) {
+        // Header word 6 carries the oldest record's arg count.
+        pop_words(record_bytes(size_t(word(6) >> 32)) / 8);
+        --size_;
+        ++evicted_;
+    }
+    const size_t n = ev.args.size();
+    push_word(ev.span_id);
+    push_word(ev.parent_id);
+    push_word(ev.correlation_id);
+    push_word(std::bit_cast<uint64_t>(ev.ts_us));
+    push_word(std::bit_cast<uint64_t>(ev.dur_us));
+    push_word(ev.tid | uint64_t(intern(ev.name)) << 32);
+    push_word(intern(ev.category) | uint64_t(n) << 32);
+    for (size_t i = 0; i < n; i += 2) {
+        uint64_t keys = intern(ev.args[i].first);
+        if (i + 1 < n) keys |= uint64_t(intern(ev.args[i + 1].first)) << 32;
+        push_word(keys);
+    }
+    for (const auto &arg : ev.args) {
+        push_word(std::bit_cast<uint64_t>(arg.second));
+    }
+    ++size_;
+    return evict;
+}
+
+std::vector<SpanEvent>
+PackedSpanRing::events() const
+{
+    std::vector<SpanEvent> out;
+    out.reserve(size_);
+    for (size_t at = 0; at < words_;) {
+        auto w = [&](size_t i) { return word(at + i); };
+        SpanEvent ev;
+        ev.span_id = w(0);
+        ev.parent_id = w(1);
+        ev.correlation_id = w(2);
+        ev.ts_us = std::bit_cast<double>(w(3));
+        ev.dur_us = std::bit_cast<double>(w(4));
+        ev.tid = uint32_t(w(5));
+        ev.name = strings_[w(5) >> 32];
+        ev.category = strings_[uint32_t(w(6))];
+        const size_t n = size_t(w(6) >> 32);
+        const size_t values = kHeaderWords + (n + 1) / 2;
+        ev.args.reserve(n);
+        for (size_t i = 0; i < n; ++i) {
+            uint64_t keys = w(kHeaderWords + i / 2);
+            uint32_t key = uint32_t(i % 2 == 0 ? keys : keys >> 32);
+            ev.args.emplace_back(strings_[key],
+                                 std::bit_cast<double>(w(values + i)));
+        }
+        out.push_back(std::move(ev));
+        at += record_bytes(n) / 8;
+    }
+    return out;
+}
+
 TraceRecorder::TraceRecorder(size_t capacity) : ring_(capacity) {}
 
 size_t
@@ -156,7 +265,7 @@ TraceRecorder::set_capacity(size_t capacity)
     size_t effective;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ring_ = Ring<SpanEvent>(capacity);
+        ring_ = PackedSpanRing(capacity);
         effective = ring_.capacity();
     }
     if (this == &global()) {
@@ -179,7 +288,7 @@ TraceRecorder::record(SpanEvent ev)
     size_t live;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        evicted = ring_.push(std::move(ev));
+        evicted = ring_.push(ev);
         live = ring_.size();
     }
     if (this == &global()) {
@@ -195,7 +304,7 @@ TraceRecorder::events() const
     std::vector<SpanEvent> out;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        out = ring_.items();
+        out = ring_.events();
     }
     std::stable_sort(out.begin(), out.end(),
                      [](const SpanEvent &a, const SpanEvent &b) {
@@ -223,7 +332,7 @@ TraceRecorder::clear()
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ring_.clear();
+        ring_ = PackedSpanRing(ring_.capacity());
     }
     if (this == &global()) {
         MetricsRegistry::global().set(ring_telemetry().live, 0.0);

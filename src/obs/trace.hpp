@@ -13,20 +13,23 @@
  *
  * Recording cost is one short mutex push per span *end* (spans are
  * orders of magnitude rarer than metric observations; the ring holds
- * the most recent `capacity` spans and counts what it dropped). The
- * process-wide `obs::set_enabled(false)` switch makes every span
- * inert. `ZKSPEED_TRACE_OUT=<path>` dumps the ring as Chrome JSON on
- * service shutdown (`obs::dump_artifacts_to_env` is the shared hook).
+ * the most recent `capacity` spans, packed, and counts what it
+ * dropped). The process-wide `obs::set_enabled(false)` switch makes
+ * every span inert. `ZKSPEED_TRACE_OUT=<path>` dumps the ring as
+ * Chrome JSON on service shutdown (`obs::dump_artifacts_to_env` is the
+ * shared hook).
  */
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
-
-#include "obs/ring.hpp"
 
 namespace zkspeed::obs {
 
@@ -45,6 +48,78 @@ struct SpanEvent {
      * them on span click; obs/attrib joins them to the chip model. */
     std::vector<std::pair<std::string, double>> args;
 };
+
+/**
+ * The span ring's storage. Each retained span is one variable-length
+ * record in a FIFO of 64-bit words: a 7-word header (the three ids,
+ * both timestamps as raw double bits, the tid with the interned name
+ * id, the interned category id with the arg count), then the args
+ * inline, interned key ids two to a word, then the values. Strings
+ * are stored once, in an intern table that grows only with distinct
+ * strings (a few dozen for the span taxonomy, DESIGN.md §10).
+ *
+ * Like obs::Ring it keeps the newest `capacity` spans, evicts the
+ * oldest first and counts evictions; events() rebuilds the exact
+ * SpanEvents that were pushed.
+ */
+class PackedSpanRing
+{
+  public:
+    static constexpr size_t kHeaderWords = 7;
+
+    /** Bytes one retained span with `num_args` args occupies. */
+    static constexpr size_t
+    record_bytes(size_t num_args)
+    {
+        return 8 * (kHeaderWords + (num_args + 1) / 2 + num_args);
+    }
+
+    /** Capacity 0 is treated as 1. */
+    explicit PackedSpanRing(size_t capacity);
+    // Movable only: the intern table's keys view its own strings.
+    PackedSpanRing(PackedSpanRing &&) = default;
+    PackedSpanRing &operator=(PackedSpanRing &&) = default;
+
+    /** Append `ev`, evicting the oldest span once full.
+     * @return true when a span was evicted to make room. */
+    bool push(const SpanEvent &ev);
+    /** Retained spans, oldest first. */
+    std::vector<SpanEvent> events() const;
+
+    size_t size() const { return size_; }
+    size_t capacity() const { return capacity_; }
+    /** Spans evicted since construction. */
+    uint64_t evicted() const { return evicted_; }
+
+  private:
+    /** Words per storage block (4 KiB). */
+    static constexpr size_t kBlockWords = 512;
+
+    uint32_t intern(const std::string &s);
+    uint64_t word(size_t i) const;
+    void push_word(uint64_t w);
+    void pop_words(size_t n);
+
+    size_t capacity_;
+    size_t size_ = 0;
+    uint64_t evicted_ = 0;
+    /** The word FIFO, in 4 KiB blocks: storage grows in small steps
+     * and is never one big buffer (see obs::Ring). A block that
+     * eviction empties is kept as the spare for the next one needed,
+     * so a full ring recycles its blocks instead of allocating. */
+    std::deque<std::unique_ptr<uint64_t[]>> blocks_;
+    std::unique_ptr<uint64_t[]> spare_;
+    size_t head_ = 0;   ///< first live word, within blocks_.front()
+    size_t words_ = 0;  ///< live words
+    /** Deque: stable string addresses for the view keys. */
+    std::deque<std::string> strings_;
+    std::unordered_map<std::string_view, uint32_t> string_ids_;
+};
+/** Every span this code base records has at most four args, so none
+ * takes more than 128 B of ring, and the ring's memory is bounded by
+ * its capacity. */
+static_assert(PackedSpanRing::record_bytes(4) <= 128,
+              "a retained span must fit 128 B");
 
 /** A span currently open somewhere in the process. The flight
  * recorder snapshots this table ("what was in flight when we died");
@@ -104,7 +179,7 @@ class TraceRecorder
 
   private:
     mutable std::mutex mu_;
-    Ring<SpanEvent> ring_;
+    PackedSpanRing ring_;
 };
 
 /**

@@ -203,6 +203,85 @@ TYPED_TEST(FieldTest, UnrolledCiosMatchesSchoolbookReference)
     }
 }
 
+TYPED_TEST(FieldTest, FromReprReducesEveryRawLimbPattern)
+{
+    // from_repr is the one entry for raw limbs, and the MULX/ADX
+    // kernel needs operands below p, so it reduces first. Pin the
+    // largest raw value, 2^{64N} - 1, against division by p.
+    using F = TypeParam;
+    using Wide = zkspeed::ff::BigInt<2 * F::kLimbs>;
+    typename F::Repr ones;
+    for (auto &l : ones.limbs) l = ~uint64_t(0);
+    Wide q, r;
+    zkspeed::ff::divmod(zkspeed::ff::widen<2 * F::kLimbs>(ones),
+                        zkspeed::ff::widen<2 * F::kLimbs>(F::kModulus), q,
+                        r);
+    typename F::Repr want;
+    for (size_t i = 0; i < F::kLimbs; ++i) want.limbs[i] = r.limbs[i];
+    F x = F::from_repr(ones);
+    EXPECT_EQ(x.to_repr(), want);
+    // The portable CIOS accepts any a < R, so it is a second oracle.
+    EXPECT_EQ(x.mont_repr(), F::mont_mul_portable(ones, F::kR2));
+    EXPECT_EQ(F::from_repr(F::kModulus), F::zero());
+}
+
+TYPED_TEST(FieldTest, MulxAdxKernelMatchesPortableBitForBit)
+{
+    using F = TypeParam;
+    using Repr = typename F::Repr;
+    namespace ff = zkspeed::ff;
+    // Selection: the fast kernel runs whenever the CPU has it.
+    EXPECT_EQ(ff::detail::g_use_mulx_adx, ff::detail::cpu_has_mulx_adx());
+    EXPECT_STREQ(ff::mont_mul_kernel(), ff::detail::cpu_has_mulx_adx()
+                                            ? "mulx-adx"
+                                            : "portable");
+#if !ZKSPEED_MULX_ADX_KERNEL
+    GTEST_SKIP() << "this build has no x86-64 MULX/ADX kernel";
+#else
+    if (!ff::detail::cpu_has_mulx_adx()) {
+        GTEST_SKIP() << "CPUID lacks bmi2 or adx";
+    }
+    auto minus_one = [](Repr v) {
+        v.sub_assign(Repr(1));
+        return v;
+    };
+    // Edge operands, all canonical: 0, 1, p-1, p-2, R mod p, R^2 mod p,
+    // and all-ones limbs below p (the top limb one below p's, or zero).
+    Repr ones_under_top, ones_top_zero;
+    for (size_t i = 0; i + 1 < F::kLimbs; ++i) {
+        ones_under_top.limbs[i] = ~uint64_t(0);
+        ones_top_zero.limbs[i] = ~uint64_t(0);
+    }
+    ones_under_top.limbs[F::kLimbs - 1] =
+        F::kModulus.limbs[F::kLimbs - 1] - 1;
+    std::vector<Repr> edges = {Repr(0),
+                               Repr(1),
+                               minus_one(F::kModulus),
+                               minus_one(minus_one(F::kModulus)),
+                               F::kR,
+                               F::kR2,
+                               ones_under_top,
+                               ones_top_zero};
+    for (const Repr &a : edges) {
+        ASSERT_LT(a.cmp(F::kModulus), 0);
+        for (const Repr &b : edges) {
+            EXPECT_EQ(F::mont_mul_mulx_adx(a, b), F::mont_mul_portable(a, b))
+                << a.to_hex() << " * " << b.to_hex();
+        }
+    }
+    std::mt19937_64 rng(2012);
+    size_t mismatches = 0;
+    for (int it = 0; it < 100000; ++it) {
+        Repr a = F::random(rng).mont_repr(), b = F::random(rng).mont_repr();
+        if (F::mont_mul_mulx_adx(a, b) != F::mont_mul_portable(a, b)) {
+            ADD_FAILURE() << a.to_hex() << " * " << b.to_hex();
+            if (++mismatches == 5) break;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+#endif
+}
+
 TEST(FrSpecific, ModulusValue)
 {
     EXPECT_EQ(Fr::kModulus.to_hex(),

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <random>
 #include <thread>
 
@@ -339,6 +340,162 @@ TEST(ObsRing, EvictsOldestFirstAndCountsEvictions)
     ring.clear();
     EXPECT_TRUE(ring.items().empty());
     EXPECT_EQ(ring.evicted(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Span storage: the ring keeps spans packed (obs::PackedSpanRing) and
+// events() rebuilds them; what comes back must be what went in.
+// ---------------------------------------------------------------------------
+
+static_assert(obs::PackedSpanRing::record_bytes(0) == 56 &&
+                  obs::PackedSpanRing::record_bytes(4) == 104 &&
+                  obs::PackedSpanRing::record_bytes(6) == 128,
+              "a retained span costs 56 B plus 12 B per arg, rounded up "
+              "to whole words");
+
+/** A fixed span set covering what the packed ring stores: u64 ids up
+ * to 2^64 - 1, equal and out-of-order start times, names and keys over
+ * 15 chars (past the small-string buffer), and 0, 1, 4 and 6 args. */
+std::vector<obs::SpanEvent>
+fixed_spans()
+{
+    auto ev = [](uint64_t id, uint64_t parent, uint64_t job, uint32_t tid,
+                 double ts, double dur, std::string name, std::string cat,
+                 std::vector<std::pair<std::string, double>> args) {
+        obs::SpanEvent e;
+        e.span_id = id;
+        e.parent_id = parent;
+        e.correlation_id = job;
+        e.tid = tid;
+        e.ts_us = ts;
+        e.dur_us = dur;
+        e.name = std::move(name);
+        e.category = std::move(cat);
+        e.args = std::move(args);
+        return e;
+    };
+    return {
+        ev(1, 0, 18446744073709551615ull, 1, 10.25, 90.5, "prove.job",
+           "service", {}),
+        ev(2, 1, 18446744073709551615ull, 1, 12.0, 3.0,
+           "prove.witness_check", "service", {}),
+        ev(3, 1, 0, 2, 5.5, 1.0 / 3.0, "Wire Identity MSMs", "prover",
+           {{"modmul_fr", 123456789.0},
+            {"modmul_fq", 0.0},
+            {"bytes_in", 1e15},
+            {"bytes_out", -2.5}}),
+        ev(4, 3, 7, 3, 12.0, 0.0, "a.span.name.longer.than.fifteen",
+           "a.category.longer.than.fifteen",
+           {{"k0", 1.0},
+            {"a.key.longer.than.fifteen", 2.0},
+            {"k2", 3.0},
+            {"k3", 4.0},
+            {"k4.the.fifth.arg.key", 5.0},
+            {"modmul_fr", 6.0}}),
+        ev(9007199254740993ull, 4, 42, 4294967295u, 0.0, 1e-9,
+           "verify.flush", "service", {{"modmul_fq", 1e300}}),
+    };
+}
+
+void
+expect_same_span(const obs::SpanEvent &got, const obs::SpanEvent &want)
+{
+    EXPECT_EQ(got.span_id, want.span_id);
+    EXPECT_EQ(got.parent_id, want.parent_id);
+    EXPECT_EQ(got.correlation_id, want.correlation_id);
+    EXPECT_EQ(got.tid, want.tid);
+    // Bit-identical timestamps, not merely close ones.
+    EXPECT_EQ(std::memcmp(&got.ts_us, &want.ts_us, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&got.dur_us, &want.dur_us, sizeof(double)), 0);
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.category, want.category);
+    EXPECT_EQ(got.args, want.args);
+}
+
+TEST(ObsSpanStorage, EventsReturnExactlyWhatWasRecorded)
+{
+    obs::TraceRecorder rec(16);
+    auto spans = fixed_spans();
+    for (const auto &e : spans) rec.record(e);
+    // events() orders by start time, stably: equal starts (spans 2 and
+    // 4 at 12 us) keep their record order.
+    std::vector<size_t> order = {4, 2, 0, 1, 3};
+    auto got = rec.events();
+    ASSERT_EQ(got.size(), spans.size());
+    for (size_t i = 0; i < order.size(); ++i) {
+        SCOPED_TRACE(i);
+        expect_same_span(got[i], spans[order[i]]);
+    }
+    // Reading is not destructive, and the string table survives a
+    // second pass.
+    auto again = rec.events();
+    ASSERT_EQ(again.size(), got.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        expect_same_span(again[i], got[i]);
+    }
+}
+
+TEST(ObsSpanStorage, EvictionOrderAndDropCountUnchanged)
+{
+    obs::TraceRecorder rec(3);
+    auto spans = fixed_spans();
+    // Record in start-time order so eviction order is visible directly.
+    std::stable_sort(spans.begin(), spans.end(),
+                     [](const obs::SpanEvent &a, const obs::SpanEvent &b) {
+                         return a.ts_us < b.ts_us;
+                     });
+    for (const auto &e : spans) rec.record(e);
+    EXPECT_EQ(rec.size(), 3u);
+    EXPECT_EQ(rec.dropped(), 2u);
+    auto got = rec.events();
+    ASSERT_EQ(got.size(), 3u);
+    for (size_t i = 0; i < 3; ++i) expect_same_span(got[i], spans[i + 2]);
+
+    // clear() drops the spans and the string table; recording resumes
+    // with fresh ids for the same strings.
+    rec.clear();
+    EXPECT_EQ(rec.size(), 0u);
+    EXPECT_EQ(rec.dropped(), 0u);
+    rec.record(spans[4]);
+    got = rec.events();
+    ASSERT_EQ(got.size(), 1u);
+    expect_same_span(got[0], spans[4]);
+
+    rec.set_capacity(1);
+    EXPECT_EQ(rec.size(), 0u);
+    rec.record(spans[0]);
+    rec.record(spans[1]);
+    EXPECT_EQ(rec.dropped(), 1u);
+    got = rec.events();
+    ASSERT_EQ(got.size(), 1u);
+    expect_same_span(got[0], spans[1]);
+}
+
+TEST(ObsSpanStorage, ChromeJsonMatchesTheUnpackedRing)
+{
+    // Rendered by the SpanEvent ring this storage replaced, for the
+    // same fixed span set.
+    const std::string golden =
+        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{\"name\":\"verify.flush\","
+        "\"cat\":\"service\",\"ph\":\"X\",\"pid\":1,\"tid\":4294967295,\"ts\":0,\"dur\""
+        ":1e-09,\"args\":{\"span\":9007199254740993,\"parent\":4,\"job\":42,\"mo"
+        "dmul_fq\":1e+300}},{\"name\":\"Wire Identity MSMs\",\"cat\":\"prover\","
+        "\"ph\":\"X\",\"pid\":1,\"tid\":2,\"ts\":5.5,\"dur\":0.3333333333333333,\"ar"
+        "gs\":{\"span\":3,\"parent\":1,\"job\":0,\"modmul_fr\":123456789,\"modmul"
+        "_fq\":0,\"bytes_in\":1e+15,\"bytes_out\":-2.5}},{\"name\":\"prove.job\""
+        ",\"cat\":\"service\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":10.25,\"dur\":90."
+        "5,\"args\":{\"span\":1,\"parent\":0,\"job\":18446744073709551615}},{\"n"
+        "ame\":\"prove.witness_check\",\"cat\":\"service\",\"ph\":\"X\",\"pid\":1,\"t"
+        "id\":1,\"ts\":12,\"dur\":3,\"args\":{\"span\":2,\"parent\":1,\"job\":184467"
+        "44073709551615}},{\"name\":\"a.span.name.longer.than.fifteen\",\"ca"
+        "t\":\"a.category.longer.than.fifteen\",\"ph\":\"X\",\"pid\":1,\"tid\":3,\""
+        "ts\":12,\"dur\":0,\"args\":{\"span\":4,\"parent\":3,\"job\":7,\"k0\":1,\"a.k"
+        "ey.longer.than.fifteen\":2,\"k2\":3,\"k3\":4,\"k4.the.fifth.arg.key\""
+        ":5,\"modmul_fr\":6}}]}";
+    obs::TraceRecorder rec(16);
+    for (const auto &e : fixed_spans()) rec.record(e);
+    EXPECT_EQ(rec.render_chrome_json(), golden);
+    EXPECT_TRUE(valid_json(golden));
 }
 
 TEST(ObsTrace, DisabledSpansAreInert)

@@ -47,6 +47,8 @@ TEST(Serialize, ProofRoundTrip)
     // Wire size tracks the logical proof size plus framing overhead.
     EXPECT_GE(bytes.size(), f.proof.size_bytes());
     EXPECT_LT(bytes.size(), f.proof.size_bytes() + 512);
+    // Sized exactly up front: retained responses carry no spare bytes.
+    EXPECT_EQ(bytes.capacity(), bytes.size());
     auto back = serde::deserialize_proof(bytes);
     ASSERT_TRUE(back.has_value());
     // The decoded proof must verify exactly like the original.
