@@ -103,8 +103,7 @@ run_side(const char *label, Built built, const sim::DesignConfig &design)
 
     auto publics = witness.public_inputs(pk.index);
     t0 = Clock::now();
-    side.verified = hyperplonk::verify(vk, publics, proof,
-                                       hyperplonk::PcsCheckMode::pairing);
+    side.verified = hyperplonk::verify(vk, publics, proof);
     side.verify_ms = ms_since(t0);
     return side;
 }

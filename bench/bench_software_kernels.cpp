@@ -280,9 +280,9 @@ BM_ProveEndToEnd(benchmark::State &state)
 BENCHMARK(BM_ProveEndToEnd)->Arg(8)->Arg(10)->Unit(benchmark::kMillisecond);
 
 void
-BM_VerifyIdeal(benchmark::State &state)
+BM_Verify(benchmark::State &state)
 {
-    const size_t mu = 10;
+    const size_t mu = state.range(0);
     auto [index, wit] = hyperplonk::random_circuit(mu, rng());
     auto srs =
         std::make_shared<pcs::Srs>(pcs::Srs::generate(mu, rng()));
@@ -290,28 +290,10 @@ BM_VerifyIdeal(benchmark::State &state)
     auto proof = hyperplonk::prove(pk, wit);
     auto publics = wit.public_inputs(pk.index);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            hyperplonk::verify(vk, publics, proof));
+        benchmark::DoNotOptimize(hyperplonk::verify(vk, publics, proof));
     }
 }
-BENCHMARK(BM_VerifyIdeal)->Unit(benchmark::kMillisecond);
-
-void
-BM_VerifyPairing(benchmark::State &state)
-{
-    const size_t mu = 6;
-    auto [index, wit] = hyperplonk::random_circuit(mu, rng());
-    auto srs =
-        std::make_shared<pcs::Srs>(pcs::Srs::generate(mu, rng()));
-    auto [pk, vk] = hyperplonk::keygen(std::move(index), srs);
-    auto proof = hyperplonk::prove(pk, wit);
-    auto publics = wit.public_inputs(pk.index);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(hyperplonk::verify(
-            vk, publics, proof, hyperplonk::PcsCheckMode::pairing));
-    }
-}
-BENCHMARK(BM_VerifyPairing)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Verify)->Arg(6)->Arg(10)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

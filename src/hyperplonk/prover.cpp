@@ -1,6 +1,7 @@
 #include "hyperplonk/prover.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "hyperplonk/permutation.hpp"
 #include "hyperplonk/profile.hpp"
@@ -55,7 +56,11 @@ Proof::size_bytes() const
 std::pair<ProvingKey, VerifyingKey>
 keygen(CircuitIndex index, std::shared_ptr<const pcs::Srs> srs)
 {
-    assert(srs->num_vars == index.num_vars);
+    if (srs->num_vars != index.num_vars) {
+        throw std::invalid_argument(
+            "keygen: SRS for 2^" + std::to_string(srs->num_vars) +
+            " rows, circuit has 2^" + std::to_string(index.num_vars));
+    }
     ProvingKey pk;
     VerifyingKey vk;
     vk.num_vars = index.num_vars;

@@ -114,22 +114,25 @@ struct Proof {
     size_t size_bytes() const;
 };
 
-/** Commit to the preprocessed index, splitting pk/vk. */
+/**
+ * Commit to the preprocessed index, splitting pk/vk.
+ * @throws std::invalid_argument unless srs->num_vars == index.num_vars.
+ */
 std::pair<ProvingKey, VerifyingKey> keygen(
     CircuitIndex index, std::shared_ptr<const pcs::Srs> srs);
 
 /** Generate a HyperPlonk proof. Profiled via hyperplonk/profile.hpp. */
 Proof prove(const ProvingKey &pk, const Witness &witness);
 
-/** How the final PCS opening is checked. */
-enum class PcsCheckMode {
-    ideal,    ///< trapdoor check in G1 (test-mode SRS required; fast)
-    pairing,  ///< real optimal-ate pairing product check
-};
+// Ignored by verify: perfbench passes it; a [benchmark] change deletes it.
+enum class PcsCheckMode { pairing };
 
-/** Verify a proof against the public inputs. */
+/**
+ * Verify a proof against the public inputs: verify_deferred into a
+ * fresh accumulator, then its pairing check.
+ */
 bool verify(const VerifyingKey &vk, std::span<const Fr> public_inputs,
-            const Proof &proof, PcsCheckMode mode = PcsCheckMode::ideal);
+            const Proof &proof, PcsCheckMode = PcsCheckMode::pairing);
 
 /**
  * Deferred verification for batching: run every algebraic check

@@ -33,9 +33,9 @@ std::optional<Proof> deserialize_proof(std::span<const uint8_t> bytes);
 std::vector<uint8_t> serialize_verifying_key(const VerifyingKey &vk);
 
 /**
- * Decode a verifying key. The reconstructed SRS carries no Lagrange
- * tables and no trapdoor, so it supports PcsCheckMode::pairing
- * verification only.
+ * Decode a verifying key. The reconstructed SRS carries only the
+ * verifier's points (g, h, h^{tau_i}) and no Lagrange tables, which is
+ * all that verify and verify_deferred read.
  */
 std::optional<VerifyingKey> deserialize_verifying_key(
     std::span<const uint8_t> bytes);

@@ -1,5 +1,3 @@
-#include <cassert>
-
 #include "hyperplonk/permutation.hpp"
 #include "hyperplonk/prover.hpp"
 #include "hyperplonk/protocol_common.hpp"
@@ -20,14 +18,11 @@ public_input_mle(std::span<const Fr> publics, size_t num_public)
     return m;
 }
 
-/**
- * Shared verification body. With `acc` set the PCS check is deferred
- * into the accumulator and the body does no G1 work; with `acc` null it
- * runs inline against the SRS trapdoor (ideal mode).
- */
+}  // namespace
+
 bool
-verify_impl(const VerifyingKey &vk, std::span<const Fr> public_inputs,
-            const Proof &proof, zkspeed::verifier::PairingAccumulator *acc)
+verify_deferred(const VerifyingKey &vk, std::span<const Fr> public_inputs,
+                const Proof &proof, zkspeed::verifier::PairingAccumulator &acc)
 {
     const size_t mu = vk.num_vars;
     if (public_inputs.size() != vk.num_public) return false;
@@ -168,37 +163,18 @@ verify_impl(const VerifyingKey &vk, std::span<const Fr> public_inputs,
         append_g1(tr, "gprime_quotient", q);
     }
 
-    if (acc != nullptr) {
-        // The combination goes to the accumulator unscaled: its terms
-        // join the flush's h-slot MSM instead of a per-proof MSM here.
-        return pcs::accumulate(*vk.srs, comms, coeff, r_o,
-                               proof.gprime_value, proof.gprime_proof,
-                               *acc);
-    }
-    assert(!vk.srs->trapdoor.empty() &&
-           "ideal mode requires a test-mode SRS");
-    return pcs::verify_ideal(*vk.srs, curve::msm(comms, coeff).to_affine(),
-                             r_o, proof.gprime_value, proof.gprime_proof);
+    // The combination goes to the accumulator unscaled: its terms join
+    // the flush's h-slot MSM instead of a per-proof MSM here.
+    return pcs::accumulate(*vk.srs, comms, coeff, r_o, proof.gprime_value,
+                           proof.gprime_proof, acc);
 }
-
-}  // namespace
 
 bool
 verify(const VerifyingKey &vk, std::span<const Fr> public_inputs,
-       const Proof &proof, PcsCheckMode mode)
+       const Proof &proof, PcsCheckMode)
 {
-    if (mode == PcsCheckMode::ideal) {
-        return verify_impl(vk, public_inputs, proof, nullptr);
-    }
     zkspeed::verifier::PairingAccumulator acc;
     return verify_deferred(vk, public_inputs, proof, acc) && acc.check();
-}
-
-bool
-verify_deferred(const VerifyingKey &vk, std::span<const Fr> public_inputs,
-                const Proof &proof, zkspeed::verifier::PairingAccumulator &acc)
-{
-    return verify_impl(vk, public_inputs, proof, &acc);
 }
 
 }  // namespace zkspeed::hyperplonk

@@ -716,7 +716,9 @@ LoadGen::run(std::FILE *stream)
     for (const auto &w : rep.windows) {
         if (w.index < plan_.warmup_windows) continue;
         if (!w.slo_ok) rep.slo_ok = false;
-        if (w.offered > 0 && w.slo_ok) {
+        // An SLO passes vacuously on a window with no ok samples, so a
+        // window where nothing completed is not capacity.
+        if (w.offered > 0 && w.completed_ok > 0 && w.slo_ok) {
             rep.knee_found = true;
             rep.knee_window = w.index;
             rep.knee_qps_offered = w.qps_offered;

@@ -19,7 +19,8 @@
  * objectives, streams a human-readable line, and records a
  * `WindowReport`. The final `Report` carries the per-window series,
  * offered vs achieved QPS, a knee-of-curve capacity estimate (last
- * window whose verdicts all pass — meaningful under a ramp profile),
+ * window with ok completions whose verdicts all pass — meaningful
+ * under a ramp profile),
  * and renders the machine-readable `SLO_report.json`.
  *
  * Plans are parsed from a small line-oriented text format with strict
@@ -173,8 +174,9 @@ struct Report {
     double achieved_qps = 0;  ///< whole-run completion rate
     /** Every post-warmup window passed its verdicts. */
     bool slo_ok = true;
-    /** Capacity knee: last post-warmup window with traffic whose
-     * verdicts all pass (under a ramp, the capacity estimate). */
+    /** Capacity knee: last post-warmup window with traffic, at least
+     * one ok completion and every verdict passing (under a ramp, the
+     * capacity estimate). */
     bool knee_found = false;
     size_t knee_window = 0;
     double knee_qps_offered = 0;

@@ -37,10 +37,12 @@ build_info()
         // gauge's label payload and the artifact envelopes must agree
         // on what the build is.
         b.format = "v3";
-        // The last entry names the Montgomery multiply this process
-        // selected, so a silent fallback to the portable path shows.
+        // srs=simulated: every SRS is derived from a seed, not a
+        // ceremony. The last entry names the Montgomery multiply this
+        // process selected, so a silent fallback to the portable path
+        // shows.
         b.features = std::string("lookup,keccak,loadgen,attrib,http,log,"
-                                 "flight,") +
+                                 "flight,srs=simulated,") +
                      ff::mont_mul_kernel();
         return b;
     }();

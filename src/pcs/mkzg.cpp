@@ -8,7 +8,7 @@
 namespace zkspeed::pcs {
 
 Srs
-Srs::generate(size_t num_vars, std::mt19937_64 &rng, bool keep_trapdoor)
+Srs::generate(size_t num_vars, std::mt19937_64 &rng, bool)
 {
     Srs srs;
     srs.num_vars = num_vars;
@@ -40,7 +40,6 @@ Srs::generate(size_t num_vars, std::mt19937_64 &rng, bool keep_trapdoor)
     for (size_t i = 0; i < num_vars; ++i) {
         srs.tau_h[i] = h.mul(tau[i]).to_affine();
     }
-    if (keep_trapdoor) srs.trapdoor = std::move(tau);
     return srs;
 }
 
@@ -126,26 +125,6 @@ verify(const Srs &srs, const G1Affine &comm, std::span<const Fr> point,
         return false;
     }
     return acc.check();
-}
-
-bool
-verify_ideal(const Srs &srs, const G1Affine &comm,
-             std::span<const Fr> point, const Fr &value,
-             const OpeningProof &proof)
-{
-    const size_t mu = point.size();
-    assert(srs.trapdoor.size() >= mu &&
-           "ideal verification needs a test-mode SRS");
-    if (proof.quotients.size() != mu) return false;
-    // C - v g == sum_k (tau_k - z_k) Pi_k, checked with G1 scalar muls.
-    G1 lhs = G1::from_affine(comm) + curve::g1_generator().mul(value).neg();
-    G1 rhs = G1::identity();
-    size_t off = srs.trapdoor.size() - mu;
-    for (size_t k = 0; k < mu; ++k) {
-        Fr s = srs.trapdoor[off + k] - point[k];
-        rhs += G1::from_affine(proof.quotients[k]).mul(s);
-    }
-    return lhs == rhs;
 }
 
 }  // namespace zkspeed::pcs

@@ -16,8 +16,7 @@
  *
  * Verification checks
  *   e(C - v g, h) == prod_k e(Pi_k, h^{tau_k - z_k})
- * either with real pairings or, in test mode, with the retained trapdoor
- * (the same equation pushed into G1 scalar arithmetic).
+ * with real pairings; tau itself is discarded once the SRS is built.
  */
 #pragma once
 
@@ -52,16 +51,14 @@ struct Srs {
     G2Affine h;
     /** h^{tau_i}, i = 0..mu-1. */
     std::vector<G2Affine> tau_h;
-    /** Retained only when generated in test mode; enables the fast
-     * trapdoor verifier. Empty in production mode. */
-    std::vector<Fr> trapdoor;
 
     /**
-     * Run the (locally simulated) universal setup.
-     * @param keep_trapdoor retain tau for the ideal verifier (tests).
+     * Run the (locally simulated) universal setup. tau is drawn first,
+     * tau_0 .. tau_{mu-1}, as consecutive Fr::random(rng) values, and is
+     * not kept.
      */
-    static Srs generate(size_t num_vars, std::mt19937_64 &rng,
-                        bool keep_trapdoor = true);
+    // Ignored bool: perfbench passes it; a [benchmark] change deletes it.
+    static Srs generate(size_t num_vars, std::mt19937_64 &rng, bool = true);
 };
 
 /** An opening proof: one quotient commitment per variable. */
@@ -111,14 +108,5 @@ bool accumulate(const Srs &srs, std::span<const G1Affine> comm_bases,
                 std::span<const Fr> comm_coeffs, std::span<const Fr> point,
                 const Fr &value, const OpeningProof &proof,
                 zkspeed::verifier::PairingAccumulator &acc);
-
-/**
- * Trapdoor ("ideal") verification: same equation checked in G1 using the
- * retained tau. Requires srs.trapdoor to be populated. Used to keep unit
- * tests fast; the pairing path is exercised by dedicated tests.
- */
-bool verify_ideal(const Srs &srs, const G1Affine &comm,
-                  std::span<const Fr> point, const Fr &value,
-                  const OpeningProof &proof);
 
 }  // namespace zkspeed::pcs

@@ -58,8 +58,8 @@ KeyCache::srs_for(size_t num_vars)
     // Deterministic per-size ceremony: same seed -> same SRS -> the
     // same circuit proves to identical bytes on every instance.
     std::mt19937_64 rng(srs_seed_ ^ (0x9e3779b97f4a7c15ULL * num_vars));
-    auto srs = std::make_shared<pcs::Srs>(
-        pcs::Srs::generate(num_vars, rng, /*keep_trapdoor=*/true));
+    auto srs =
+        std::make_shared<pcs::Srs>(pcs::Srs::generate(num_vars, rng));
     srs_by_vars_.emplace(num_vars, srs);
     return srs;
 }

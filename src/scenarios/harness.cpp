@@ -100,8 +100,7 @@ Harness::run(const Instance &inst)
                     "tampering must stay decodable (use a frame family "
                     "for undecodable payloads)");
     }
-    res.direct_verdict = hyperplonk::verify(
-        *keys.vk, publics, *decoded, hyperplonk::PcsCheckMode::pairing);
+    res.direct_verdict = hyperplonk::verify(*keys.vk, publics, *decoded);
 
     verifier::PairingAccumulator acc;
     bool algebra_ok =

@@ -39,8 +39,8 @@ prove_random(size_t mu, uint64_t seed)
     std::mt19937_64 rng(seed);
     auto [index, witness] = hyperplonk::random_circuit(mu, rng);
     std::mt19937_64 srs_rng(0x5eed0 + mu);
-    auto srs = std::make_shared<pcs::Srs>(
-        pcs::Srs::generate(mu, srs_rng, /*keep_trapdoor=*/true));
+    auto srs =
+        std::make_shared<pcs::Srs>(pcs::Srs::generate(mu, srs_rng));
     auto [pk, vk] = hyperplonk::keygen(index, srs);
     ProvenStatement st;
     st.publics = witness.public_inputs(index);
@@ -111,8 +111,7 @@ TEST(Accumulator, PcsAccumulateMatchesInlineVerify)
 TEST(Accumulator, DeferredHyperplonkVerifyMatchesInline)
 {
     auto st = prove_random(4, 202);
-    EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, st.proof,
-                                   hyperplonk::PcsCheckMode::pairing));
+    EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, st.proof));
     verifier::PairingAccumulator acc;
     ASSERT_TRUE(
         hyperplonk::verify_deferred(st.vk, st.publics, st.proof, acc));
@@ -307,30 +306,20 @@ TEST(DeferredVerify, MixedSizeSixteenProofBatch)
     EXPECT_GT(bad.stats.bisection_steps, 0u);
 }
 
-TEST(DeferredVerify, PairingModeAgreesWithIdealMode)
+TEST(DeferredVerify, EveryFamilyAcceptsHonestAndRejectsEitherSide)
 {
-    using hyperplonk::PcsCheckMode;
     for (const ProvenStatement &st : family_statements()) {
         SCOPED_TRACE("2^" + std::to_string(st.vk.num_vars));
-        EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, st.proof,
-                                       PcsCheckMode::pairing));
-        EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, st.proof,
-                                       PcsCheckMode::ideal));
+        EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, st.proof));
         auto quotient = st.proof;
         corrupt_pairing_side(quotient);
-        EXPECT_FALSE(hyperplonk::verify(st.vk, st.publics, quotient,
-                                        PcsCheckMode::pairing));
-        EXPECT_FALSE(hyperplonk::verify(st.vk, st.publics, quotient,
-                                        PcsCheckMode::ideal));
+        EXPECT_FALSE(hyperplonk::verify(st.vk, st.publics, quotient));
         auto witness = st.proof;
         witness.witness_comms[1] =
             (curve::G1::from_affine(witness.witness_comms[1]) +
              curve::g1_generator())
                 .to_affine();
-        EXPECT_FALSE(hyperplonk::verify(st.vk, st.publics, witness,
-                                        PcsCheckMode::pairing));
-        EXPECT_FALSE(hyperplonk::verify(st.vk, st.publics, witness,
-                                        PcsCheckMode::ideal));
+        EXPECT_FALSE(hyperplonk::verify(st.vk, st.publics, witness));
     }
 }
 
@@ -428,9 +417,7 @@ TEST(ProofMutation, EveryFieldMutationIsRejectedAndBisectionFingersIt)
         verifier::PairingAccumulator acc;
         bool algebra_ok = hyperplonk::verify_deferred(
             victim.vk, victim.publics, *decoded, acc);
-        EXPECT_FALSE(hyperplonk::verify(victim.vk, victim.publics,
-                                        *decoded,
-                                        hyperplonk::PcsCheckMode::pairing));
+        EXPECT_FALSE(hyperplonk::verify(victim.vk, victim.publics, *decoded));
         if (!algebra_ok) {
             // Caught inline before any pairing work.
             EXPECT_TRUE(acc.empty());
@@ -482,8 +469,7 @@ TEST(ProofMutation, SerializedBitFlipsNeverVerify)
             ++decode_rejections;  // strict decoding caught it
             continue;
         }
-        EXPECT_FALSE(hyperplonk::verify(st.vk, st.publics, *decoded,
-                                        hyperplonk::PcsCheckMode::pairing));
+        EXPECT_FALSE(hyperplonk::verify(st.vk, st.publics, *decoded));
         ++verify_rejections;
     }
     // The sweep must exercise both rejection layers: point bytes die in
@@ -495,8 +481,7 @@ TEST(ProofMutation, SerializedBitFlipsNeverVerify)
     EXPECT_EQ(decode_rejections + verify_rejections,
               (bytes.size() + step - 1) / step);
     // The original still verifies: the sweep mutated copies only.
-    EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, st.proof,
-                                   hyperplonk::PcsCheckMode::pairing));
+    EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, st.proof));
 }
 
 // ---------------------------------------------------------------------

@@ -69,8 +69,7 @@ TEST(CustomGates, EndToEndProveVerify)
     EXPECT_EQ(proof.zerocheck.degree, 7u);
     EXPECT_EQ(proof.evals.count(), 23u);
     auto publics = wit.public_inputs(pk.index);
-    EXPECT_TRUE(verify(vk, publics, proof, PcsCheckMode::ideal));
-    EXPECT_TRUE(verify(vk, publics, proof, PcsCheckMode::pairing));
+    EXPECT_TRUE(verify(vk, publics, proof));
 
     // Tampering with the q_H evaluation must be rejected.
     Proof bad = proof;
@@ -148,7 +147,7 @@ TEST(CustomGates, SerializationRoundTrip)
     auto vk2 = serde::deserialize_verifying_key(vk_bytes);
     ASSERT_TRUE(vk2.has_value());
     EXPECT_TRUE(vk2->custom_gates);
-    EXPECT_TRUE(verify(*vk2, publics, proof, PcsCheckMode::pairing));
+    EXPECT_TRUE(verify(*vk2, publics, proof));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 #include "hyperplonk/prover.hpp"
 
@@ -43,7 +44,7 @@ TEST_P(E2eTest, ProveAndVerifyRandomCircuit)
 {
     E2eContext s = make_setup(GetParam(), 80 + GetParam());
     Proof proof = prove(s.pk, s.wit);
-    EXPECT_TRUE(verify(s.vk, s.publics, proof, PcsCheckMode::ideal));
+    EXPECT_TRUE(verify(s.vk, s.publics, proof));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, E2eTest, ::testing::Values(3, 4, 5, 6, 8));
@@ -52,7 +53,7 @@ TEST(E2e, PairingModeVerifies)
 {
     E2eContext s = make_setup(4, 90);
     Proof proof = prove(s.pk, s.wit);
-    EXPECT_TRUE(verify(s.vk, s.publics, proof, PcsCheckMode::pairing));
+    EXPECT_TRUE(verify(s.vk, s.publics, proof));
 }
 
 TEST(E2e, BuilderCircuitProves)
@@ -66,6 +67,11 @@ TEST(E2e, BuilderCircuitProves)
     cb.assert_constant(p, Fr::from_uint(77));
     auto [index, wit] = cb.build(3);
     ASSERT_TRUE(wit.satisfies_gates(index));
+
+    std::mt19937_64 small_rng(7);
+    auto small = std::make_shared<Srs>(
+        Srs::generate(index.num_vars - 1, small_rng));
+    EXPECT_THROW(keygen(index, small), std::invalid_argument);
 
     std::mt19937_64 rng(91);
     auto srs = std::make_shared<Srs>(Srs::generate(index.num_vars, rng));

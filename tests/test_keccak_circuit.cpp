@@ -217,10 +217,7 @@ TEST(KeccakProof, ReducedRoundMerkleProvesOnEveryPath)
 {
     SCOPED_TRACE(repro());
     auto st = prove_keccak_merkle(kSeed + 4);
-    EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, st.proof,
-                                   hyperplonk::PcsCheckMode::ideal));
-    EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, st.proof,
-                                   hyperplonk::PcsCheckMode::pairing));
+    EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, st.proof));
     verifier::PairingAccumulator acc;
     ASSERT_TRUE(
         hyperplonk::verify_deferred(st.vk, st.publics, st.proof, acc));
@@ -231,15 +228,13 @@ TEST(KeccakProof, ReducedRoundMerkleProvesOnEveryPath)
     auto back = hyperplonk::serde::deserialize_proof(bytes);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(hyperplonk::serde::serialize_proof(*back), bytes);
-    EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, *back,
-                                   hyperplonk::PcsCheckMode::pairing));
+    EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, *back));
 
     // Forged public leaf word: every path must reject (the scenario
     // registry's keccak-merkle-wrong-leaf family).
     auto forged = st.publics;
     forged.front() += Fr::one();
-    EXPECT_FALSE(hyperplonk::verify(st.vk, forged, st.proof,
-                                    hyperplonk::PcsCheckMode::pairing));
+    EXPECT_FALSE(hyperplonk::verify(st.vk, forged, st.proof));
 }
 
 TEST(KeccakProof, RegistryFamiliesRespectTheRoundsKnob)
@@ -335,12 +330,7 @@ TEST(KeccakSoundness, CrossTableClaimsAreRefusedAndUnprovable)
             pcs::Srs::generate(index.num_vars, srs_rng));
         auto [pk, vk] = hyperplonk::keygen(index, srs);
         auto proof = hyperplonk::prove(pk, wit);
-        EXPECT_FALSE(
-            hyperplonk::verify(vk, wit.public_inputs(index), proof,
-                               hyperplonk::PcsCheckMode::ideal));
-        EXPECT_FALSE(
-            hyperplonk::verify(vk, wit.public_inputs(index), proof,
-                               hyperplonk::PcsCheckMode::pairing));
+        EXPECT_FALSE(hyperplonk::verify(vk, wit.public_inputs(index), proof));
     }
 }
 

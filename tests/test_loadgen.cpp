@@ -22,6 +22,7 @@
 
 #include "loadgen/loadgen.hpp"
 #include "obs/window.hpp"
+#include "runtime/service.hpp"
 #include "scenarios/harness.hpp"
 #include "scenarios/registry.hpp"
 #include "scenarios/seed.hpp"
@@ -594,6 +595,38 @@ TEST(CapacityRun, ImpossibleSloBreachesAndReproducesAcrossRuns)
     auto second = scenarios::run_capacity(cfg);
     EXPECT_EQ(first.offered_total, second.offered_total);
     ASSERT_EQ(first.windows.size(), second.windows.size());
+}
+
+TEST(CapacityRun, KneeNeedsAnOkCompletion)
+{
+    // Every arrival is a malformed frame, so every job is rejected and
+    // the status="ok" latency series gets no samples. Its objective
+    // then passes vacuously, but a window where nothing completed is
+    // not capacity, however fast the host.
+    runtime::ProofService service(runtime::ServiceConfig{});
+    loadgen::FramePool pool;
+    pool.name = "malformed";
+    pool.prove_frames = {{0xde, 0xad, 0xbe, 0xef}};
+    Plan p;
+    p.profile.kind = Profile::Kind::constant;
+    p.profile.qps = 50;
+    p.windows = 2;
+    p.window_ms = 200;
+    p.seed = kSeed;
+    SloObjective o;
+    o.name = "p99-generous";
+    o.series = {"zkspeed_job_latency_ms", {{"status", "ok"}}};
+    o.q = 0.99;
+    o.threshold = 60000.0;
+    p.objectives.push_back(o);
+
+    loadgen::LoadGen generator(service, {pool}, p);
+    auto rep = generator.run();
+    service.shutdown();
+    EXPECT_GT(rep.offered_total, 0u);
+    EXPECT_EQ(rep.completed_total, 0u);
+    for (const auto &w : rep.windows) EXPECT_EQ(w.completed_ok, 0u);
+    EXPECT_FALSE(rep.knee_found);
 }
 
 TEST(CapacityRun, RejectsUnknownAndAdversarialMixes)

@@ -200,10 +200,7 @@ TEST(LookupProof, CompletenessAcrossEveryVerificationPath)
 {
     SCOPED_TRACE(repro());
     auto st = prove_range_lookup(kSeed + 4);
-    EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, st.proof,
-                                   hyperplonk::PcsCheckMode::ideal));
-    EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, st.proof,
-                                   hyperplonk::PcsCheckMode::pairing));
+    EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, st.proof));
     verifier::PairingAccumulator acc;
     ASSERT_TRUE(
         hyperplonk::verify_deferred(st.vk, st.publics, st.proof, acc));
@@ -217,8 +214,7 @@ TEST(LookupProof, CompletenessAcrossEveryVerificationPath)
         pcs::Srs::generate(index.num_vars, srs_rng));
     auto [pk, vk] = hyperplonk::keygen(index, srs);
     auto proof = hyperplonk::prove(pk, wit);
-    EXPECT_TRUE(hyperplonk::verify(vk, wit.public_inputs(index), proof,
-                                   hyperplonk::PcsCheckMode::ideal));
+    EXPECT_TRUE(hyperplonk::verify(vk, wit.public_inputs(index), proof));
 }
 
 TEST(LookupProof, OutOfTableWitnessCannotProduceAValidProof)
@@ -243,10 +239,7 @@ TEST(LookupProof, OutOfTableWitnessCannotProduceAValidProof)
     auto [pk, vk] = hyperplonk::keygen(index, srs);
     // Force a prove anyway: soundness demands the proof not verify.
     auto proof = hyperplonk::prove(pk, wit);
-    EXPECT_FALSE(hyperplonk::verify(vk, wit.public_inputs(index), proof,
-                                    hyperplonk::PcsCheckMode::ideal));
-    EXPECT_FALSE(hyperplonk::verify(vk, wit.public_inputs(index), proof,
-                                    hyperplonk::PcsCheckMode::pairing));
+    EXPECT_FALSE(hyperplonk::verify(vk, wit.public_inputs(index), proof));
 }
 
 TEST(LookupProof, SerializationRoundTripPreservesLookupArtifacts)
@@ -268,8 +261,7 @@ TEST(LookupProof, SerializationRoundTripPreservesLookupArtifacts)
     // Canonical: re-encoding reproduces the bytes, and the decoded
     // proof still verifies.
     EXPECT_EQ(hyperplonk::serde::serialize_proof(*back), bytes);
-    EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, *back,
-                                   hyperplonk::PcsCheckMode::pairing));
+    EXPECT_TRUE(hyperplonk::verify(st.vk, st.publics, *back));
 
     // The vk round-trips its lookup commitments (pairing-mode SRS).
     auto vk_bytes = hyperplonk::serde::serialize_verifying_key(st.vk);
@@ -278,8 +270,7 @@ TEST(LookupProof, SerializationRoundTripPreservesLookupArtifacts)
     ASSERT_TRUE(vk_back.has_value());
     EXPECT_TRUE(vk_back->has_lookup);
     EXPECT_EQ(vk_back->lookup_comms, st.vk.lookup_comms);
-    EXPECT_TRUE(hyperplonk::verify(*vk_back, st.publics, *back,
-                                   hyperplonk::PcsCheckMode::pairing));
+    EXPECT_TRUE(hyperplonk::verify(*vk_back, st.publics, *back));
 
     // Truncations die in strict decoding.
     for (size_t len : {0ul, 9ul, bytes.size() / 2, bytes.size() - 1}) {
@@ -366,9 +357,7 @@ TEST(LookupMutation, EveryFieldMutationIsRejectedAndBisectionFingersIt)
         verifier::PairingAccumulator acc;
         bool algebra_ok = hyperplonk::verify_deferred(
             victim.vk, victim.publics, *decoded, acc);
-        EXPECT_FALSE(hyperplonk::verify(victim.vk, victim.publics,
-                                        *decoded,
-                                        hyperplonk::PcsCheckMode::pairing));
+        EXPECT_FALSE(hyperplonk::verify(victim.vk, victim.publics, *decoded));
         if (!algebra_ok) {
             EXPECT_TRUE(acc.empty());
             ++algebra_rejections;
@@ -545,10 +534,7 @@ TEST(MultiTable, FusedProofVerifiesOnEveryPath)
     auto [pk, vk] = hyperplonk::keygen(index, srs);
     auto proof = hyperplonk::prove(pk, wit);
     auto publics = wit.public_inputs(index);
-    EXPECT_TRUE(hyperplonk::verify(vk, publics, proof,
-                                   hyperplonk::PcsCheckMode::ideal));
-    EXPECT_TRUE(hyperplonk::verify(vk, publics, proof,
-                                   hyperplonk::PcsCheckMode::pairing));
+    EXPECT_TRUE(hyperplonk::verify(vk, publics, proof));
     verifier::PairingAccumulator acc;
     ASSERT_TRUE(hyperplonk::verify_deferred(vk, publics, proof, acc));
     EXPECT_TRUE(acc.check());
@@ -595,10 +581,7 @@ TEST(MultiTable, CrossTableClaimIsRejected)
         pcs::Srs::generate(index.num_vars, srs_rng));
     auto [pk, vk] = hyperplonk::keygen(index, srs);
     auto proof = hyperplonk::prove(pk, wit);
-    EXPECT_FALSE(hyperplonk::verify(vk, wit.public_inputs(index), proof,
-                                    hyperplonk::PcsCheckMode::ideal));
-    EXPECT_FALSE(hyperplonk::verify(vk, wit.public_inputs(index), proof,
-                                    hyperplonk::PcsCheckMode::pairing));
+    EXPECT_FALSE(hyperplonk::verify(vk, wit.public_inputs(index), proof));
 }
 
 TEST(TableRegistration, SetTableIsAThinAliasOverAddTable)

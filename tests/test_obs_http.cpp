@@ -767,6 +767,7 @@ TEST(ObsBuildInfo, EnvelopeMatchesGaugeAndParses)
     EXPECT_NE(b.features.find("http"), std::string::npos);
     EXPECT_NE(b.features.find("log"), std::string::npos);
     EXPECT_NE(b.features.find("flight"), std::string::npos);
+    EXPECT_NE(b.features.find(",srs=simulated,"), std::string::npos);
 
     std::string compact = obs::build_info_json().render(-1);
     EXPECT_TRUE(valid_json(compact)) << compact;

@@ -22,7 +22,6 @@ namespace {
 using namespace zkspeed;
 using ff::Fr;
 using ff::Fq;
-using hyperplonk::PcsCheckMode;
 
 /** Base offset applied to every seed grid below. */
 const uint64_t kSeedBase = scenarios::test_seed(0);
@@ -119,7 +118,7 @@ TEST_P(PcsProperties, OpeningConsistency)
         for (auto &x : z) x = Fr::random(rng);
         auto [proof, value] = pcs::open(srs, f, z);
         EXPECT_EQ(value, f.evaluate(z));
-        EXPECT_TRUE(pcs::verify_ideal(srs, comm, z, value, proof));
+        EXPECT_TRUE(pcs::verify(srs, comm, z, value, proof));
     }
     // Distinct polynomials get distinct commitments (binding, whp).
     mle::Mle g = f;
@@ -172,14 +171,13 @@ INSTANTIATE_TEST_SUITE_P(
                                          kSeedBase + 33)));
 
 // ---------------------------------------------------------------------
-// Production-mode SRS (no trapdoor) still verifies via pairings.
+// An SRS (which keeps no tau) verifies openings via pairings.
 // ---------------------------------------------------------------------
-TEST(Pcs, ProductionSrsHasNoTrapdoorButVerifies)
+TEST(Pcs, SrsVerifiesViaPairings)
 {
     ZKSPEED_TRACE_SEED(kSeedBase + 41);
     std::mt19937_64 rng(kSeedBase + 41);
-    pcs::Srs srs = pcs::Srs::generate(3, rng, /*keep_trapdoor=*/false);
-    EXPECT_TRUE(srs.trapdoor.empty());
+    pcs::Srs srs = pcs::Srs::generate(3, rng);
     mle::Mle f = mle::Mle::random(3, rng);
     auto comm = pcs::commit(srs, f);
     std::vector<Fr> z = {Fr::random(rng), Fr::random(rng),

@@ -140,12 +140,12 @@ TEST(Serialize, VerifyingKeyRoundTripSupportsPairingMode)
     ASSERT_TRUE(vk2.has_value());
     EXPECT_EQ(vk2->num_vars, f.vk.num_vars);
     EXPECT_EQ(vk2->num_public, f.vk.num_public);
-    // The reconstructed key has no trapdoor, so use pairing mode.
-    EXPECT_TRUE(verify(*vk2, f.publics, f.proof, PcsCheckMode::pairing));
+    // A decoded key carries only public points; verify needs no more.
+    EXPECT_TRUE(verify(*vk2, f.publics, f.proof));
     // Tampered proofs still rejected through the decoded key.
     Proof bad = f.proof;
     bad.gprime_value += Fr::one();
-    EXPECT_FALSE(verify(*vk2, f.publics, bad, PcsCheckMode::pairing));
+    EXPECT_FALSE(verify(*vk2, f.publics, bad));
 }
 
 TEST(Serialize, VerifyingKeyRejectsCorruption)
@@ -162,8 +162,7 @@ TEST(Serialize, VerifyingKeyRejectsCorruption)
             bool same = vk2->num_vars == f.vk.num_vars &&
                         vk2->num_public == f.vk.num_public;
             if (same) {
-                EXPECT_FALSE(verify(*vk2, f.publics, f.proof,
-                                    PcsCheckMode::pairing))
+                EXPECT_FALSE(verify(*vk2, f.publics, f.proof))
                     << "offset " << off;
             }
         }
