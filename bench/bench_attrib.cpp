@@ -8,7 +8,9 @@
  *     *exact* deterministic counters of the proving pipeline — gate
  *     counts, prove modmuls (Fr/Fq, measured with parallelism pinned to
  *     1 so the counts are machine-independent) and proof bytes — and,
- *     per size n = 2^0 .. 2^16, the exact Fq-mul count of curve::msm.
+ *     per size n = 2^0 .. 2^16, the exact Fq-mul and Fq-inversion
+ *     counts of curve::msm, and the same two counts of Srs::generate at
+ *     mu = 8 and 12.
  *     The verify layer adds, per scenario, the Fr/Fq muls of a VERIFY
  *     job's algebraic stage, and one pairing row: the Fq muls of one
  *     final exponentiation and of one BatchVerifier flush over the
@@ -220,12 +222,28 @@ measure_pairing(const std::vector<RosterProof> &proofs)
     return row;
 }
 
-/** Exact serial cost of one curve::msm size; `ms` is report-only. */
-struct MsmRow {
+/** Exact serial cost of one curve::msm size or one SRS; `ms` is
+ * report-only. n is the point count, or mu for an SRS. */
+struct CostRow {
     uint64_t n = 0;
     uint64_t fq_muls = 0;
+    uint64_t fq_inversions = 0;
     double ms = 0;
 };
+
+/** Run fn with ff parallelism pinned to 1 and return its exact cost. */
+template <typename Fn>
+CostRow
+measure_cost(uint64_t n, Fn &&fn)
+{
+    ff::ParallelismGuard guard(1);
+    ff::ModmulScope scope;
+    auto t0 = std::chrono::steady_clock::now();
+    fn();
+    std::chrono::duration<double, std::milli> dt =
+        std::chrono::steady_clock::now() - t0;
+    return {n, scope.fq_delta(), scope.inv_fq_delta(), dt.count()};
+}
 
 /** Largest ledger MSM size is 2^kMsmMaxLog points. */
 constexpr unsigned kMsmMaxLog = 16;
@@ -235,7 +253,7 @@ constexpr unsigned kMsmMaxLog = 16;
  * pinned to 1. Bases are the orbit P_i = (i+1) G; scalars come from one
  * mt19937_64(0x5eed1) stream, and every size takes a prefix of both.
  */
-std::vector<MsmRow>
+std::vector<CostRow>
 measure_msm()
 {
     const size_t max_n = size_t(1) << kMsmMaxLog;
@@ -254,19 +272,28 @@ measure_msm()
     const std::span<const curve::G1Affine> pts(points);
     const std::span<const ff::Fr> sc(scalars);
 
-    ff::ParallelismGuard guard(1);
     // The first MSM in a process also builds the GLV constants; keep
     // that one-off cost out of the n = 1 row.
     curve::msm(pts.first(1), sc.first(1));
-    std::vector<MsmRow> rows;
+    std::vector<CostRow> rows;
     for (unsigned k = 0; k <= kMsmMaxLog; ++k) {
         const size_t n = size_t(1) << k;
-        ff::ModmulScope scope;
-        auto t0 = std::chrono::steady_clock::now();
-        curve::msm(pts.first(n), sc.first(n));
-        std::chrono::duration<double, std::milli> dt =
-            std::chrono::steady_clock::now() - t0;
-        rows.push_back({n, scope.fq_delta(), dt.count()});
+        rows.push_back(measure_cost(
+            n, [&] { curve::msm(pts.first(n), sc.first(n)); }));
+    }
+    return rows;
+}
+
+/** Measure Srs::generate at the ledger's mu values, each from a fresh
+ * mt19937_64(0x5eed2). */
+std::vector<CostRow>
+measure_srs()
+{
+    std::vector<CostRow> rows;
+    for (uint64_t mu : {8u, 12u}) {
+        std::mt19937_64 rng(0x5eed2);
+        rows.push_back(
+            measure_cost(mu, [&] { pcs::Srs::generate(mu, rng); }));
     }
     return rows;
 }
@@ -332,9 +359,25 @@ counters_json(const Counters &c)
     return o;
 }
 
+/** Ledger rows {key: n, fq_muls, fq_inversions}. */
+Value
+cost_rows_json(const char *key, const std::vector<CostRow> &rows)
+{
+    Value out = Value::array();
+    for (const CostRow &r : rows) {
+        Value o = Value::object();
+        o.set(key, Value::of(r.n));
+        o.set("fq_muls", Value::of(r.fq_muls));
+        o.set("fq_inversions", Value::of(r.fq_inversions));
+        out.push(std::move(o));
+    }
+    return out;
+}
+
 std::string
 render_baselines(const std::vector<Counters> &counters,
-                 const std::vector<MsmRow> &msm, const PairingRow &pairing,
+                 const std::vector<CostRow> &msm,
+                 const std::vector<CostRow> &srs, const PairingRow &pairing,
                  const obs::attrib::Report &attrib)
 {
     Value doc = Value::object();
@@ -342,14 +385,8 @@ render_baselines(const std::vector<Counters> &counters,
     Value scen = Value::array();
     for (const Counters &c : counters) scen.push(counters_json(c));
     doc.set("scenarios", std::move(scen));
-    Value msm_rows = Value::array();
-    for (const MsmRow &r : msm) {
-        Value o = Value::object();
-        o.set("n", Value::of(r.n));
-        o.set("fq_muls", Value::of(r.fq_muls));
-        msm_rows.push(std::move(o));
-    }
-    doc.set("msm", std::move(msm_rows));
+    doc.set("msm", cost_rows_json("n", msm));
+    doc.set("srs", cost_rows_json("mu", srs));
     Value verify_rows = Value::array();
     for (const Counters &c : counters) {
         Value o = Value::object();
@@ -418,47 +455,61 @@ u64s(uint64_t v)
     return std::to_string(v);
 }
 
-/** Diff the measured MSM costs against the ledger's `msm` rows, one
- * gate per size; a size missing on either side fails. */
+/**
+ * Diff measured costs against the ledger array `section` of
+ * {key, fq_muls, fq_inversions} rows, one gate per field per row; a row
+ * missing on either side fails. `what` names the layer in messages, and
+ * each message puts the inversions beside the Fq muls, since an
+ * inversion is ~610 Fq muls.
+ */
 void
-check_msm(const Value &baselines, const std::vector<MsmRow> &measured,
-          GateLog &log)
+check_cost_rows(const Value &baselines, const std::string &section,
+                const char *key, const std::string &what,
+                const std::vector<CostRow> &measured, GateLog &log)
 {
-    const Value *rows = baselines.find("msm");
+    const Value *rows = baselines.find(section);
     if (rows == nullptr || !rows->is_array()) {
         log.check("baselines_schema", false,
-                  "baselines.json has no msm array");
+                  "baselines.json has no " + section + " array");
         return;
     }
-    std::map<uint64_t, uint64_t> ledger;  // n -> fq_muls
+    std::map<uint64_t, std::pair<uint64_t, uint64_t>> ledger;
     for (const Value &b : rows->items) {
-        const Value *n = b.find("n");
+        const Value *n = b.find(key);
         const Value *fq = b.find("fq_muls");
+        const Value *inv = b.find("fq_inversions");
         if (n == nullptr || !n->is_integer() || fq == nullptr ||
-            !fq->is_integer()) {
+            !fq->is_integer() || inv == nullptr || !inv->is_integer()) {
             log.check("baseline_field", false,
-                      "curve.msm ledger row lacks an integer n/fq_muls");
+                      what + " ledger row lacks an integer " + key +
+                          "/fq_muls/fq_inversions");
             continue;
         }
-        ledger[n->as_u64()] = fq->as_u64();
+        ledger[n->as_u64()] = {fq->as_u64(), inv->as_u64()};
     }
-    for (const MsmRow &r : measured) {
-        const std::string where = "curve.msm n=" + u64s(r.n);
+    auto cost = [](uint64_t fq, uint64_t inv) {
+        return u64s(fq) + " (" + u64s(inv) + " inversions)";
+    };
+    for (const CostRow &r : measured) {
+        const std::string where = what + " " + key + "=" + u64s(r.n);
         auto it = ledger.find(r.n);
         if (it == ledger.end()) {
-            log.check("baseline_msm_present", false,
+            log.check("baseline_" + section + "_present", false,
                       where + " is measured but missing from the ledger");
             continue;
         }
-        log.check("baseline:" + where + ":fq_muls",
-                  it->second == r.fq_muls,
-                  where + " fq_muls: ledger " + u64s(it->second) +
-                      ", measured " + u64s(r.fq_muls));
+        const auto [fq, inv] = it->second;
+        const std::string detail = where + " fq_muls: ledger " +
+                                   cost(fq, inv) + ", measured " +
+                                   cost(r.fq_muls, r.fq_inversions);
+        log.check("baseline:" + where + ":fq_muls", fq == r.fq_muls, detail);
+        log.check("baseline:" + where + ":fq_inversions",
+                  inv == r.fq_inversions, detail);
         ledger.erase(it);
     }
-    for (const auto &[n, fq] : ledger) {
-        log.check("baseline_msm_present", false,
-                  "curve.msm n=" + u64s(n) +
+    for (const auto &[n, unused] : ledger) {
+        log.check("baseline_" + section + "_present", false,
+                  what + " " + key + "=" + u64s(n) +
                       " is in the ledger but not measured");
     }
 }
@@ -525,14 +576,17 @@ check_scenario_rows(const Value &baselines, const std::string &section,
 }
 
 /** Diff measured counters against the ledger: one gate per scenario
- * field, per MSM size, per VERIFY-stage field and per pairing field. */
+ * field, per MSM size, per SRS size, per VERIFY-stage field and per
+ * pairing field. */
 void
 check_counters(const Value &baselines,
                const std::vector<Counters> &measured,
-               const std::vector<MsmRow> &msm, const PairingRow &pairing,
+               const std::vector<CostRow> &msm,
+               const std::vector<CostRow> &srs, const PairingRow &pairing,
                GateLog &log)
 {
-    check_msm(baselines, msm, log);
+    check_cost_rows(baselines, "msm", "n", "curve.msm", msm, log);
+    check_cost_rows(baselines, "srs", "mu", "pcs.srs", srs, log);
     check_scenario_rows(
         baselines, "scenarios", "", measured,
         [](const Counters &c) {
@@ -765,10 +819,35 @@ main(int argc, char **argv)
     bench::title("Exact MSM cost per size (parallelism pinned to 1)");
     auto msm = measure_msm();
     bench::Table mt({{"n", 8}, {"Fq muls", 12}, {"Fq muls/pt", 12},
+                     {"Inversions", 11}, {"Inv share", 10},
                      {"Wall ms", 10}});
-    for (const MsmRow &r : msm) {
+    // Share of the Fq muls spent inside inversions. A Fermat inversion
+    // is one Fq pow by p - 2, so every one costs the same muls.
+    const uint64_t per_inversion = [] {
+        ff::ModmulScope scope;
+        ff::Fq::from_uint(3).inverse();
+        return scope.fq_delta();
+    }();
+    auto inv_share = [&](const CostRow &r) {
+        return bench::fmt(100.0 * double(r.fq_inversions) *
+                              double(per_inversion) / double(r.fq_muls),
+                          1) +
+               "%";
+    };
+    for (const CostRow &r : msm) {
         mt.row({bench::fmt_int(r.n), bench::fmt_int(r.fq_muls),
                 bench::fmt(double(r.fq_muls) / double(r.n), 1),
+                bench::fmt_int(r.fq_inversions), inv_share(r),
+                bench::fmt(r.ms)});
+    }
+
+    bench::title("Exact SRS generation cost (parallelism pinned to 1)");
+    auto srs = measure_srs();
+    bench::Table st({{"mu", 8}, {"Fq muls", 12}, {"Inversions", 11},
+                     {"Inv share", 10}, {"Wall ms", 10}});
+    for (const CostRow &r : srs) {
+        st.row({bench::fmt_int(r.n), bench::fmt_int(r.fq_muls),
+                bench::fmt_int(r.fq_inversions), inv_share(r),
                 bench::fmt(r.ms)});
     }
 
@@ -811,7 +890,7 @@ main(int argc, char **argv)
     }
 
     if (!write_path.empty()) {
-        if (!obs::write_file(write_path, render_baselines(counters, msm,
+        if (!obs::write_file(write_path, render_baselines(counters, msm, srs,
                                                           pairing, attrib))) {
             std::fprintf(stderr, "cannot write %s\n", write_path.c_str());
             return 2;
@@ -839,7 +918,7 @@ main(int argc, char **argv)
                      baselines_path.c_str());
         return 2;
     }
-    check_counters(*ledger, counters, msm, pairing, log);
+    check_counters(*ledger, counters, msm, srs, pairing, log);
     check_drift(*ledger, attrib, log);
     if (!summary_path.empty()) {
         merge_bench_reports(summary_path, json_path, log);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "curve/batch_affine.hpp"
 #include "ff/parallel.hpp"
 
 namespace zkspeed::curve {
@@ -329,38 +330,39 @@ glv_split(const Fr::Repr &s, const GlvCtx &g, uint64_t s1[2],
     s2[1] = q1;
 }
 
-/** Affine point in a bucket-reduction buffer (never the identity; empty
- * buckets and cancelled pairs are simply not stored). */
-struct AffineSlot {
-    Fq x, y;
-};
+/** Aggregation switches from the Jacobian running sum to chunked
+ * batch-affine chains at this many buckets per window. */
+constexpr unsigned kChunkedMinBuckets = 256;
+/** Buckets per aggregation chunk (L below). */
+constexpr uint32_t kAggChunk = 16;
+/** Chunked windows aggregate in groups of up to this many, in lockstep,
+ * so one inversion serves the whole group's step. */
+constexpr unsigned kAggGroup = 4;
 
-/** One scheduled affine addition P1 + P2 (or doubling), waiting on the
- * batched inversion of its slope denominator. sum_x pre-stores x1 + x2
- * so completion is exactly lambda, lambda^2 and the y3 product. `out`
- * is the pair's bucket during bucket accumulation (the result feeds
- * back into that waiting slot) and the chain slot during aggregation. */
-struct Pending {
-    Fq x1, y1, sum_x, num;
-    uint32_t out = 0;
-};
+/** The bucket tables of `windows` windows in one allocation: window
+ * g's bucket b in 1..half holds val(g)[b] when set(g)[b]. */
+class BucketTables
+{
+  public:
+    BucketTables(size_t windows, unsigned half)
+        : stride_(size_t(half) + 1), val_(windows * stride_),
+          set_(windows * stride_)
+    {}
 
-/** Per-worker scratch, reused across windows so buffers are only ever
- * grown. Pending batches are double-buffered: completing batch `cur`
- * feeds results back into the waiting slots, which may schedule new
- * pairs into batch `cur ^ 1`. */
-struct WindowScratch {
-    std::vector<Fq> denoms[2];
-    std::vector<Fq> prefix;
-    std::vector<Pending> pend[2];
-    std::vector<AffineSlot> bucket_val;
-    std::vector<uint8_t> bucket_set;
-    std::vector<AffineSlot> chain;
-    std::vector<uint8_t> chain_set;
+    AffineSlot *val(size_t g) { return val_.data() + g * stride_; }
+    const AffineSlot *val(size_t g) const { return val_.data() + g * stride_; }
+    uint8_t *set(size_t g) { return set_.data() + g * stride_; }
+    const uint8_t *set(size_t g) const { return set_.data() + g * stride_; }
+
+  private:
+    size_t stride_;
+    std::vector<AffineSlot> val_;
+    std::vector<uint8_t> set_;
 };
 
 /**
- * Reduce one window's signed digits to a window sum.
+ * Bucket phase of one window: reduce its signed digits into table g of
+ * `tables`.
  *
  * Entries stream through in point order against an L2-resident
  * per-bucket waiting slot: the first occupant of a bucket waits, the
@@ -369,225 +371,162 @@ struct WindowScratch {
  * denominators. Batches are completed every kFlush pairs — small enough
  * that the batch buffers stay cache-resident — and each completed pair
  * feeds straight back into its bucket's waiting slot, where it either
- * waits or pairs again (into the *other* pending batch). No sorting, no
+ * waits or pairs again (into the next batch). No sorting, no
  * index-gathers, no result streams: pending work strictly shrinks per
  * feedback generation and whatever rests in the slots at the end IS the
- * bucket table. Equal-x pairs never reach the inversion: P + (-P)
- * cancels (the pair just disappears) and P + P is scheduled as a
- * doubling with denominator 2y != 0 (y = 0 would be a 2-torsion point,
- * and E(Fq) has odd order), so no zero denominator can poison the
- * batch.
+ * bucket table, which the aggregation reads in place.
  */
-G1
-accumulate_window(std::span<const G1Affine> points, const int32_t *col,
-                  unsigned half, WindowScratch &ws)
+void
+fill_buckets(std::span<const G1Affine> points, const int32_t *col,
+             unsigned half, AffineBatch &batch, BucketTables &tables,
+             size_t g)
 {
     const size_t n = points.size();
-
-    if (ws.bucket_val.size() < size_t(half) + 1) {
-        ws.bucket_val.resize(size_t(half) + 1);
-    }
-    ws.bucket_set.assign(size_t(half) + 1, 0);
+    AffineSlot *val = tables.val(g);
+    uint8_t *set = tables.set(g);
+    std::fill_n(set, size_t(half) + 1, 0);
     constexpr size_t kFlush = 4096;
-    int cur = 0;
-    for (int s = 0; s < 2; ++s) {
-        ws.pend[s].clear();
-        ws.denoms[s].clear();
-    }
-
-    // Classify one pair: emit a Pending op into the current batch, or
-    // nothing when the pair cancels (P + (-P), or doubling a y = 0
-    // point).
-    auto schedule_pair = [&](const AffineSlot &p, const AffineSlot &q,
-                             uint32_t out) -> bool {
-        if (p.x == q.x) {
-            if (p.y == q.y) {
-                if (p.y.is_zero()) return false;  // 2P = identity
-                Fq x_sq = p.x.square();
-                ws.denoms[cur].push_back(p.y.dbl());
-                ws.pend[cur].push_back(
-                    {p.x, p.y, p.x.dbl(), x_sq.dbl() + x_sq, out});
-                return true;
-            }
-            return false;  // P + (-P) = identity
-        }
-        ws.denoms[cur].push_back(q.x - p.x);
-        ws.pend[cur].push_back({p.x, p.y, p.x + q.x, q.y - p.y, out});
-        return true;
-    };
-
-    // Montgomery's trick over one batch: invert every denominator in
-    // place behind a single field inversion. The backward peel is kept
-    // as its own tight loop so callers' completion loops are free of
-    // serial dependencies (their per-pair muls pipeline). Every
-    // denominator is nonzero by construction (see schedule_pair), so no
-    // zero-skip is needed.
-    auto invert_batch = [&](std::vector<Fq> &dens) {
-        const size_t m = dens.size();
-        if (ws.prefix.size() < m) ws.prefix.resize(m);
-        Fq acc = dens[0];
-        ws.prefix[0] = acc;
-        for (size_t j = 1; j < m; ++j) {
-            acc = acc * dens[j];
-            ws.prefix[j] = acc;
-        }
-        Fq inv = acc.inverse();
-        for (size_t j = m; j-- > 1;) {
-            Fq x_inv = inv * ws.prefix[j - 1];
-            inv = inv * dens[j];
-            dens[j] = x_inv;
-        }
-        dens[0] = inv;
-    };
+    // Every pending pair holds two of at most n live points, and a
+    // batch is completed once it reaches kFlush; sizing for that up
+    // front keeps the batch from growing through discarded buffers.
+    batch.reserve(std::min(n / 2 + 1, kFlush));
 
     // One streamed entry: pair with the bucket's waiting occupant, or
-    // become the waiting occupant (a scheduled pair vacates the slot).
+    // become the waiting occupant (a queued pair vacates the slot; a
+    // cancelling pair just disappears).
     auto feed = [&](uint32_t b, const AffineSlot &p) {
-        if (!ws.bucket_set[b]) {
-            ws.bucket_val[b] = p;
-            ws.bucket_set[b] = 1;
+        if (!set[b]) {
+            val[b] = p;
+            set[b] = 1;
             return;
         }
-        ws.bucket_set[b] = 0;
-        schedule_pair(ws.bucket_val[b], p, b);
-    };
-
-    // Complete the current batch: one shared inversion, then per pair
-    // lambda = num / den, x3 = lambda^2 - (x1 + x2),
-    // y3 = lambda (x1 - x3) - y1, feeding the result straight back into
-    // its bucket's waiting slot. Feedback pairs land in the swapped-in
-    // batch, which cannot overflow mid-completion (at most m/2 of
-    // them).
-    auto flush = [&]() {
-        auto &pend = ws.pend[cur];
-        auto &dens = ws.denoms[cur];
-        const size_t m = pend.size();
-        if (m == 0) return;
-        cur ^= 1;
-        invert_batch(dens);
-        for (size_t j = 0; j < m; ++j) {
-            const Pending &p = pend[j];
-            Fq lambda = p.num * dens[j];
-            Fq x3 = lambda.square() - p.sum_x;
-            feed(p.out, {x3, lambda * (p.x1 - x3) - p.y1});
-        }
-        pend.clear();
-        dens.clear();
+        set[b] = 0;
+        batch.add(val[b], p, b);
     };
 
     // Stream the input points in order (signed digits pick the
-    // cheaply-negated point), completing a batch whenever it fills,
-    // then drain the feedback; whatever then rests in the waiting slots
-    // IS the final bucket table.
+    // cheaply-negated point), completing the batch whenever it fills,
+    // then drain the feedback.
     for (size_t i = 0; i < n; ++i) {
         int32_t d = col[i];
         if (d == 0) continue;
-        AffineSlot p{points[i].x,
-                     d < 0 ? -points[i].y : points[i].y};
+        AffineSlot p{points[i].x, d < 0 ? -points[i].y : points[i].y};
         feed(uint32_t(d < 0 ? -d : d), p);
-        if (ws.pend[cur].size() >= kFlush) flush();
+        if (batch.size() >= kFlush) batch.complete(feed);
     }
-    while (!ws.pend[cur].empty()) flush();
+    while (!batch.empty()) batch.complete(feed);
+}
 
-    // Aggregation: sum_b b * bucket_b over 2^{w-1} buckets (half the
-    // unsigned count). Small windows use the classic Jacobian running
-    // sum; large windows keep the chains affine too.
-    constexpr uint32_t kAggChunk = 16;
-    if (half < 16 * kAggChunk) {
-        uint32_t top = half;
-        while (top > 0 && !ws.bucket_set[top]) --top;
-        G1 acc = G1::identity();
-        G1 window_sum = G1::identity();
-        for (uint32_t b = top; b >= 1; --b) {
-            if (ws.bucket_set[b]) {
-                acc = acc.add_mixed(
-                    G1Affine(ws.bucket_val[b].x, ws.bucket_val[b].y));
-            }
-            window_sum += acc;
-        }
-        return window_sum;
+/** Aggregation of a small window, sum_b b * B_b over its 2^{w-1}
+ * buckets: the classic Jacobian running sum. */
+G1
+running_sum(const AffineSlot *val, const uint8_t *set, unsigned half)
+{
+    uint32_t top = half;
+    while (top > 0 && !set[top]) --top;
+    G1 acc = G1::identity();
+    G1 window_sum = G1::identity();
+    for (uint32_t b = top; b >= 1; --b) {
+        if (set[b]) acc = acc.add_mixed(G1Affine(val[b].x, val[b].y));
+        window_sum += acc;
     }
+    return window_sum;
+}
 
-    // Chunked batch-affine running sums. Split the buckets into C
-    // chunks of L: with bucket b = c*L + (j+1),
-    //   sum_b b * B_b = L * sum_c c*S_c + sum_c T_c,
-    // where S_c is chunk c's sum and T_c its local triangle
-    // sum_j (j+1)*B_{c,j}. Every chunk's (acc, T) chains advance in
-    // lockstep (for j = L-1..0: acc += B_j; T += acc), which gives
-    // 2C independent affine additions per step to batch behind one
-    // inversion — the dependent "T += acc" of step j fuses with the
-    // independent "acc += B_{j-1}" of the next step.
+/** Per-worker scratch of the grouped aggregation, reused across groups
+ * so buffers are only ever grown. */
+struct AggScratch {
+    AffineBatch batch;
+    std::vector<AffineSlot> chain;
+    std::vector<uint8_t> chain_set;
+};
+
+/**
+ * Chunked batch-affine aggregation of windows [first, first + count) of
+ * `tables`, in lockstep.
+ *
+ * Each window splits its buckets into C chunks of L: with bucket
+ * b = c*L + (j+1),
+ *   sum_b b * B_b = L * sum_c c*S_c + sum_c T_c,
+ * where S_c is chunk c's sum and T_c its local triangle
+ * sum_j (j+1)*B_{c,j}. Every chunk's (acc, T) chains advance in
+ * lockstep (for j = L-1..0: acc += B_j; T += acc), which gives 2C
+ * independent affine additions per step — the dependent "T += acc" of
+ * step j fuses with the independent "acc += B_{j-1}" of the next step.
+ * All windows of the group take each step together, so the group's
+ * L + 1 steps cost L + 1 inversions, not L + 1 per window.
+ */
+void
+aggregate_chunked(const BucketTables &tables, size_t first, size_t count,
+                  unsigned half, AggScratch &s, G1 *out)
+{
     const uint32_t C = half / kAggChunk;
-    ws.chain.resize(size_t(2) * C);  // [0,C) = acc_c, [C,2C) = T_c
-    ws.chain_set.assign(size_t(2) * C, 0);
+    const size_t stride = size_t(2) * C;  // per window: acc_c, then T_c
+    s.chain.resize(stride * count);
+    s.chain_set.assign(stride * count, 0);
 
-    // Complete the current batch into chain slots (aggregation results
-    // are consumed by the combine below, not fed back into buckets).
-    auto complete_chain = [&]() {
-        auto &pend = ws.pend[cur];
-        auto &dens = ws.denoms[cur];
-        const size_t m = pend.size();
-        if (m == 0) return;
-        invert_batch(dens);
-        for (size_t j = 0; j < m; ++j) {
-            const Pending &p = pend[j];
-            Fq lambda = p.num * dens[j];
-            Fq x3 = lambda.square() - p.sum_x;
-            ws.chain[p.out] = {x3, lambda * (p.x1 - x3) - p.y1};
-        }
-        pend.clear();
-        dens.clear();
-    };
-
-    auto chain_add = [&](uint32_t dst, const AffineSlot &src) {
-        if (!ws.chain_set[dst]) {
-            ws.chain[dst] = src;
-            ws.chain_set[dst] = 1;
+    auto chain_add = [&](size_t dst, const AffineSlot &src) {
+        if (!s.chain_set[dst]) {
+            s.chain[dst] = src;
+            s.chain_set[dst] = 1;
             return;
         }
-        if (!schedule_pair(ws.chain[dst], src, dst)) ws.chain_set[dst] = 0;
+        if (!s.batch.add(s.chain[dst], src, uint32_t(dst))) {
+            s.chain_set[dst] = 0;
+        }
     };
     auto acc_step = [&](uint32_t j) {  // acc_c += B_{c*L + j + 1}
-        for (uint32_t c = 0; c < C; ++c) {
-            uint32_t b = c * kAggChunk + j + 1;
-            if (ws.bucket_set[b]) chain_add(c, ws.bucket_val[b]);
+        for (size_t g = 0; g < count; ++g) {
+            const AffineSlot *val = tables.val(first + g);
+            const uint8_t *set = tables.set(first + g);
+            for (uint32_t c = 0; c < C; ++c) {
+                uint32_t b = c * kAggChunk + j + 1;
+                if (set[b]) chain_add(g * stride + c, val[b]);
+            }
         }
     };
     auto tri_step = [&]() {  // T_c += acc_c (pre-batch value)
-        for (uint32_t c = 0; c < C; ++c) {
-            if (ws.chain_set[c]) chain_add(C + c, ws.chain[c]);
+        for (size_t g = 0; g < count; ++g) {
+            for (uint32_t c = 0; c < C; ++c) {
+                size_t a = g * stride + c;
+                if (s.chain_set[a]) chain_add(a + C, s.chain[a]);
+            }
         }
+    };
+    auto complete = [&]() {
+        s.batch.complete([&](uint32_t dst, const AffineSlot &p) {
+            s.chain[dst] = p;
+        });
     };
 
     acc_step(kAggChunk - 1);
-    complete_chain();
+    complete();
     for (uint32_t j = kAggChunk - 1; j-- > 0;) {
         tri_step();      // reads acc after step j+1
         acc_step(j);     // writes acc for step j
-        complete_chain();
+        complete();
     }
     tri_step();
-    complete_chain();
+    complete();
 
-    // Combine: hi = sum_c c*S_c via a short Jacobian running sum over
-    // the C chunk sums, then window_sum = L*hi + sum_c T_c.
-    G1 racc = G1::identity();
-    G1 hi = G1::identity();
-    for (uint32_t c = C; c-- > 1;) {
-        if (ws.chain_set[c]) {
-            racc = racc.add_mixed(G1Affine(ws.chain[c].x, ws.chain[c].y));
-        }
-        hi += racc;
-    }
+    // Combine per window: hi = sum_c c*S_c via a short Jacobian running
+    // sum over the C chunk sums, then window_sum = L*hi + sum_c T_c.
     static_assert((kAggChunk & (kAggChunk - 1)) == 0);
-    for (uint32_t l = kAggChunk; l > 1; l >>= 1) hi = hi.dbl();
-    for (uint32_t c = 0; c < C; ++c) {
-        if (ws.chain_set[C + c]) {
-            hi = hi.add_mixed(
-                G1Affine(ws.chain[C + c].x, ws.chain[C + c].y));
+    for (size_t g = 0; g < count; ++g) {
+        const AffineSlot *chain = s.chain.data() + g * stride;
+        const uint8_t *set = s.chain_set.data() + g * stride;
+        G1 racc = G1::identity();
+        G1 hi = G1::identity();
+        for (uint32_t c = C; c-- > 1;) {
+            if (set[c]) racc = racc.add_mixed(G1Affine(chain[c].x, chain[c].y));
+            hi += racc;
         }
+        for (uint32_t l = kAggChunk; l > 1; l >>= 1) hi = hi.dbl();
+        for (uint32_t c = C; c < 2 * C; ++c) {
+            if (set[c]) hi = hi.add_mixed(G1Affine(chain[c].x, chain[c].y));
+        }
+        out[g] = hi;
     }
-    return hi;
 }
 
 G1
@@ -621,14 +560,46 @@ pippenger_signed(std::span<const G1Affine> points,
     // column and bucket set are fixed, so its muls do not depend on
     // which chunk (or scratch) runs it.
     std::vector<G1> window_sums(nw, G1::identity());
-    ff::parallel_for(
-        nw, size_t(window_cost(n, w)), [&](size_t win_begin, size_t win_end) {
-            WindowScratch ws;
+    if (half < kChunkedMinBuckets) {
+        ff::parallel_for(nw, size_t(window_cost(n, w)),
+                         [&](size_t win_begin, size_t win_end) {
+                             AffineBatch batch;
+                             BucketTables t(1, half);
+                             for (size_t win = win_begin; win < win_end;
+                                  ++win) {
+                                 fill_buckets(points, digits.data() + win * n,
+                                              half, batch, t, 0);
+                                 window_sums[win] =
+                                     running_sum(t.val(0), t.set(0), half);
+                             }
+                         });
+    } else {
+        // Chunked windows: fill every window's table, then aggregate
+        // fixed groups of windows in lockstep. The groups depend only on
+        // nw (so on n and w), never on the budget, which keeps the
+        // inversion count, and so the Fq muls, budget-independent.
+        BucketTables tables(nw, half);
+        ff::parallel_for(nw, 6 * n, [&](size_t win_begin, size_t win_end) {
+            AffineBatch batch;
             for (size_t win = win_begin; win < win_end; ++win) {
-                window_sums[win] = accumulate_window(
-                    points, digits.data() + win * n, half, ws);
+                fill_buckets(points, digits.data() + win * n, half, batch,
+                             tables, win);
             }
         });
+        const size_t groups = (nw + kAggGroup - 1) / kAggGroup;
+        auto first = [&](size_t g) { return g * nw / groups; };
+        // About 12.5 Fq muls per bucket of each of the group's windows.
+        ff::parallel_for(groups, size_t(12.5 * kAggGroup * half),
+                         [&](size_t gb, size_t ge) {
+                             AggScratch s;
+                             for (size_t g = gb; g < ge; ++g) {
+                                 aggregate_chunked(
+                                     tables, first(g),
+                                     first(g + 1) - first(g), half, s,
+                                     window_sums.data() + first(g));
+                             }
+                         });
+    }
 
     G1 result = G1::identity();
     for (unsigned win = nw; win-- > 0;) {
@@ -710,20 +681,17 @@ msm(std::span<const G1Affine> points, std::span<const Fr> scalars,
                             Fr::kBits);
 }
 
+namespace {
+
+/** Points per tree_sum block. A power of two, so the blocked tree pairs
+ * exactly the points the one-tree order would (see tree_sum). */
+constexpr size_t kTreeBlock = 256;
+
+/** Pairwise tree over Jacobian partial sums: adjacent pairs, an odd tail
+ * carried up a level. */
 G1
-tree_sum(std::span<const G1Affine> points)
+tree_reduce(std::vector<G1> level)
 {
-    if (points.empty()) return G1::identity();
-    // First level: pairwise mixed adds from affine inputs.
-    std::vector<G1> level;
-    level.reserve((points.size() + 1) / 2);
-    for (size_t i = 0; i + 1 < points.size(); i += 2) {
-        level.push_back(G1::from_affine(points[i]).add_mixed(points[i + 1]));
-    }
-    if (points.size() % 2) {
-        level.push_back(G1::from_affine(points.back()));
-    }
-    // Remaining levels: pairwise Jacobian adds.
     while (level.size() > 1) {
         size_t half = (level.size() + 1) / 2;
         for (size_t i = 0; i < level.size() / 2; ++i) {
@@ -733,6 +701,44 @@ tree_sum(std::span<const G1Affine> points)
         level.resize(half);
     }
     return level[0];
+}
+
+/** One block's tree: pairwise mixed adds from the affine inputs, then
+ * Jacobian levels. */
+G1
+block_tree_sum(std::span<const G1Affine> points)
+{
+    std::vector<G1> level;
+    level.reserve((points.size() + 1) / 2);
+    for (size_t i = 0; i + 1 < points.size(); i += 2) {
+        level.push_back(G1::from_affine(points[i]).add_mixed(points[i + 1]));
+    }
+    if (points.size() % 2) level.push_back(G1::from_affine(points.back()));
+    return tree_reduce(std::move(level));
+}
+
+}  // namespace
+
+G1
+tree_sum(std::span<const G1Affine> points)
+{
+    if (points.empty()) return G1::identity();
+    // Level j of the one-tree order holds the sums of the aligned
+    // 2^j-point ranges (the last one short), so for a power-of-two block
+    // size the block trees are exactly its lower levels and tree_reduce
+    // over the block sums its upper ones: the same adds on the same
+    // operands at any budget. The blocks run in parallel.
+    const size_t blocks = (points.size() + kTreeBlock - 1) / kTreeBlock;
+    std::vector<G1> sums(blocks);
+    // About one mixed and one full add per point.
+    ff::parallel_for(blocks, 27 * kTreeBlock, [&](size_t cb, size_t ce) {
+        for (size_t c = cb; c < ce; ++c) {
+            const size_t begin = c * kTreeBlock;
+            sums[c] = block_tree_sum(points.subspan(
+                begin, std::min(kTreeBlock, points.size() - begin)));
+        }
+    });
+    return tree_reduce(std::move(sums));
 }
 
 G1

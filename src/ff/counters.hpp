@@ -14,6 +14,11 @@
  * chunks plus the deltas migrated from pool workers). total - parallel is
  * the exact serial share of a kernel under a worker budget, which is what
  * the thread-budget gate in tests/test_parallel.cpp asserts on.
+ *
+ * A third tally, `inversions`, counts field inversions per field. An
+ * inversion's own muls (about 610 Fq or 419 Fr for Fermat) still land in
+ * `counts`; the tally says how many of them there were, so a kernel's
+ * inversion share is visible without a profiler.
  */
 #pragma once
 
@@ -30,9 +35,12 @@ enum class CounterTag : int {
 struct ModmulCounters {
     uint64_t counts[2] = {0, 0};
     uint64_t parallel[2] = {0, 0};  ///< subset run in multi-chunk regions
+    uint64_t inversions[2] = {0, 0};  ///< field inversions, per field
 
     uint64_t fr() const { return counts[0]; }
     uint64_t fq() const { return counts[1]; }
+    uint64_t inv_fr() const { return inversions[0]; }
+    uint64_t inv_fq() const { return inversions[1]; }
     uint64_t total() const { return counts[0] + counts[1]; }
     void reset() { *this = ModmulCounters{}; }
 };
@@ -67,6 +75,20 @@ class ModmulScope
     }
 
     uint64_t total_delta() const { return fr_delta() + fq_delta(); }
+
+    /** Fr inversions since entry. */
+    uint64_t
+    inv_fr_delta() const
+    {
+        return modmul_counters().inv_fr() - start_.inv_fr();
+    }
+
+    /** Fq inversions since entry. */
+    uint64_t
+    inv_fq_delta() const
+    {
+        return modmul_counters().inv_fq() - start_.inv_fq();
+    }
 
     /** Of fr_delta(), the muls that ran inside multi-chunk regions. */
     uint64_t

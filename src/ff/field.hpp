@@ -227,6 +227,7 @@ class Fp
     Fp
     inverse() const
     {
+        ++modmul_counters().inversions[(int)Params::kCounterTag];
         Repr pm2 = kModulus;
         pm2.sub_assign(Repr(2));
         return pow(pm2);
@@ -243,6 +244,7 @@ class Fp
     inverse_beea() const
     {
         if (is_zero()) return zero();
+        ++modmul_counters().inversions[(int)Params::kCounterTag];
         // Binary extended gcd maintaining the invariants
         //   x * a == u (mod p)   and   y * a == v (mod p).
         // On termination u == 0 and v == gcd(a, p) == 1, hence y = a^{-1}.

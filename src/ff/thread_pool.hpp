@@ -13,10 +13,11 @@
  *  - the chunk partition of [0, n) is a pure function of (n, chunks),
  *    never of which thread runs a chunk, so deterministic merges give
  *    bit-identical results at any worker count;
- *  - modmul counters are exact: chunks run on pool workers measure
- *    their counter delta and migrate it back to the caller, chunks run
- *    inline on the calling thread count directly; both also land in the
- *    caller's `parallel` tally (ff/counters.hpp);
+ *  - modmul and inversion counters are exact: chunks run on pool
+ *    workers measure their counter delta and migrate it back to the
+ *    caller, chunks run inline on the calling thread count directly;
+ *    the modmuls of both also land in the caller's `parallel` tally
+ *    (ff/counters.hpp);
  *  - chunks execute with worker_budget() == 1 so a kernel that nests
  *    parallel_for runs its inner loops inline instead of forking a
  *    second level.
@@ -59,6 +60,8 @@ class WorkerPool
         size_t done = 0;  ///< finished chunks (guarded by pool mutex)
         std::atomic<uint64_t> migrated_fr{0};
         std::atomic<uint64_t> migrated_fq{0};
+        std::atomic<uint64_t> migrated_inv_fr{0};
+        std::atomic<uint64_t> migrated_inv_fq{0};
     };
 
     static WorkerPool &
@@ -116,6 +119,8 @@ class WorkerPool
         ModmulCounters &c = modmul_counters();
         c.counts[0] += call.migrated_fr.load();
         c.counts[1] += call.migrated_fq.load();
+        c.inversions[0] += call.migrated_inv_fr.load();
+        c.inversions[1] += call.migrated_inv_fq.load();
         for (int t = 0; t < 2; ++t) {
             c.parallel[t] += c.counts[t] - before.counts[t];
         }
@@ -202,6 +207,8 @@ class WorkerPool
             (*call.fn)(begin, end);
             call.migrated_fr += scope.fr_delta();
             call.migrated_fq += scope.fq_delta();
+            call.migrated_inv_fr += scope.inv_fr_delta();
+            call.migrated_inv_fq += scope.inv_fq_delta();
         } else {
             // Inline on the caller: muls already land on its counters.
             (*call.fn)(begin, end);

@@ -154,11 +154,13 @@ class ProfileRegion
         record_kernel(name_, fr + fq, bytes_in_, bytes_out_, secs);
         // Per-span counter deltas ride as numeric span attributes:
         // rendered into Chrome-trace `args` for Perfetto, and joined
-        // per kernel per job by obs/attrib.
+        // per kernel per job by obs/attrib. inv_fq says how many of the
+        // Fq muls went to field inversions (about 610 each).
         obs::Span::record_complete(
             std::move(name_), "prover", start_, end, 0, 0,
             {{"modmul_fr", double(fr)},
              {"modmul_fq", double(fq)},
+             {"inv_fq", double(scope_.inv_fq_delta())},
              {"bytes_in", double(bytes_in_)},
              {"bytes_out", double(bytes_out_)}});
     }

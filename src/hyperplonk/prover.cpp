@@ -1,6 +1,5 @@
 #include "hyperplonk/prover.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "hyperplonk/permutation.hpp"
@@ -160,6 +159,7 @@ profiled_sumcheck(const std::string &name, const VirtualPolynomial &vp,
     // matching the modeled sumcheck kernel's scope).
     span.arg("modmul_fr", double(scope.fr_delta()));
     span.arg("modmul_fq", double(scope.fq_delta()));
+    span.arg("inv_fq", double(scope.inv_fq_delta()));
     span.arg("bytes_in", double(costs.round_bytes_in +
                                 costs.update_bytes_in));
     span.arg("bytes_out", double(costs.update_bytes_out));
@@ -175,7 +175,14 @@ prove(const ProvingKey &pk, const Witness &witness)
     const pcs::Srs &srs = *pk.srs;
     const size_t mu = index.num_vars;
     const size_t n = index.num_gates();
-    assert(witness.w[0].num_vars() == mu);
+    for (const Mle &col : witness.w) {
+        if (col.num_vars() != mu) {
+            throw std::invalid_argument(
+                "prove: witness column has 2^" +
+                std::to_string(col.num_vars()) + " rows, key has 2^" +
+                std::to_string(mu));
+        }
+    }
 
     Proof proof;
     hash::Transcript tr("hyperplonk-v1");

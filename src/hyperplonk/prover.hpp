@@ -121,7 +121,9 @@ struct Proof {
 std::pair<ProvingKey, VerifyingKey> keygen(
     CircuitIndex index, std::shared_ptr<const pcs::Srs> srs);
 
-/** Generate a HyperPlonk proof. Profiled via hyperplonk/profile.hpp. */
+/** Generate a HyperPlonk proof. Profiled via hyperplonk/profile.hpp.
+ * @throws std::invalid_argument unless every witness column has the
+ *   key's 2^num_vars rows. */
 Proof prove(const ProvingKey &pk, const Witness &witness);
 
 // Ignored by verify: perfbench passes it; a [benchmark] change deletes it.

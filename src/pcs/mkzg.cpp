@@ -1,9 +1,9 @@
 #include "pcs/mkzg.hpp"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
-#include "curve/fixed_base.hpp"
-#include "ff/parallel.hpp"
+#include "curve/batch_affine.hpp"
 
 namespace zkspeed::pcs {
 
@@ -18,21 +18,17 @@ Srs::generate(size_t num_vars, std::mt19937_64 &rng, bool)
     srs.g = curve::g1_generator().to_affine();
     srs.h = curve::g2_generator().to_affine();
 
-    // Level k basis: eq table over the last k entries of tau, scaled into
-    // G1. Computed per level; batch-normalized with one inversion each.
+    // Top level: the eq table over all of tau, scaled into G1 by one
+    // lockstep fixed-base pass. eq_table puts tau_{mu-k} (the variable
+    // level k-1 drops) at the least significant index bit, so summing
+    // it out pairs adjacent entries:
+    //   lagrange[k-1][b] = lagrange[k][2b] + lagrange[k][2b+1],
+    // one batch of affine adds (one inversion) per level.
     srs.lagrange.resize(num_vars + 1);
-    curve::FixedBaseTable g_table(curve::g1_generator());
-    for (size_t k = 0; k <= num_vars; ++k) {
-        std::span<const Fr> suffix(tau.data() + (num_vars - k), k);
-        Mle eq = Mle::eq_table(suffix);
-        std::vector<G1> pts(eq.size());
-        // A fixed-base mul is 32 table adds, ~512 Fq muls.
-        ff::parallel_for(eq.size(), 512, [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) {
-                pts[i] = g_table.mul(eq[i]);
-            }
-        });
-        srs.lagrange[k] = curve::batch_to_affine<curve::G1Params>(pts);
+    srs.lagrange[num_vars] =
+        curve::fixed_base_mul(srs.g, Mle::eq_table(tau).evals());
+    for (size_t k = num_vars; k > 0; --k) {
+        srs.lagrange[k - 1] = curve::pairwise_sums(srs.lagrange[k]);
     }
 
     G2 h = curve::g2_generator();
@@ -43,10 +39,26 @@ Srs::generate(size_t num_vars, std::mt19937_64 &rng, bool)
     return srs;
 }
 
+namespace {
+
+/** A polynomial larger than the SRS would index past its last level. */
+void
+check_fits(const char *where, const Srs &srs, size_t num_vars)
+{
+    if (num_vars > srs.num_vars) {
+        throw std::invalid_argument(
+            std::string(where) + ": polynomial has 2^" +
+            std::to_string(num_vars) + " rows, SRS for 2^" +
+            std::to_string(srs.num_vars));
+    }
+}
+
+}  // namespace
+
 G1Affine
 commit(const Srs &srs, const Mle &poly)
 {
-    assert(poly.num_vars() <= srs.num_vars);
+    check_fits("pcs::commit", srs, poly.num_vars());
     return curve::msm(srs.lagrange[poly.num_vars()], poly.evals())
         .to_affine();
 }
@@ -54,7 +66,7 @@ commit(const Srs &srs, const Mle &poly)
 G1Affine
 commit_sparse(const Srs &srs, const Mle &poly, curve::MsmStats *stats)
 {
-    assert(poly.num_vars() <= srs.num_vars);
+    check_fits("pcs::commit_sparse", srs, poly.num_vars());
     return curve::msm_sparse(srs.lagrange[poly.num_vars()], poly.evals(),
                              stats)
         .to_affine();
@@ -63,7 +75,12 @@ commit_sparse(const Srs &srs, const Mle &poly, curve::MsmStats *stats)
 std::pair<OpeningProof, Fr>
 open(const Srs &srs, const Mle &poly, std::span<const Fr> point)
 {
-    assert(poly.num_vars() == point.size());
+    check_fits("pcs::open", srs, poly.num_vars());
+    if (poly.num_vars() != point.size()) {
+        throw std::invalid_argument(
+            "pcs::open: polynomial has " + std::to_string(poly.num_vars()) +
+            " variables, point has " + std::to_string(point.size()));
+    }
     const size_t mu = poly.num_vars();
     OpeningProof proof;
     proof.quotients.reserve(mu);

@@ -44,7 +44,8 @@ struct Srs {
     /**
      * lagrange[k][i] = eq(last k entries of tau, i) * g, for k = 0..mu.
      * lagrange[mu] is the commitment basis; smaller levels commit opening
-     * quotients.
+     * quotients. Only lagrange[mu] is built by scalar multiplication;
+     * each lower level is the pairwise sum of the one above.
      */
     std::vector<std::vector<G1Affine>> lagrange;
     G1Affine g;
@@ -66,16 +67,22 @@ struct OpeningProof {
     std::vector<G1Affine> quotients;
 };
 
-/** Commit to an MLE (Pippenger MSM against the Lagrange basis). */
+/** Commit to an MLE (Pippenger MSM against the Lagrange basis).
+ * @throws std::invalid_argument when poly has more variables than the
+ *   SRS. */
 G1Affine commit(const Srs &srs, const Mle &poly);
 
-/** Sparse commit for 0/1-heavy tables (witness commitments). */
+/** Sparse commit for 0/1-heavy tables (witness commitments).
+ * @throws std::invalid_argument when poly has more variables than the
+ *   SRS. */
 G1Affine commit_sparse(const Srs &srs, const Mle &poly,
                        curve::MsmStats *stats = nullptr);
 
 /**
  * Open `poly` at `point`; returns the proof and the evaluation v.
  * Performs the halving MSM sequence described in the header comment.
+ * @throws std::invalid_argument when poly has more variables than the
+ *   SRS or than `point` has coordinates.
  */
 std::pair<OpeningProof, Fr> open(const Srs &srs, const Mle &poly,
                                  std::span<const Fr> point);

@@ -6,10 +6,12 @@
 
 #include <random>
 
+#include "curve/batch_affine.hpp"
 #include "curve/fq12.hpp"
 #include "curve/g1.hpp"
 #include "curve/g2.hpp"
 #include "curve/msm.hpp"
+#include "ff/parallel.hpp"
 
 namespace {
 
@@ -316,6 +318,100 @@ TEST(Msm, DuplicateAndNegatedPoints)
     }
     zkspeed::curve::MsmStats st;
     EXPECT_EQ(msm_sparse(pts, scalars, &st), want);
+}
+
+TEST(Msm, GroupedAggregationMatchesNaive)
+{
+    // n >= 1024 picks windows of >= 256 buckets, whose aggregation runs
+    // groups of windows in lockstep behind shared inversions. Two inputs
+    // per size, each checked against msm_naive under budgets 1, 3 and 4
+    // (same value, same Fq muls):
+    //  - all-equal scalars over distinct points: each window fills one
+    //    bucket, so a chunk's triangle chain adds its running sum to
+    //    itself (doubling);
+    //  - +-G and +-2G repeated, with scalars s and -s: buckets cancel or
+    //    hold small multiples of G, so chain adds also cancel.
+    std::mt19937_64 rng(81);
+    const G1 g = g1_generator();
+    const G1Affine ga = g.to_affine();
+    const G1Affine g2 = g.dbl().to_affine();
+    const Fr s = Fr::random(rng);
+    // The first MSM in a process builds the GLV constants; keep those
+    // one-off muls out of the budget-1 count.
+    msm(std::vector{ga}, std::vector{Fr::one()});
+    for (size_t n : {1024u, 2048u, 4096u}) {
+        std::vector<G1> jac(n);
+        G1 acc = g;
+        const G1 step = g.mul(Fr::from_uint(11));
+        for (size_t i = 0; i < n; ++i) {
+            jac[i] = acc;
+            acc += step;
+        }
+        const auto distinct =
+            batch_to_affine<G1Params>(std::span<const G1>(jac));
+        std::vector<G1Affine> repeated(n);
+        std::vector<Fr> signs(n);
+        for (size_t i = 0; i < n; ++i) {
+            const G1Affine &p = (i % 3 == 0) ? g2 : ga;
+            repeated[i] = (i % 5 < 2) ? p.neg() : p;
+            signs[i] = (i % 7 < 3) ? -s : s;
+        }
+        const std::vector<Fr> equal(n, s);
+        struct Case {
+            const char *name;
+            const std::vector<G1Affine> &pts;
+            const std::vector<Fr> &scalars;
+        };
+        for (const Case &c : {Case{"all-equal scalars", distinct, equal},
+                              Case{"repeated and negated points",
+                                   repeated, signs}}) {
+            const G1 want = msm_naive(c.pts, c.scalars);
+            std::vector<uint64_t> fq;
+            for (size_t budget : {1u, 3u, 4u}) {
+                zkspeed::ff::WorkerBudgetScope scope(budget);
+                zkspeed::ff::ModmulScope muls;
+                EXPECT_EQ(msm(c.pts, c.scalars), want)
+                    << c.name << ", n = " << n << ", budget " << budget;
+                fq.push_back(muls.fq_delta());
+            }
+            EXPECT_EQ(fq[0], fq[1]) << c.name << ", n = " << n;
+            EXPECT_EQ(fq[0], fq[2]) << c.name << ", n = " << n;
+        }
+    }
+}
+
+TEST(BatchAffine, PairwiseSumsHandleIdentityCancelAndDouble)
+{
+    const G1 g = g1_generator();
+    const G1Affine p = g.mul(Fr::from_uint(3)).to_affine();
+    const G1Affine q = g.mul(Fr::from_uint(8)).to_affine();
+    const G1Affine o = G1Affine::identity();
+    const std::vector<G1Affine> pts = {p, q, p, p, p, p.neg(),
+                                       o, q, p, o, o, o};
+    const auto sums = pairwise_sums(pts);
+    ASSERT_EQ(sums.size(), 6u);
+    EXPECT_EQ(sums[0], g.mul(Fr::from_uint(11)).to_affine());
+    EXPECT_EQ(sums[1], g.mul(Fr::from_uint(6)).to_affine());
+    EXPECT_TRUE(sums[2].is_identity());
+    EXPECT_EQ(sums[3], q);
+    EXPECT_EQ(sums[4], p);
+    EXPECT_TRUE(sums[5].is_identity());
+}
+
+TEST(BatchAffine, FixedBaseMulMatchesDoubleAndAdd)
+{
+    // Covers zero, one, r - 1, scalars whose top windows are zero, and
+    // a random run longer than one lockstep block.
+    std::mt19937_64 rng(82);
+    const G1 g = g1_generator();
+    std::vector<Fr> scalars = {Fr::zero(), Fr::one(), -Fr::one(),
+                               Fr::from_uint(255), Fr::from_uint(256)};
+    while (scalars.size() < 1100) scalars.push_back(Fr::random(rng));
+    const auto got = fixed_base_mul(g.to_affine(), scalars);
+    ASSERT_EQ(got.size(), scalars.size());
+    for (size_t i = 0; i < scalars.size(); ++i) {
+        ASSERT_EQ(got[i], g.mul(scalars[i]).to_affine()) << "i = " << i;
+    }
 }
 
 TEST(Msm, SignedKernelMatchesDiscreteLogOracle)

@@ -7,6 +7,7 @@
 
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "hyperplonk/prover.hpp"
 
@@ -106,6 +107,26 @@ TEST(E2e, RejectsCheatingWitness)
     ASSERT_FALSE(bad.satisfies_gates(s.pk.index));
     Proof proof = prove(s.pk, bad);
     EXPECT_FALSE(verify(s.vk, s.publics, proof));
+}
+
+TEST(E2e, WitnessOfTheWrongSizeThrows)
+{
+    // A 2^6 witness against a 2^3 key would commit against Lagrange
+    // levels the SRS does not have; prove rejects it naming both sizes.
+    E2eContext s = make_setup(3, 94);
+    std::mt19937_64 rng(95);
+    Witness big = random_circuit(6, rng).second;
+    EXPECT_THROW(prove(s.pk, big), std::invalid_argument);
+    try {
+        prove(s.pk, big);
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("2^6"), std::string::npos);
+        EXPECT_NE(std::string(e.what()).find("2^3"), std::string::npos);
+    }
+    // One short column is enough.
+    Witness ragged = s.wit;
+    ragged.w[1] = Mle(2);
+    EXPECT_THROW(prove(s.pk, ragged), std::invalid_argument);
 }
 
 TEST(E2e, RejectsBrokenWiring)

@@ -53,6 +53,33 @@ TEST(Parallel, CounterMigrationPreservesTotals)
         << "worker muls must migrate back, all tallied as parallel";
 }
 
+TEST(Parallel, InversionCountsMigrate)
+{
+    // Inversions are tallied per field, and worker-side ones migrate
+    // back like modmuls do.
+    std::mt19937_64 rng(605);
+    std::vector<Fr> xs(64);
+    for (auto &x : xs) x = Fr::random(rng);
+    auto run = [&](size_t threads) {
+        ParallelismGuard guard(threads);
+        ff::ModmulScope scope;
+        std::vector<Fr> out(xs.size());
+        ff::parallel_for(xs.size(), ff::kGrainModmuls,
+                         [&](size_t b, size_t e) {
+                             for (size_t i = b; i < e; ++i) {
+                                 out[i] = xs[i].inverse();
+                             }
+                         });
+        ff::Fq::one().dbl().inverse();
+        return std::make_tuple(scope.inv_fr_delta(), scope.inv_fq_delta(),
+                               scope.fr_delta());
+    };
+    const auto serial = run(1);
+    EXPECT_EQ(std::get<0>(serial), xs.size());
+    EXPECT_EQ(std::get<1>(serial), 1u);
+    EXPECT_EQ(run(4), serial);
+}
+
 TEST(Parallel, GrainRuleSplitsByWorkNotSize)
 {
     // The same item count runs inline or splits depending only on the
@@ -85,8 +112,11 @@ TEST(Parallel, MsmIdenticalAcrossThreadCounts)
     const curve::G1 step = g.mul(Fr::from_uint(7));
     // n = 1 and 4 take the direct 255-bit path, 31 is the last size
     // below the GLV split and 32 the first above it, and 1024 sits in
-    // the range whose windows used to run serially.
-    for (size_t n : {1u, 4u, 31u, 32u, 1024u, 6000u, 1u << 15}) {
+    // the range whose windows used to run serially. From 1024 up the
+    // windows aggregate in groups; 2048 and 4096 are the opening and
+    // commit sizes of a 2^12 proof.
+    for (size_t n :
+         {1u, 4u, 31u, 32u, 1024u, 2048u, 4096u, 6000u, 1u << 15}) {
         std::vector<curve::G1> jac(n);  // P_i = (7i + 1) G
         std::vector<Fr> scalars(n);
         curve::G1 acc = g;
@@ -241,18 +271,25 @@ TEST(Parallel, PoolReusesWorkersAcrossCalls)
 
 TEST(Parallel, SrsGenerationIdenticalAcrossThreadCounts)
 {
-    auto gen = [&](size_t threads) {
-        ParallelismGuard guard(threads);
-        std::mt19937_64 rng(604);
-        return pcs::Srs::generate(5, rng);
-    };
-    pcs::Srs a = gen(1);
-    pcs::Srs b = gen(8);
-    ASSERT_EQ(a.lagrange.size(), b.lagrange.size());
-    for (size_t k = 0; k < a.lagrange.size(); ++k) {
-        ASSERT_EQ(a.lagrange[k].size(), b.lagrange[k].size());
-        for (size_t i = 0; i < a.lagrange[k].size(); ++i) {
-            EXPECT_EQ(a.lagrange[k][i], b.lagrange[k][i]);
+    // Points *and* Fq-mul counts must not depend on the worker count.
+    // mu = 11 spans two lockstep blocks of the fixed-base pass.
+    for (size_t mu : {5u, 11u}) {
+        auto gen = [&](size_t threads) {
+            ParallelismGuard guard(threads);
+            std::mt19937_64 rng(604);
+            ff::ModmulScope scope;
+            pcs::Srs srs = pcs::Srs::generate(mu, rng);
+            return std::make_pair(std::move(srs), scope.fq_delta());
+        };
+        auto [a, a_fq] = gen(1);
+        auto [b, b_fq] = gen(8);
+        EXPECT_EQ(a_fq, b_fq) << "mu = " << mu;
+        ASSERT_EQ(a.lagrange.size(), b.lagrange.size());
+        for (size_t k = 0; k < a.lagrange.size(); ++k) {
+            ASSERT_EQ(a.lagrange[k].size(), b.lagrange[k].size());
+            for (size_t i = 0; i < a.lagrange[k].size(); ++i) {
+                EXPECT_EQ(a.lagrange[k][i], b.lagrange[k][i]);
+            }
         }
     }
 }

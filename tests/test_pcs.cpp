@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
+#include <string>
 
 #include "pcs/mkzg.hpp"
 
@@ -82,6 +84,53 @@ TEST(Pcs, CommitmentIsEvaluationAtTau)
     Fr f_tau = f.evaluate(tau);
     EXPECT_EQ(G1::from_affine(commit(srs, f)),
               zkspeed::curve::g1_generator().mul(f_tau));
+}
+
+TEST(Pcs, DerivedSrsMatchesPerLevelEqTable)
+{
+    // Srs::generate builds only the top level and sums adjacent pairs
+    // down. The oracle is the per-level construction: level k is the eq
+    // table over the last k taus, each entry times g by double-and-add.
+    const G1 g = zkspeed::curve::g1_generator();
+    for (size_t mu : {0u, 1u, 3u, 8u}) {
+        std::mt19937_64 rng(77 + mu);
+        std::mt19937_64 replay = rng;
+        Srs srs = Srs::generate(mu, rng);
+        auto tau = random_point(mu, replay);
+        ASSERT_EQ(srs.lagrange.size(), mu + 1);
+        for (size_t k = 0; k <= mu; ++k) {
+            Mle eq = Mle::eq_table(
+                std::span<const Fr>(tau.data() + (mu - k), k));
+            ASSERT_EQ(srs.lagrange[k].size(), eq.size());
+            for (size_t i = 0; i < eq.size(); ++i) {
+                ASSERT_EQ(srs.lagrange[k][i], g.mul(eq[i]).to_affine())
+                    << "mu = " << mu << ", level " << k << ", entry " << i;
+            }
+        }
+    }
+}
+
+TEST(Pcs, OversizedPolynomialThrows)
+{
+    // A 2^6 table against a 2^3 SRS would index past the last Lagrange
+    // level; every entry point rejects it naming both sizes.
+    std::mt19937_64 rng(78);
+    Srs srs = Srs::generate(3, rng);
+    Mle big = Mle::random(6, rng);
+    auto z = random_point(6, rng);
+    EXPECT_THROW(commit(srs, big), std::invalid_argument);
+    EXPECT_THROW(commit_sparse(srs, big), std::invalid_argument);
+    EXPECT_THROW(open(srs, big, z), std::invalid_argument);
+    try {
+        commit(srs, big);
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("2^6"), std::string::npos);
+        EXPECT_NE(std::string(e.what()).find("2^3"), std::string::npos);
+    }
+    // A point with the wrong number of coordinates is rejected too.
+    Mle small = Mle::random(3, rng);
+    EXPECT_THROW(open(srs, small, random_point(2, rng)),
+                 std::invalid_argument);
 }
 
 TEST(Pcs, CommitmentHomomorphism)
