@@ -37,8 +37,8 @@ digit_at(const Fr::Repr &r, unsigned off, unsigned w)
 // sharing one inversion over their slope denominators (the paper's
 // bucket-aggregation trick, software twin of bench_fig5 / bench_fig8),
 // making an addition cost ~6 Fq muls instead of the ~11 of a Jacobian
-// mixed add. Large MSMs are first halved in scalar width by the GLV
-// endomorphism split below.
+// mixed add. Every MSM of two or more points is first halved in scalar
+// width by the GLV endomorphism split below.
 // See DESIGN.md section 12 for the soundness argument.
 // ---------------------------------------------------------------------------
 
@@ -48,7 +48,7 @@ digit_at(const Fr::Repr &r, unsigned off, unsigned w)
  * 2^{w-1} and absorbs the final carry for free; only when w divides
  * bits exactly is an extra carry-only window needed. */
 inline unsigned
-num_signed_windows(unsigned w, unsigned bits)
+num_windows(unsigned w, unsigned bits)
 {
     unsigned nw = (bits + w - 1) / w;
     if (bits % w == 0) ++nw;
@@ -64,31 +64,26 @@ window_cost(size_t n, unsigned w)
     return 6.0 * double(n) + 12.5 * double(1u << (w - 1));
 }
 
-/** Cost-model window choice for the signed kernel: minimize
+/** Window widths the cost model searches. A w-bit digit mask needs
+ * w < 64, and 2^{w-1} buckets per window must stay bounded. */
+constexpr unsigned kMinWindowBits = 2;
+constexpr unsigned kMaxWindowBits = 16;
+
+/** Cost-model window choice: minimize
  * nw(w) * window_cost(n, w). */
 unsigned
-auto_signed_window(size_t n, unsigned bits)
+auto_window(size_t n, unsigned bits)
 {
     unsigned best_w = kMinWindowBits;
     double best_cost = 0;
     for (unsigned w = kMinWindowBits; w <= kMaxWindowBits; ++w) {
-        double cost = double(num_signed_windows(w, bits)) * window_cost(n, w);
+        double cost = double(num_windows(w, bits)) * window_cost(n, w);
         if (best_cost == 0 || cost < best_cost) {
             best_cost = cost;
             best_w = w;
         }
     }
     return best_w;
-}
-
-/** Window for an n-point MSM over `bits`-bit scalars: the cost model's
- * choice when window == 0, else the override clamped to
- * [kMinWindowBits, kMaxWindowBits]. */
-unsigned
-signed_window(unsigned window, size_t n, unsigned bits)
-{
-    if (window == 0) return auto_signed_window(n, bits);
-    return std::clamp(window, kMinWindowBits, kMaxWindowBits);
 }
 
 /** Signed-digit recoding of one scalar into a column-major digit matrix
@@ -127,12 +122,11 @@ decompose_signed(const Fr::Repr &r, unsigned w, unsigned nw, int32_t *col,
 // Every constant is derived and validated at startup rather than
 // transcribed: lambda is found as an order-3 element of Fr* and checked
 // against r limb-for-limb, beta as an order-3 element of Fq* checked by
-// comparing phi(G) with lambda*G on the actual generator. If any check
-// fails, ok stays false and msm() keeps the direct 255-bit path.
+// comparing phi(G) with lambda*G on the actual generator. A failed check
+// throws std::logic_error naming it: there is no unsplit fallback.
 // ---------------------------------------------------------------------------
 
 struct GlvCtx {
-    bool ok = false;
     uint64_t lam[2] = {0, 0};    ///< lambda; lambda^2 + lambda + 1 == r.
     uint64_t recip[2] = {0, 0};  ///< floor(2^255 / lambda).
     Fq beta;                     ///< phi(x, y) = (beta x, y).
@@ -157,7 +151,7 @@ mul_2x2(const uint64_t a[2], const uint64_t b[2], uint64_t out[4])
 }
 
 /** (m - 1) / 3 when exact; returns false when 3 does not divide m - 1
- * (no order-3 element exists, so no GLV). m is odd (a field modulus). */
+ * (no order-3 element exists). m is odd (a field modulus). */
 template <size_t N>
 bool
 sub1_div3(ff::BigInt<N> m, ff::BigInt<N> &out)
@@ -173,7 +167,7 @@ sub1_div3(ff::BigInt<N> m, ff::BigInt<N> &out)
 }
 
 /** An element of multiplicative order 3, or zero() when none is found
- * from small bases (then GLV is disabled). */
+ * from small bases. */
 template <typename F, size_t N>
 F
 order3_element(const ff::BigInt<N> &exp)
@@ -195,9 +189,13 @@ build_glv()
     // pairs {t, t^2} (the two primitive cube roots); only one lift is
     // < 2^128, and the exact-integer check rejects everything else.
     ff::BigInt<Fr::kLimbs> e3r;
-    if (!sub1_div3(Fr::kModulus, e3r)) return g;
+    if (!sub1_div3(Fr::kModulus, e3r)) {
+        throw std::logic_error("GLV: 3 does not divide r - 1");
+    }
     Fr t = order3_element<Fr>(e3r);
-    if (t == Fr::zero()) return g;
+    if (t == Fr::zero()) {
+        throw std::logic_error("GLV: no element of order 3 in Fr");
+    }
     Fr lam_fr = Fr::zero();
     for (Fr cand : {t, t * t}) {
         auto rep = cand.to_repr();
@@ -221,7 +219,11 @@ build_glv()
             lam_fr = cand;
         }
     }
-    if (lam_fr == Fr::zero()) return g;
+    if (lam_fr == Fr::zero()) {
+        throw std::logic_error(
+            "GLV: no cube root of unity in Fr lifts to a lambda with "
+            "lambda^2 + lambda + 1 == r");
+    }
 
     // recip = floor(2^255 / lambda) by binary long division; must fit
     // 128 bits (i.e. lambda > 2^127) for the split's error bound.
@@ -244,7 +246,10 @@ build_glv()
                 q[i / 64] |= uint64_t(1) << (i % 64);
             }
         }
-        if (q[2] != 0) return g;
+        if (q[2] != 0) {
+            throw std::logic_error("GLV: floor(2^255 / lambda) exceeds "
+                                   "128 bits");
+        }
         g.recip[0] = q[0];
         g.recip[1] = q[1];
     }
@@ -254,19 +259,23 @@ build_glv()
     // lambda^2). G1 is cyclic of prime order, so checking the generator
     // proves phi acts as lambda on every subgroup point.
     ff::BigInt<Fq::kLimbs> e3q;
-    if (!sub1_div3(Fq::kModulus, e3q)) return g;
+    if (!sub1_div3(Fq::kModulus, e3q)) {
+        throw std::logic_error("GLV: 3 does not divide q - 1");
+    }
     Fq u = order3_element<Fq>(e3q);
-    if (u == Fq::zero()) return g;
+    if (u == Fq::zero()) {
+        throw std::logic_error("GLV: no element of order 3 in Fq");
+    }
     const G1Affine gen = G1Params::generator();
     const G1 lam_g = G1::from_affine(gen).mul(lam_fr);
     for (Fq cand : {u, u * u}) {
         if (G1::from_affine(G1Affine(cand * gen.x, gen.y)) == lam_g) {
             g.beta = cand;
-            g.ok = true;
-            break;
+            return g;
         }
     }
-    return g;
+    throw std::logic_error(
+        "GLV: no cube root of unity beta in Fq gives phi(G) == lambda * G");
 }
 
 const GlvCtx &
@@ -281,8 +290,7 @@ glv_ctx()
  * the precomputed reciprocal: q^ = floor(s * recip / 2^255) undershoots
  * floor(s / lambda) by at most 2 and is corrected by subtraction. */
 inline void
-glv_split(const Fr::Repr &s, const GlvCtx &g, uint64_t s1[2],
-          uint64_t s2[2])
+glv_split(const Fr::Repr &s, const GlvCtx &g, Fr::Repr &s1, Fr::Repr &s2)
 {
     using u128 = unsigned __int128;
     uint64_t p[6] = {0, 0, 0, 0, 0, 0};
@@ -324,10 +332,12 @@ glv_split(const Fr::Repr &s, const GlvCtx &g, uint64_t s1[2],
         r4[3] -= uint64_t((d >> 64) & 1);
         if (++q0 == 0) ++q1;
     }
-    s1[0] = r4[0];
-    s1[1] = r4[1];
-    s2[0] = q0;
-    s2[1] = q1;
+    s1 = Fr::Repr(0);
+    s1.limbs[0] = r4[0];
+    s1.limbs[1] = r4[1];
+    s2 = Fr::Repr(0);
+    s2.limbs[0] = q0;
+    s2.limbs[1] = q1;
 }
 
 /** Aggregation switches from the Jacobian running sum to chunked
@@ -535,7 +545,7 @@ pippenger_signed(std::span<const G1Affine> points,
                  unsigned bits)
 {
     const size_t n = points.size();
-    const unsigned nw = num_signed_windows(w, bits);
+    const unsigned nw = num_windows(w, bits);
     const unsigned half = 1u << (w - 1);
 
     // Signed-digit recoding, column-major so each window walks a
@@ -609,15 +619,10 @@ pippenger_signed(std::span<const G1Affine> points,
     return result;
 }
 
-/** GLV threshold: below this the split's phi-points and divisions cost
- * more than the halved aggregation saves (and keeping small MSMs on the
- * direct path keeps both code paths unit-test-covered). */
-constexpr size_t kGlvMinPoints = 32;
 constexpr unsigned kGlvBits = 128;
 
 G1
-pippenger_glv(std::span<const G1Affine> points,
-              std::span<const Fr::Repr> reprs, unsigned window,
+pippenger_glv(std::span<const G1Affine> points, std::span<const Fr> scalars,
               const GlvCtx &g)
 {
     const size_t n = points.size();
@@ -625,60 +630,45 @@ pippenger_glv(std::span<const G1Affine> points,
     // stays a single sequential read; the matching scalar halves sit at
     // the same indices. phi of the identity is the identity (the digit
     // pass zeroes its columns either way).
-    // Per point: one Fq mul for phi plus the scalar division (about
-    // another mul's time).
+    // Per point: one Fq mul for phi, plus the scalar's Montgomery
+    // reduction and division (about one mul's time each).
     std::vector<G1Affine> pts2(2 * n);
     std::vector<Fr::Repr> reprs2(2 * n);
-    ff::parallel_for(n, 2, [&](size_t begin, size_t end) {
+    ff::parallel_for(n, 3, [&](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
             pts2[2 * i] = points[i];
             pts2[2 * i + 1] =
                 points[i].is_identity()
                     ? points[i]
                     : G1Affine(g.beta * points[i].x, points[i].y);
-            uint64_t s1[2], s2[2];
-            glv_split(reprs[i], g, s1, s2);
-            Fr::Repr r1(0), r2(0);
-            r1.limbs[0] = s1[0];
-            r1.limbs[1] = s1[1];
-            r2.limbs[0] = s2[0];
-            r2.limbs[1] = s2[1];
-            reprs2[2 * i] = r1;
-            reprs2[2 * i + 1] = r2;
+            glv_split(scalars[i].to_repr(), g, reprs2[2 * i],
+                      reprs2[2 * i + 1]);
         }
     });
-    return pippenger_signed(pts2, reprs2,
-                            signed_window(window, 2 * n, kGlvBits), kGlvBits);
-}
-
-std::vector<Fr::Repr>
-to_reprs(std::span<const Fr> scalars)
-{
-    // One (uncounted) Montgomery reduction per scalar.
-    std::vector<Fr::Repr> reprs(scalars.size());
-    ff::parallel_for(scalars.size(), 1, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) reprs[i] = scalars[i].to_repr();
-    });
-    return reprs;
+    return pippenger_signed(pts2, reprs2, auto_window(2 * n, kGlvBits),
+                            kGlvBits);
 }
 
 }  // namespace
 
 G1
-msm(std::span<const G1Affine> points, std::span<const Fr> scalars,
-    unsigned window)
+msm(std::span<const G1Affine> points, std::span<const Fr> scalars)
 {
     if (points.size() != scalars.size()) {
         throw MsmSizeError("curve::msm", points.size(), scalars.size());
     }
     if (points.empty()) return G1::identity();
+    // Validated on the first call of any size, so a one-point warm-up
+    // also pays the one-off cost and a failed check throws at once.
     const GlvCtx &g = glv_ctx();
-    if (g.ok && points.size() >= kGlvMinPoints) {
-        return pippenger_glv(points, to_reprs(scalars), window, g);
-    }
-    return pippenger_signed(points, to_reprs(scalars),
-                            signed_window(window, points.size(), Fr::kBits),
-                            Fr::kBits);
+    if (points.size() > 1) return pippenger_glv(points, scalars, g);
+    // A single point keeps its 255-bit digits: alone it never pairs in
+    // a bucket, so it pays no inversion, while the split's P and phi(P)
+    // pair wherever their digits meet and pay one inversion per pair
+    // (10,272 Fq muls against 3,978).
+    const Fr::Repr r = scalars[0].to_repr();
+    return pippenger_signed(points, std::span(&r, 1),
+                            auto_window(1, Fr::kBits), Fr::kBits);
 }
 
 namespace {
@@ -743,7 +733,7 @@ tree_sum(std::span<const G1Affine> points)
 
 G1
 msm_sparse(std::span<const G1Affine> points, std::span<const Fr> scalars,
-           MsmStats *stats, unsigned window)
+           MsmStats *stats)
 {
     if (points.size() != scalars.size()) {
         throw MsmSizeError("curve::msm_sparse", points.size(),
@@ -769,7 +759,7 @@ msm_sparse(std::span<const G1Affine> points, std::span<const Fr> scalars,
     if (stats != nullptr) *stats = st;
     G1 result = tree_sum(one_points);
     if (!dense_points.empty()) {
-        result += msm(dense_points, dense_scalars, window);
+        result += msm(dense_points, dense_scalars);
     }
     return result;
 }

@@ -9,11 +9,15 @@
  * 1-scalar points directly and runs Pippenger only on the dense remainder,
  * exactly like the zkSpeed/SZKP scheme.
  *
- * The dense kernel uses signed-digit (wNAF-style) windows, which halve the
- * bucket count, and accumulates buckets in affine coordinates with batched
- * inversion over the pending-add slopes — the software twin of the paper's
+ * The dense kernel has one configuration, chosen only by the point count.
+ * Two or more points are split by the GLV endomorphism into twice as many
+ * 128-bit scalars; a single point keeps its 255-bit scalar. Both then run
+ * signed-digit (wNAF-style) windows, which halve the bucket count, and
+ * accumulate buckets in affine coordinates with batched inversion over
+ * the pending-add slopes — the software twin of the paper's
  * bucket-aggregation scheme (Section 4.2 / bench_fig5), built on the
- * ff::batch_inverse idiom of bench_fig8. See DESIGN.md section 12.
+ * ff::batch_inverse idiom of bench_fig8. A cost model picks the window
+ * width from the point count. See DESIGN.md section 12.
  */
 #pragma once
 
@@ -57,34 +61,27 @@ class MsmSizeError : public std::runtime_error
     size_t scalars;  ///< number of scalars passed
 };
 
-/** Clamp of user-supplied window overrides; [2, 16]. A shift by >= 64
- * bits is UB and 2^w buckets per worker must stay bounded. */
-inline constexpr unsigned kMinWindowBits = 2;
-inline constexpr unsigned kMaxWindowBits = 16;
-
 /**
- * Dense MSM via Pippenger's bucket method (signed digits + affine
- * batch-add bucket accumulation).
+ * Dense MSM via Pippenger's bucket method (GLV split for n >= 2, signed
+ * digits, affine batch-add bucket accumulation).
  *
  * @param points base points (affine).
  * @param scalars multipliers, same length as points.
- * @param window window size in bits; 0 selects automatically, other
- *        values are clamped to [kMinWindowBits, kMaxWindowBits].
  * @throws MsmSizeError when the span lengths differ.
+ * @throws std::logic_error when the GLV constants, derived on the first
+ *         call, fail validation (there is no unsplit fallback).
  */
-G1 msm(std::span<const G1Affine> points, std::span<const ff::Fr> scalars,
-       unsigned window = 0);
+G1 msm(std::span<const G1Affine> points, std::span<const ff::Fr> scalars);
 
 /**
  * Sparse MSM: skips zero scalars, tree-sums one-scalar points, and runs
- * Pippenger on the dense remainder.
+ * msm() on the dense remainder.
  *
  * @param stats optional out-parameter for the scalar population.
  * @throws MsmSizeError when the span lengths differ.
  */
 G1 msm_sparse(std::span<const G1Affine> points,
-              std::span<const ff::Fr> scalars, MsmStats *stats = nullptr,
-              unsigned window = 0);
+              std::span<const ff::Fr> scalars, MsmStats *stats = nullptr);
 
 /**
  * Pairwise (binary-tree) sum of affine points. This mirrors the zkSpeed

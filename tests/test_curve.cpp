@@ -106,6 +106,39 @@ TEST(G1, BatchToAffine)
     }
 }
 
+/** MSM sizes whose automatic windows are w = 3, 4, 5, 8 and 9: w divides
+ * the 128-bit GLV halves at 16 and 512 points and does not at 2, 31 and
+ * 1024 (where windows aggregate in groups). */
+constexpr size_t kWindowSizes[] = {2, 16, 31, 512, 1024};
+
+/** Index runs of length n over `cases` entries: consecutive slices when
+ * n < cases (the last one wraps around), else one run cycling through
+ * them all. */
+std::vector<std::vector<size_t>>
+runs_over(size_t cases, size_t n)
+{
+    std::vector<std::vector<size_t>> runs;
+    for (size_t start = 0; start < cases; start += n) {
+        std::vector<size_t> run(n);
+        for (size_t i = 0; i < n; ++i) run[i] = (start + i) % cases;
+        runs.push_back(std::move(run));
+    }
+    return runs;
+}
+
+/** n points P_0 = G, P_{i+1} = 2 P_i + G: distinct and nonzero. */
+std::vector<G1Affine>
+doubling_chain(size_t n)
+{
+    std::vector<G1> jac(n);
+    G1 acc = g1_generator();
+    for (size_t i = 0; i < n; ++i) {
+        jac[i] = acc;
+        acc = acc.dbl() + g1_generator();
+    }
+    return batch_to_affine<G1Params>(std::span<const G1>(jac));
+}
+
 class MsmTest : public ::testing::TestWithParam<size_t>
 {
 };
@@ -121,16 +154,14 @@ TEST_P(MsmTest, PippengerMatchesNaive)
         points[i] = g.mul(Fr::random(rng)).to_affine();
         scalars[i] = Fr::random(rng);
     }
-    G1 expect = msm_naive(points, scalars);
-    EXPECT_EQ(msm(points, scalars), expect);
-    // Explicit window sizes matching the paper's design space (Table 2).
-    for (unsigned w : {7u, 8u, 9u, 10u}) {
-        EXPECT_EQ(msm(points, scalars, w), expect) << "window " << w;
-    }
+    EXPECT_EQ(msm(points, scalars), msm_naive(points, scalars));
 }
 
+// n = 1 is the unsplit path; the rest take the GLV split, and 16, 512
+// and 1024 add the window widths of kWindowSizes.
 INSTANTIATE_TEST_SUITE_P(Sizes, MsmTest,
-                         ::testing::Values(1, 2, 3, 31, 32, 33, 100, 257));
+                         ::testing::Values(1, 2, 3, 16, 31, 32, 33, 100, 257,
+                                           512, 1024));
 
 TEST(Msm, EdgeCaseScalars)
 {
@@ -221,27 +252,6 @@ TEST(Msm, SizeMismatchThrowsStructuredError)
                     .is_identity());
 }
 
-TEST(Msm, WindowClampBoundaries)
-{
-    // window >= 64 used to hit uint64_t(1) << w UB; any out-of-range
-    // value must clamp into [kMinWindowBits, kMaxWindowBits] and still
-    // produce the correct result.
-    std::mt19937_64 rng(77);
-    const size_t n = 33;
-    std::vector<G1Affine> pts(n);
-    std::vector<Fr> scalars(n);
-    G1 acc = g1_generator();
-    for (size_t i = 0; i < n; ++i) {
-        pts[i] = acc.to_affine();
-        acc = acc.dbl() + g1_generator();
-        scalars[i] = Fr::random(rng);
-    }
-    G1 want = msm_naive(pts, scalars);
-    for (unsigned w : {1u, 2u, 3u, 15u, 16u, 17u, 63u, 64u, 65u, 1000u}) {
-        EXPECT_EQ(msm(pts, scalars, w), want) << "window " << w;
-    }
-}
-
 TEST(Msm, SignedDigitAdversarialScalars)
 {
     // Scalars chosen to stress the signed-digit recoding: 0, 1, r-1
@@ -267,15 +277,37 @@ TEST(Msm, SignedDigitAdversarialScalars)
     for (size_t l = 0; l < 3; ++l) all_ones.limbs[l] = ~uint64_t(0);
     special.push_back(Fr::from_repr(all_ones));  // 2^192 - 1 < r
 
-    std::vector<G1Affine> pts(special.size());
-    G1 acc = g1_generator();
-    for (size_t i = 0; i < pts.size(); ++i) {
-        pts[i] = acc.to_affine();
-        acc = acc.dbl() + g1_generator();
+    for (size_t n : kWindowSizes) {
+        const auto pts = doubling_chain(n);
+        for (const auto &run : runs_over(special.size(), n)) {
+            std::vector<Fr> scalars(n);
+            for (size_t i = 0; i < n; ++i) scalars[i] = special[run[i]];
+            EXPECT_EQ(msm(pts, scalars), msm_naive(pts, scalars))
+                << "n = " << n << ", first case " << run[0];
+        }
     }
-    G1 want = msm_naive(pts, special);
-    for (unsigned w : {0u, 2u, 5u, 8u, 13u}) {
-        EXPECT_EQ(msm(pts, special, w), want) << "window " << w;
+}
+
+TEST(Msm, GlvSplitBoundaryScalars)
+{
+    // lambda = z^2 - 1 for the BLS parameter z, and r - 1 =
+    // lambda * (lambda + 1). Scalars at and around multiples of lambda
+    // put the split's quotient estimate at its correction boundary:
+    // s1 = s mod lambda lands on 0 or lambda - 1, and r - 1 gives the
+    // largest quotient, s2 = lambda + 1.
+    const Fr z = Fr::from_uint(0xd201000000010000);
+    const Fr lam = z * z - Fr::one();
+    ASSERT_EQ(lam * (lam + Fr::one()), -Fr::one());
+    const std::vector<Fr> cases = {lam - Fr::one(), lam, lam + Fr::one(),
+                                   lam + lam, lam * lam, -Fr::one()};
+    for (size_t n : {2u, 1024u}) {
+        const auto pts = doubling_chain(n);
+        for (const auto &run : runs_over(cases.size(), n)) {
+            std::vector<Fr> scalars(n);
+            for (size_t i = 0; i < n; ++i) scalars[i] = cases[run[i]];
+            EXPECT_EQ(msm(pts, scalars), msm_naive(pts, scalars))
+                << "n = " << n << ", first case " << run[0];
+        }
     }
 }
 
@@ -312,12 +344,20 @@ TEST(Msm, DuplicateAndNegatedPoints)
     pts.push_back(G1Affine::identity());
     scalars.push_back(Fr::random(rng));
 
-    G1 want = msm_naive(pts, scalars);
-    for (unsigned w : {0u, 2u, 4u, 9u}) {
-        EXPECT_EQ(msm(pts, scalars, w), want) << "window " << w;
+    for (size_t n : kWindowSizes) {
+        for (const auto &run : runs_over(pts.size(), n)) {
+            std::vector<G1Affine> p_run(n);
+            std::vector<Fr> s_run(n);
+            for (size_t i = 0; i < n; ++i) {
+                p_run[i] = pts[run[i]];
+                s_run[i] = scalars[run[i]];
+            }
+            EXPECT_EQ(msm(p_run, s_run), msm_naive(p_run, s_run))
+                << "n = " << n << ", first case " << run[0];
+        }
     }
     zkspeed::curve::MsmStats st;
-    EXPECT_EQ(msm_sparse(pts, scalars, &st), want);
+    EXPECT_EQ(msm_sparse(pts, scalars, &st), msm_naive(pts, scalars));
 }
 
 TEST(Msm, GroupedAggregationMatchesNaive)

@@ -110,13 +110,13 @@ TEST(Parallel, MsmIdenticalAcrossThreadCounts)
     const curve::G1 g = curve::g1_generator();
     curve::msm(std::vector{g.to_affine()}, std::vector{Fr::one()});
     const curve::G1 step = g.mul(Fr::from_uint(7));
-    // n = 1 and 4 take the direct 255-bit path, 31 is the last size
-    // below the GLV split and 32 the first above it, and 1024 sits in
-    // the range whose windows used to run serially. From 1024 up the
-    // windows aggregate in groups; 2048 and 4096 are the opening and
-    // commit sizes of a 2^12 proof.
-    for (size_t n :
-         {1u, 4u, 31u, 32u, 1024u, 2048u, 4096u, 6000u, 1u << 15}) {
+    // n = 1 is the only size that keeps its 255-bit scalars; from
+    // n = 2 up every MSM takes the GLV split, and 2 and 3 are its
+    // smallest sizes. 1024 sits in the range whose windows used to run
+    // serially; from there up the windows aggregate in groups, and
+    // 2048 and 4096 are the opening and commit sizes of a 2^12 proof.
+    for (size_t n : {1u, 2u, 3u, 4u, 31u, 32u, 1024u, 2048u, 4096u, 6000u,
+                     1u << 15}) {
         std::vector<curve::G1> jac(n);  // P_i = (7i + 1) G
         std::vector<Fr> scalars(n);
         curve::G1 acc = g;
