@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "ff/batch_inverse.hpp"
+#include "ff/lanes8.hpp"
 #include "ff/parallel.hpp"
 
 namespace zkspeed::curve {
@@ -10,28 +11,130 @@ namespace zkspeed::curve {
 using ff::Fq;
 using ff::Fr;
 
-void
-AffineBatch::invert()
+namespace {
+
+using detail::PendingAdd;
+
+constexpr unsigned kLanes = ff::kLanes;
+
+/** The sums of the adds at pend[0 .. lanes) given their inverted
+ * denominators, written over x1 and y1: 3 muls per add. */
+template <typename Lanes>
+[[gnu::always_inline]] inline void
+sums(PendingAdd *pend, const typename Lanes::V &inv, unsigned lanes)
 {
-    // The backward peel is its own tight loop so complete()'s per-pair
-    // muls are free of serial dependencies and pipeline. Every
-    // denominator is nonzero by construction (see add), so no zero-skip
-    // is needed.
-    const size_t m = dens_.size();
-    if (prefix_.size() < m) prefix_.resize(m);
-    Fq acc = dens_[0];
-    prefix_[0] = acc;
-    for (size_t j = 1; j < m; ++j) {
-        acc = acc * dens_[j];
-        prefix_[j] = acc;
+    using P = PendingAdd;
+    const auto lambda =
+        Lanes::mul(Lanes::load(pend, &P::num, lanes), inv, lanes);
+    const auto x3 = Lanes::sub(Lanes::mul(lambda, lambda, lanes),
+                               Lanes::load(pend, &P::sum_x, lanes));
+    const auto y3 = Lanes::sub(
+        Lanes::mul(lambda, Lanes::sub(Lanes::load(pend, &P::x1, lanes), x3),
+                   lanes),
+        Lanes::load(pend, &P::y1, lanes));
+    Lanes::store(pend, &P::x1, x3, lanes);
+    Lanes::store(pend, &P::y1, y3, lanes);
+}
+
+/**
+ * Montgomery's trick as 8 interleaved chains, then every sum. With
+ * m = 8g + t, lane c's chain runs over dens[8i + c] for i < g and a
+ * scalar chain runs over the t tail entries. The k chain totals (k = 8,
+ * or 9 when t > 0; k = 1 when g = 0) are combined and inverted once,
+ * and each chain then peels its own inverses off its prefix products.
+ * Muls: 8(g - 1) + (t - 1) for the prefixes, k - 1 to combine, one
+ * inversion, 2(k - 1) to split it, and 2 * 8(g - 1) + 2(t - 1) to peel,
+ * 3m - 3 in all (a missing tail chain drops its three t - 1 terms) —
+ * the count of one chain over all m. Group g's inverses come out of the
+ * peel in registers and feed its sums directly.
+ */
+template <typename Lanes>
+[[gnu::always_inline]] inline void
+finish_on(std::span<PendingAdd> pend, std::span<Fq> dens, Fq *prefix)
+{
+    const size_t m = dens.size();
+    const size_t groups = m / kLanes;
+    const size_t tail = groups * kLanes;  // first entry of the tail chain
+
+    Fq tot[kLanes + 1];  // chain totals, then their inverses
+    size_t k = 0;
+    if (groups > 0) {
+        auto acc = Lanes::load(&dens[0], kLanes);
+        for (size_t g = 1; g < groups; ++g) {
+            Lanes::store(prefix + (g - 1) * kLanes, acc, kLanes);
+            acc = Lanes::mul(acc, Lanes::load(&dens[g * kLanes], kLanes),
+                             kLanes);
+        }
+        Lanes::store(tot, acc, kLanes);
+        k = kLanes;
     }
-    Fq inv = acc.inverse();
-    for (size_t j = m; j-- > 1;) {
-        Fq x_inv = inv * prefix_[j - 1];
-        inv = inv * dens_[j];
-        dens_[j] = x_inv;
+    if (tail < m) {
+        prefix[tail] = dens[tail];
+        for (size_t j = tail + 1; j < m; ++j) {
+            prefix[j] = prefix[j - 1] * dens[j];
+        }
+        tot[k++] = prefix[m - 1];
     }
-    dens_[0] = inv;
+
+    Fq comb[kLanes + 1];
+    comb[0] = tot[0];
+    for (size_t i = 1; i < k; ++i) comb[i] = comb[i - 1] * tot[i];
+    Fq inv = comb[k - 1].inverse();
+    for (size_t i = k; i-- > 1;) {
+        const Fq inv_i = inv * comb[i - 1];
+        inv = inv * tot[i];
+        tot[i] = inv_i;
+    }
+    tot[0] = inv;
+
+    if (tail < m) {
+        Fq t_inv = tot[k - 1];
+        for (size_t j = m; --j > tail;) {
+            const Fq x_inv = t_inv * prefix[j - 1];
+            t_inv = t_inv * dens[j];
+            dens[j] = x_inv;
+        }
+        dens[tail] = t_inv;
+        sums<Lanes>(&pend[tail], Lanes::load(&dens[tail], m - tail),
+                    unsigned(m - tail));
+    }
+    if (groups > 0) {
+        auto g_inv = Lanes::load(tot, kLanes);
+        for (size_t g = groups; g-- > 1;) {
+            const auto x_inv = Lanes::mul(
+                g_inv, Lanes::load(prefix + (g - 1) * kLanes, kLanes),
+                kLanes);
+            g_inv = Lanes::mul(
+                g_inv, Lanes::load(&dens[g * kLanes], kLanes), kLanes);
+            sums<Lanes>(&pend[g * kLanes], x_inv, kLanes);
+        }
+        sums<Lanes>(&pend[0], g_inv, kLanes);
+    }
+}
+
+#if ZKSPEED_IFMA_KERNEL
+ZKSPEED_IFMA_TARGET void
+finish_ifma(std::span<PendingAdd> pend, std::span<Fq> dens, Fq *prefix)
+{
+    finish_on<ff::IfmaLanes>(pend, dens, prefix);
+}
+#endif
+
+}  // namespace
+
+void
+detail::finish_adds(std::span<PendingAdd> pend, std::span<Fq> dens,
+                    Fq *prefix)
+{
+    // Every denominator is nonzero by construction (see
+    // AffineBatch::add), so no zero-skip is needed.
+#if ZKSPEED_IFMA_KERNEL
+    if (ff::lane_kernel() == ff::LaneKernel::ifma8) {
+        finish_ifma(pend, dens, prefix);
+        return;
+    }
+#endif
+    finish_on<ff::PortableLanes>(pend, dens, prefix);
 }
 
 std::vector<G1Affine>

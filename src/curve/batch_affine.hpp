@@ -6,8 +6,11 @@
  * trick shares the inversion across a batch for 3 more muls per add, so
  * a batched add costs ~6 Fq muls against ~11 for a Jacobian mixed add.
  * This is the software twin of the zkSpeed MSM unit's shared-inversion
- * datapath (paper Section 4.2). Three callers advance many independent
- * chains in lockstep, one batch per step:
+ * datapath (paper Section 4.2). Like the unit's pipelined adder, a
+ * batch completes its adds eight at a time, on the 8-lane Fq kernel
+ * this process selected (ff/lanes8.hpp), and counts exactly the muls
+ * of one scalar chain. Three callers advance many independent chains
+ * in lockstep, one batch per step:
  *  - curve::msm's bucket accumulation and chunked aggregation, and
  *    pairwise_sums, which derives each lower SRS level, queue into an
  *    AffineBatch, which copies its operands and handles P + P and
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "curve/g1.hpp"
+#include "ff/fq.hpp"
 #include "ff/fr.hpp"
 
 namespace zkspeed::curve {
@@ -32,6 +36,27 @@ namespace zkspeed::curve {
 struct AffineSlot {
     ff::Fq x, y;
 };
+
+namespace detail {
+
+/** One queued addition. complete() overwrites x1, y1 with the sum. */
+struct PendingAdd {
+    /** sum_x pre-stores x1 + x2 so completion is exactly lambda,
+     * lambda^2 and the y3 product. */
+    ff::Fq x1, y1, sum_x, num;
+    uint32_t out = 0;
+};
+
+/**
+ * Invert every dens[j] behind one inversion and replace pend[j]'s x1,
+ * y1 with its sum: lambda = num / den, x3 = lambda^2 - (x1 + x2),
+ * y3 = lambda (x1 - x3) - y1. `prefix` is scratch of dens.size().
+ * Runs 8 lanes at a time on ff::lane_kernel(); see batch_affine.cpp.
+ */
+void finish_adds(std::span<PendingAdd> pend, std::span<ff::Fq> dens,
+                 ff::Fq *prefix);
+
+}  // namespace detail
 
 /**
  * A batch of pending affine additions P + Q (or doublings) that share
@@ -74,11 +99,13 @@ class AffineBatch
     bool empty() const { return pend_.empty(); }
     size_t size() const { return pend_.size(); }
 
+    /** Additions completed by this batch so far. */
+    uint64_t completed() const { return completed_; }
+
     /**
      * Complete every queued addition behind one inversion and hand each
-     * sum to sink(out, sum): lambda = num / den, x3 = lambda^2 - (x1 +
-     * x2), y3 = lambda (x1 - x3) - y1. sink may queue new additions
-     * into this batch; they wait for the next complete().
+     * sum to sink(out, sum), in queue order. sink may queue new
+     * additions into this batch; they wait for the next complete().
      */
     template <typename Sink>
     void
@@ -86,38 +113,27 @@ class AffineBatch
     {
         const size_t m = pend_.size();
         if (m == 0) return;
-        invert();
         std::swap(pend_, done_);
         std::swap(dens_, done_dens_);
-        for (size_t j = 0; j < m; ++j) {
-            const Pending &p = done_[j];
-            ff::Fq lambda = p.num * done_dens_[j];
-            ff::Fq x3 = lambda.square() - p.sum_x;
-            sink(p.out, AffineSlot{x3, lambda * (p.x1 - x3) - p.y1});
+        if (prefix_.size() < m) prefix_.resize(m);
+        detail::finish_adds(done_, done_dens_, prefix_.data());
+        completed_ += m;
+        for (const detail::PendingAdd &p : done_) {
+            sink(p.out, AffineSlot{p.x1, p.y1});
         }
         done_.clear();
         done_dens_.clear();
     }
 
   private:
-    /** sum_x pre-stores x1 + x2 so completion is exactly lambda,
-     * lambda^2 and the y3 product. */
-    struct Pending {
-        ff::Fq x1, y1, sum_x, num;
-        uint32_t out = 0;
-    };
-
-    /** Montgomery's trick: invert every denominator in place behind one
-     * field inversion. */
-    void invert();
-
     std::vector<ff::Fq> dens_;
     std::vector<ff::Fq> prefix_;
-    std::vector<Pending> pend_;
+    std::vector<detail::PendingAdd> pend_;
     /** The batch being completed; swapped with pend_ so sink can queue
      * the next batch while this one is read. */
     std::vector<ff::Fq> done_dens_;
-    std::vector<Pending> done_;
+    std::vector<detail::PendingAdd> done_;
+    uint64_t completed_ = 0;
 };
 
 /**

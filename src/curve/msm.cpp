@@ -1,9 +1,15 @@
 #include "curve/msm.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <bit>
+#include <string>
 
 #include "curve/batch_affine.hpp"
+#include "ff/lanes8.hpp"
 #include "ff/parallel.hpp"
+#include "obs/metrics.hpp"
 
 namespace zkspeed::curve {
 
@@ -285,10 +291,18 @@ glv_ctx()
     return g;
 }
 
-/** Split s (canonical, < r) as s = s1 + lambda * s2 — exact integer
- * identity, so correctness needs nothing mod r. Quotient estimate via
- * the precomputed reciprocal: q^ = floor(s * recip / 2^255) undershoots
- * floor(s / lambda) by at most 2 and is corrected by subtraction. */
+/**
+ * Split s (canonical, < r) as s = s1 + lambda * s2 with s1 < lambda —
+ * an exact integer identity, so correctness needs nothing mod r.
+ *
+ * The quotient estimate q^ = floor(s * recip / 2^255) uses recip =
+ * 2^255 / lambda - e with 0 <= e < 1, so s * recip / 2^255 = s / lambda
+ * - s * e / 2^255, and 0 <= s * e / 2^255 < s / 2^255 < 1 because
+ * s < r < 2^255. Hence q^ is floor(s / lambda) or one less, and one
+ * conditional step (rem >= lambda: subtract lambda, bump q^) makes
+ * s1 = rem < lambda. Then s2 = floor(s / lambda) <= (r - 1) / lambda =
+ * lambda + 1 < 2^128.
+ */
 inline void
 glv_split(const Fr::Repr &s, const GlvCtx &g, Fr::Repr &s1, Fr::Repr &s2)
 {
@@ -310,7 +324,7 @@ glv_split(const Fr::Repr &s, const GlvCtx &g, Fr::Repr &s1, Fr::Repr &s2)
     uint64_t q0 = (p[3] >> 63) | (p[4] << 1);
     uint64_t q1 = (p[4] >> 63) | (p[5] << 1);
 
-    // rem = s - q^ * lambda, corrected until rem < lambda (<= 2 steps).
+    // rem = s - q^ * lambda < 2 lambda, then the one correction step.
     uint64_t ql[4];
     const uint64_t qhat[2] = {q0, q1};
     mul_2x2(qhat, g.lam, ql);
@@ -321,15 +335,13 @@ glv_split(const Fr::Repr &s, const GlvCtx &g, Fr::Repr &s1, Fr::Repr &s2)
         r4[i] = uint64_t(d);
         borrow = (d >> 64) & 1;
     }
-    while (r4[2] != 0 || r4[3] != 0 || r4[1] > g.lam[1] ||
-           (r4[1] == g.lam[1] && r4[0] >= g.lam[0])) {
+    if (r4[2] != 0 || r4[1] > g.lam[1] ||
+        (r4[1] == g.lam[1] && r4[0] >= g.lam[0])) {
         u128 d = u128(r4[0]) - g.lam[0];
         r4[0] = uint64_t(d);
         d = u128(r4[1]) - g.lam[1] - ((d >> 64) & 1);
         r4[1] = uint64_t(d);
-        d = u128(r4[2]) - ((d >> 64) & 1);
-        r4[2] = uint64_t(d);
-        r4[3] -= uint64_t((d >> 64) & 1);
+        r4[2] -= uint64_t((d >> 64) & 1);
         if (++q0 == 0) ++q1;
     }
     s1 = Fr::Repr(0);
@@ -539,10 +551,12 @@ aggregate_chunked(const BucketTables &tables, size_t first, size_t count,
     }
 }
 
+/** Runs one MSM's windows; `adds` collects the affine additions its
+ * batches completed. */
 G1
 pippenger_signed(std::span<const G1Affine> points,
                  std::span<const Fr::Repr> reprs, unsigned w,
-                 unsigned bits)
+                 unsigned bits, std::atomic<uint64_t> &adds)
 {
     const size_t n = points.size();
     const unsigned nw = num_windows(w, bits);
@@ -582,6 +596,7 @@ pippenger_signed(std::span<const G1Affine> points,
                                  window_sums[win] =
                                      running_sum(t.val(0), t.set(0), half);
                              }
+                             adds += batch.completed();
                          });
     } else {
         // Chunked windows: fill every window's table, then aggregate
@@ -595,6 +610,7 @@ pippenger_signed(std::span<const G1Affine> points,
                 fill_buckets(points, digits.data() + win * n, half, batch,
                              tables, win);
             }
+            adds += batch.completed();
         });
         const size_t groups = (nw + kAggGroup - 1) / kAggGroup;
         auto first = [&](size_t g) { return g * nw / groups; };
@@ -608,6 +624,7 @@ pippenger_signed(std::span<const G1Affine> points,
                                      first(g + 1) - first(g), half, s,
                                      window_sums.data() + first(g));
                              }
+                             adds += s.batch.completed();
                          });
     }
 
@@ -623,7 +640,7 @@ constexpr unsigned kGlvBits = 128;
 
 G1
 pippenger_glv(std::span<const G1Affine> points, std::span<const Fr> scalars,
-              const GlvCtx &g)
+              const GlvCtx &g, std::atomic<uint64_t> &adds)
 {
     const size_t n = points.size();
     // Interleave (P_i, phi(P_i)) so the bucket phase's point stream
@@ -646,10 +663,55 @@ pippenger_glv(std::span<const G1Affine> points, std::span<const Fr> scalars,
         }
     });
     return pippenger_signed(pts2, reprs2, auto_window(2 * n, kGlvBits),
-                            kGlvBits);
+                            kGlvBits, adds);
+}
+
+/** Size classes of the MSM series: ceil(log2 n) for n up to 2^63. */
+constexpr unsigned kSizeClasses = 64;
+
+/**
+ * Fold one MSM call into its size class's series, once per call:
+ * calls, points, Fq muls (inversions included) and the affine adds
+ * completed on IFMA lanes (zero where the portable lanes ran). Handles
+ * resolve through a thread-local cache, so registration locks once per
+ * class per thread.
+ */
+void
+record_msm(size_t n, uint64_t fq_muls, uint64_t adds)
+{
+    if (!obs::enabled()) return;
+    struct Series {
+        obs::MetricId calls, points, fq_muls, ifma_adds;
+    };
+    thread_local std::array<Series, kSizeClasses> cache;
+    const unsigned cls = unsigned(std::bit_width(n - 1));
+    Series &h = cache[cls];
+    auto &reg = obs::MetricsRegistry::global();
+    if (!h.calls.valid()) {
+        const obs::LabelSet labels = {{"size_class", std::to_string(cls)}};
+        h.calls = reg.counter("zkspeed_msm_calls_total", labels,
+                              "curve::msm calls per ceil(log2 n) class");
+        h.points = reg.counter("zkspeed_msm_points_total", labels,
+                               "curve::msm input points per size class");
+        h.fq_muls = reg.counter("zkspeed_msm_fq_muls_total", labels,
+                                "Fq muls inside curve::msm per size class");
+        h.ifma_adds = reg.counter(
+            "zkspeed_msm_ifma_adds_total", labels,
+            "Batch-affine adds completed on IFMA lanes per size class");
+    }
+    reg.add(h.calls);
+    reg.add(h.points, n);
+    reg.add(h.fq_muls, fq_muls);
+    if (ff::lane_kernel() == ff::LaneKernel::ifma8) reg.add(h.ifma_adds, adds);
 }
 
 }  // namespace
+
+void
+detail::glv_split(const Fr::Repr &s, Fr::Repr &s1, Fr::Repr &s2)
+{
+    glv_split(s, glv_ctx(), s1, s2);
+}
 
 G1
 msm(std::span<const G1Affine> points, std::span<const Fr> scalars)
@@ -661,14 +723,22 @@ msm(std::span<const G1Affine> points, std::span<const Fr> scalars)
     // Validated on the first call of any size, so a one-point warm-up
     // also pays the one-off cost and a failed check throws at once.
     const GlvCtx &g = glv_ctx();
-    if (points.size() > 1) return pippenger_glv(points, scalars, g);
-    // A single point keeps its 255-bit digits: alone it never pairs in
-    // a bucket, so it pays no inversion, while the split's P and phi(P)
-    // pair wherever their digits meet and pay one inversion per pair
-    // (10,272 Fq muls against 3,978).
-    const Fr::Repr r = scalars[0].to_repr();
-    return pippenger_signed(points, std::span(&r, 1),
-                            auto_window(1, Fr::kBits), Fr::kBits);
+    const ff::ModmulScope muls;
+    std::atomic<uint64_t> adds{0};
+    G1 result;
+    if (points.size() > 1) {
+        result = pippenger_glv(points, scalars, g, adds);
+    } else {
+        // A single point keeps its 255-bit digits: alone it never pairs
+        // in a bucket, so it pays no inversion, while the split's P and
+        // phi(P) pair wherever their digits meet and pay one inversion
+        // per pair (10,272 Fq muls against 3,978).
+        const Fr::Repr r = scalars[0].to_repr();
+        result = pippenger_signed(points, std::span(&r, 1),
+                                  auto_window(1, Fr::kBits), Fr::kBits, adds);
+    }
+    record_msm(points.size(), muls.fq_delta(), adds);
+    return result;
 }
 
 namespace {

@@ -90,6 +90,18 @@ G1 msm_sparse(std::span<const G1Affine> points,
  */
 G1 tree_sum(std::span<const G1Affine> points);
 
+namespace detail {
+
+/**
+ * The GLV split msm() runs on every scalar of a multi-point MSM:
+ * s = s1 + lambda * s2 as integers, with s1 < lambda and s2 < 2^128,
+ * where lambda^2 + lambda + 1 = r. Exposed for tests.
+ * @pre s is canonical (< r).
+ */
+void glv_split(const ff::Fr::Repr &s, ff::Fr::Repr &s1, ff::Fr::Repr &s2);
+
+}  // namespace detail
+
 /** Naive reference MSM (double-and-add per point); used in tests only.
  * @throws MsmSizeError when the span lengths differ. */
 G1 msm_naive(std::span<const G1Affine> points,

@@ -233,45 +233,6 @@ class Fp
         return pow(pm2);
     }
 
-    /**
-     * Multiplicative inverse via the binary extended Euclidean algorithm on
-     * the canonical representation. Functionally identical to inverse();
-     * kept as an independently-tested reference for the constant-time BEEA
-     * datapath the FracMLE unit models (paper Section 4.4.1, 2W-1 = 509
-     * iterations for W = 255).
-     */
-    Fp
-    inverse_beea() const
-    {
-        if (is_zero()) return zero();
-        ++modmul_counters().inversions[(int)Params::kCounterTag];
-        // Binary extended gcd maintaining the invariants
-        //   x * a == u (mod p)   and   y * a == v (mod p).
-        // On termination u == 0 and v == gcd(a, p) == 1, hence y = a^{-1}.
-        Repr u = to_repr();
-        Repr v = kModulus;
-        Fp x = one(), y = zero();
-        Fp half = two_inverse();
-        while (!u.is_zero()) {
-            while (!u.is_odd()) {  // u != 0, so this terminates
-                u.shr1();
-                x = x * half;
-            }
-            while (!v.is_odd()) {  // v stays positive and reaches odd
-                v.shr1();
-                y = y * half;
-            }
-            if (u >= v) {
-                u.sub_assign(v);
-                x = x - y;
-            } else {
-                v.sub_assign(u);
-                y = y - x;
-            }
-        }
-        return y;
-    }
-
     /** Draw a uniformly random field element. */
     template <typename Rng>
     static Fp
@@ -326,16 +287,6 @@ class Fp
     }
 
   private:
-    /** 1/2 mod p in Montgomery form (p odd, so (p+1)/2). */
-    static Fp
-    two_inverse()
-    {
-        Repr h = kModulus;
-        h.add_assign(Repr(1));
-        h.shr1();
-        return from_repr(h);
-    }
-
     /**
      * Montgomery multiplication a*b*R^{-1} mod p on the kernel this
      * process selected: MULX/ADX where CPUID has both (4- and 6-limb

@@ -1,5 +1,6 @@
 #include "obs/build_info.hpp"
 
+#include "ff/lanes8.hpp"
 #include "ff/mont_adx.hpp"
 
 namespace zkspeed::obs {
@@ -38,12 +39,12 @@ build_info()
         // on what the build is.
         b.format = "v3";
         // srs=simulated: every SRS is derived from a seed, not a
-        // ceremony. The last entry names the Montgomery multiply this
-        // process selected, so a silent fallback to the portable path
-        // shows.
+        // ceremony. fq-batch= names the lane kernel of the batch-affine
+        // adds, and the last entry the Montgomery multiply this process
+        // selected, so a silent fallback to a portable path shows.
         b.features = std::string("lookup,keccak,loadgen,attrib,http,log,"
-                                 "flight,srs=simulated,") +
-                     ff::mont_mul_kernel();
+                                 "flight,srs=simulated,fq-batch=") +
+                     ff::lane_kernel_name() + "," + ff::mont_mul_kernel();
         return b;
     }();
     return info;

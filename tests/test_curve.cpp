@@ -11,6 +11,7 @@
 #include "curve/g1.hpp"
 #include "curve/g2.hpp"
 #include "curve/msm.hpp"
+#include "ff/lanes8.hpp"
 #include "ff/parallel.hpp"
 
 namespace {
@@ -436,6 +437,168 @@ TEST(BatchAffine, PairwiseSumsHandleIdentityCancelAndDouble)
     EXPECT_EQ(sums[3], q);
     EXPECT_EQ(sums[4], p);
     EXPECT_TRUE(sums[5].is_identity());
+}
+
+/** Fq muls of one Fermat inversion (a fixed exponent, so a constant). */
+uint64_t
+fq_inverse_muls()
+{
+    zkspeed::ff::ModmulScope muls;
+    (void)Fq::from_uint(3).inverse();
+    return muls.fq_delta();
+}
+
+TEST(BatchAffine, LaneKernelsMatchJacobianAndCount3mMinus3)
+{
+    // Queued adds P_j + Q_j over distinct points, with every 5th a
+    // doubling (Q = P) and every 7th a cancelling pair (Q = -P, queued
+    // as nothing). Each m = 1..40 covers every tail length and 0..5 full
+    // lane groups; 4096 is the bucket phase's batch size.
+    namespace ff = zkspeed::ff;
+    const auto pool = doubling_chain(2 * 4800);  // m = 4096 uses j < 4780
+    const uint64_t inv_muls = fq_inverse_muls();
+    std::vector<size_t> sizes;
+    for (size_t m = 1; m <= 40; ++m) sizes.push_back(m);
+    sizes.push_back(4096);
+    auto run = [&](size_t m, const char *kernel) {
+        AffineBatch batch;
+        std::vector<G1> want;
+        std::vector<uint32_t> outs;
+        for (size_t j = 0; want.size() < m; ++j) {
+            const G1Affine &p = pool[2 * j];
+            const G1Affine q = j % 7 == 6   ? p.neg()
+                               : j % 5 == 4 ? p
+                                            : pool[2 * j + 1];
+            const bool queued = batch.add({p.x, p.y}, {q.x, q.y}, uint32_t(j));
+            ASSERT_EQ(queued, j % 7 != 6) << kernel << ", m = " << m;
+            if (!queued) continue;
+            want.push_back(G1::from_affine(p) + G1::from_affine(q));
+            outs.push_back(uint32_t(j));
+        }
+        const auto want_aff = batch_to_affine<G1Params>(
+            std::span<const G1>(want));
+        ASSERT_EQ(batch.size(), m);
+        size_t i = 0;
+        ff::ModmulScope muls;
+        batch.complete([&](uint32_t out, const AffineSlot &sum) {
+            ASSERT_LT(i, m);
+            EXPECT_EQ(out, outs[i]) << kernel << ", m = " << m;
+            EXPECT_EQ(G1Affine(sum.x, sum.y), want_aff[i])
+                << kernel << ", m = " << m << ", add " << i;
+            ++i;
+        });
+        EXPECT_EQ(i, m);
+        EXPECT_TRUE(batch.empty());
+        EXPECT_EQ(batch.completed(), m);
+        // The inversion chains cost 3m - 3 muls and the sums 3 per add.
+        EXPECT_EQ(muls.inv_fq_delta(), 1u) << kernel << ", m = " << m;
+        EXPECT_EQ(muls.fq_delta() - inv_muls - 3 * m, 3 * m - 3)
+            << kernel << ", m = " << m;
+    };
+    {
+        ff::PortableLanesScope portable;
+        for (size_t m : sizes) run(m, "portable8");
+    }
+    if (ff::lane_kernel() != ff::LaneKernel::ifma8) {
+        GTEST_SKIP() << "IFMA lanes not run: this CPU or build lacks "
+                        "avx512ifma; the portable lanes passed";
+    }
+    for (size_t m : sizes) run(m, "ifma8");
+}
+
+TEST(Msm, LaneKernelsGiveSameValuesAndCounts)
+{
+    namespace ff = zkspeed::ff;
+    std::mt19937_64 rng(25);
+    const G1 g = g1_generator();
+    // The first msm call in a process derives the GLV constants; make
+    // it here so the counts below cover the MSMs alone.
+    (void)msm(std::vector<G1Affine>{g.to_affine()}, std::vector<Fr>{Fr::one()});
+    for (size_t n : {2u, 31u, 512u, 4096u}) {
+        std::vector<G1> jac(n);
+        std::vector<Fr> scalars(n);
+        for (size_t i = 0; i < n; ++i) {
+            jac[i] = g.mul(Fr::random(rng));
+            scalars[i] = Fr::random(rng);
+        }
+        const auto pts = batch_to_affine<G1Params>(std::span<const G1>(jac));
+        struct Run {
+            G1 value;
+            uint64_t fq, inv;
+        };
+        auto run = [&] {
+            ff::ModmulScope muls;
+            const G1 v = msm(pts, scalars);
+            return Run{v, muls.fq_delta(), muls.inv_fq_delta()};
+        };
+        Run portable;
+        {
+            ff::PortableLanesScope scope;
+            portable = run();
+        }
+        const Run selected = run();
+        EXPECT_EQ(selected.value, portable.value) << "n = " << n;
+        EXPECT_EQ(selected.fq, portable.fq) << "n = " << n;
+        EXPECT_EQ(selected.inv, portable.inv) << "n = " << n;
+        if (n == 31) {
+            EXPECT_EQ(portable.value, msm_naive(pts, scalars));
+        }
+    }
+    if (ff::lane_kernel() != ff::LaneKernel::ifma8) {
+        GTEST_SKIP() << "both runs used the portable lanes: this CPU or "
+                        "build lacks avx512ifma";
+    }
+}
+
+/** a + b * c on 256-bit limbs (b, c < 2^128); false on overflow. */
+bool
+mul_add_2x2(const Fr::Repr &a, const Fr::Repr &b, const Fr::Repr &c,
+            Fr::Repr &out)
+{
+    using u128 = unsigned __int128;
+    uint64_t prod[4] = {0, 0, 0, 0};
+    for (int i = 0; i < 2; ++i) {
+        u128 carry = 0;
+        for (int j = 0; j < 2; ++j) {
+            u128 cur = u128(b.limbs[i]) * c.limbs[j] + prod[i + j] + carry;
+            prod[i + j] = uint64_t(cur);
+            carry = cur >> 64;
+        }
+        prod[i + 2] = uint64_t(carry);
+    }
+    u128 carry = 0;
+    for (int i = 0; i < 4; ++i) {
+        u128 cur = u128(prod[i]) + a.limbs[i] + carry;
+        out.limbs[i] = uint64_t(cur);
+        carry = cur >> 64;
+    }
+    return carry == 0;
+}
+
+TEST(Msm, GlvSplitInvariant)
+{
+    // s = s1 + lambda * s2 exactly, s1 < lambda and s2 < 2^128, at the
+    // quotient estimate's boundaries and on seeded random scalars.
+    const Fr z = Fr::from_uint(0xd201000000010000);
+    const Fr lam = z * z - Fr::one();
+    const Fr::Repr lam_r = lam.to_repr();
+    ASSERT_EQ(lam_r.limbs[2], 0u);
+    ASSERT_EQ(lam_r.limbs[3], 0u);
+    std::vector<Fr> cases = {Fr::zero(),      Fr::one(),  lam - Fr::one(),
+                             lam,             lam + Fr::one(), lam + lam,
+                             lam * lam,       -Fr::one()};
+    std::mt19937_64 rng(2024);
+    for (int i = 0; i < 10000; ++i) cases.push_back(Fr::random(rng));
+    for (const Fr &c : cases) {
+        const Fr::Repr s = c.to_repr();
+        Fr::Repr s1, s2, back;
+        zkspeed::curve::detail::glv_split(s, s1, s2);
+        ASSERT_LT(s1.cmp(lam_r), 0) << s.to_hex();
+        ASSERT_EQ(s2.limbs[2], 0u) << s.to_hex();
+        ASSERT_EQ(s2.limbs[3], 0u) << s.to_hex();
+        ASSERT_TRUE(mul_add_2x2(s1, lam_r, s2, back)) << s.to_hex();
+        ASSERT_EQ(back, s) << s.to_hex();
+    }
 }
 
 TEST(BatchAffine, FixedBaseMulMatchesDoubleAndAdd)
