@@ -1,16 +1,19 @@
 /**
  * @file
  * Shared prover/verifier protocol plumbing: transcript binding, the
- * batch-evaluation claim table, and the six opening points.
+ * batch-evaluation claim table, and the opening points.
  *
- * Keeping these in one header guarantees the prover and verifier agree on
- * transcript ordering and on the canonical (point, polynomial) claim list
- * that drives the batch opening (22 claims over 13 polynomials at 6
- * points; +1 claim with custom gates, +11 claims / +8 polynomials / +1
- * point with a lookup argument; see DESIGN.md Sections 2 and 8).
+ * claim_list is the one description of Step 4's layout (22 claims over
+ * 13 polynomials at 6 points; +1 claim with custom gates, +11 claims /
+ * +8 polynomials / +1 point with a lookup argument; see DESIGN.md
+ * Sections 2 and 8). The prover fills Proof::evals in its order, the
+ * serializer sizes the evaluation block from it and the verifier reads
+ * each claim by its (point, polynomial) pair, so the three agree by
+ * construction.
  */
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "hash/transcript.hpp"
@@ -52,45 +55,71 @@ bind_preamble(Transcript &tr, size_t num_vars, size_t num_public,
     tr.append_frs("public_inputs", public_inputs);
 }
 
+/** The opening points, in make_points order. */
+enum PointId : size_t {
+    kGatePoint = 0,  ///< r_g, the ZeroCheck challenge point
+    kPermPoint,      ///< r_p, the PermCheck challenge point
+    kU0Point,        ///< (0, r_p[0..mu-2]), the p1 child point
+    kU1Point,        ///< (1, r_p[0..mu-2]), the p2 child point
+    kRootPoint,      ///< the product-tree root (bits of 2^mu - 2)
+    kPubPoint,       ///< the public-input point z_pub
+    kLookupPoint,    ///< r_l, the LookupCheck point (lookup circuits)
+};
+
 /** One batch-opening claim: polynomial `poly` evaluated at point `point`. */
 struct ClaimEntry {
-    size_t point;  ///< index into the 6-point list
+    size_t point;  ///< PointId
     size_t poly;   ///< PolyId
 };
 
 /**
- * The canonical claim list; order matches BatchEvaluations::flatten().
- * With custom gates enabled a 23rd claim (q_H at the gate point) is
- * inserted after the base gate block; with a lookup argument the 11
- * LookupCheck-point claims are appended at the end (point index 6).
+ * The claim table: Proof::evals holds one value per entry, in this
+ * order. With custom gates a 23rd claim (q_H at the gate point) follows
+ * the base gate block; with a lookup argument the 11 LookupCheck-point
+ * claims trail the list.
  */
 inline std::vector<ClaimEntry>
 claim_list(bool custom_gates, bool has_lookup)
 {
     std::vector<ClaimEntry> c = {
-        {0, kQl}, {0, kQr}, {0, kQm}, {0, kQo}, {0, kQc},
-        {0, kW1}, {0, kW2}, {0, kW3},
+        {kGatePoint, kQl}, {kGatePoint, kQr}, {kGatePoint, kQm},
+        {kGatePoint, kQo}, {kGatePoint, kQc}, {kGatePoint, kW1},
+        {kGatePoint, kW2}, {kGatePoint, kW3},
     };
-    if (custom_gates) c.push_back({0, kQh});
+    if (custom_gates) c.push_back({kGatePoint, kQh});
     const ClaimEntry rest[] = {
-        {1, kW1}, {1, kW2}, {1, kW3}, {1, kS1}, {1, kS2}, {1, kS3},
-        {1, kPhi}, {1, kPi},
-        {2, kPhi}, {2, kPi},
-        {3, kPhi}, {3, kPi},
-        {4, kPi},
-        {5, kW1},
+        {kPermPoint, kW1}, {kPermPoint, kW2}, {kPermPoint, kW3},
+        {kPermPoint, kS1}, {kPermPoint, kS2}, {kPermPoint, kS3},
+        {kPermPoint, kPhi}, {kPermPoint, kPi},
+        {kU0Point, kPhi}, {kU0Point, kPi},
+        {kU1Point, kPhi}, {kU1Point, kPi},
+        {kRootPoint, kPi},
+        {kPubPoint, kW1},
     };
     c.insert(c.end(), std::begin(rest), std::end(rest));
     if (has_lookup) {
-        const ClaimEntry lk[] = {
-            {6, kW1}, {6, kW2}, {6, kW3}, {6, kQLookup},
-            {6, kTTag}, {6, kT1}, {6, kT2}, {6, kT3},
-            {6, kM}, {6, kHf}, {6, kHt},
-        };
-        c.insert(c.end(), std::begin(lk), std::end(lk));
+        for (size_t poly : {kW1, kW2, kW3, kQLookup, kTTag, kT1, kT2, kT3,
+                            kM, kHf, kHt}) {
+            c.push_back({kLookupPoint, poly});
+        }
     }
     return c;
 }
+
+/** A proof's claimed evaluations, read by (point, polynomial). Every
+ * pair read must be in `table`. */
+struct Claims {
+    std::span<const ClaimEntry> table;
+    std::span<const Fr> values;  ///< one per table entry
+
+    const Fr &
+    operator()(size_t point, size_t poly) const
+    {
+        size_t c = 0;
+        while (table[c].point != point || table[c].poly != poly) ++c;
+        return values[c];
+    }
+};
 
 /** Number of variables needed to index the public inputs. */
 inline size_t
@@ -132,8 +161,8 @@ pub_point(std::span<const Fr> z_pub, size_t mu)
     return pt;
 }
 
-/** Assemble the opening points in canonical order: the six base points
- * plus, for lookup circuits, the LookupCheck point r_l (index 6). */
+/** Assemble the opening points in PointId order: the six base points
+ * plus, for lookup circuits, the LookupCheck point r_l. */
 inline std::vector<std::vector<Fr>>
 make_points(std::span<const Fr> r_g, std::span<const Fr> r_p,
             std::span<const Fr> z_pub, size_t mu,
@@ -164,15 +193,17 @@ powers(const Fr &a, size_t n)
 /** The gate-identity constraint (Eq. 1, plus the optional q_H w1^5
  * custom-gate term) from the claimed gate-point evaluations. */
 inline Fr
-gate_expression(const BatchEvaluations &ev)
+gate_expression(const Claims &at, bool custom_gates)
 {
-    const auto &e = ev.at_gate;
+    auto e = [&](size_t poly) -> const Fr & {
+        return at(kGatePoint, poly);
+    };
     // qL w1 + qR w2 + qM w1 w2 - qO w3 + qC
-    Fr f = e[0] * e[5] + e[1] * e[6] + e[2] * e[5] * e[6] -
-           e[3] * e[7] + e[4];
-    if (ev.custom) {
-        Fr w1sq = e[5] * e[5];
-        f += ev.qh_at_gate * w1sq * w1sq * e[5];
+    Fr f = e(kQl) * e(kW1) + e(kQr) * e(kW2) + e(kQm) * e(kW1) * e(kW2) -
+           e(kQo) * e(kW3) + e(kQc);
+    if (custom_gates) {
+        Fr w1sq = e(kW1) * e(kW1);
+        f += e(kQh) * w1sq * w1sq * e(kW1);
     }
     return f;
 }
@@ -191,13 +222,6 @@ identity_eval(size_t j, size_t mu, std::span<const Fr> x)
 /** Per-round degree bound of the LookupCheck sumcheck (h * wire * eq). */
 constexpr size_t kLookupCheckDegree = 3;
 
-/** Indices into BatchEvaluations::at_lookup (claim_list point-6 order). */
-enum LookupEvalId : size_t {
-    kLkW1 = 0, kLkW2, kLkW3, kLkQLookup,
-    kLkTTag, kLkT1, kLkT2, kLkT3,
-    kLkM, kLkHf, kLkHt,
-};
-
 /**
  * The combined LookupCheck constraint evaluated from the claimed
  * point-6 evaluations (logup.hpp: (L1) + alpha (L2) eq + alpha^2 (L3)
@@ -206,16 +230,19 @@ enum LookupEvalId : size_t {
  * eq(r_l, r_z3), computed by the caller.
  */
 inline Fr
-lookup_expression(const std::array<Fr, 11> &e, const Fr &lambda,
-                  const Fr &gamma, const Fr &alpha, const Fr &eq_val)
+lookup_expression(const Claims &at, const Fr &lambda, const Fr &gamma,
+                  const Fr &alpha, const Fr &eq_val)
 {
-    Fr f = lambda + e[kLkQLookup] +
-           gamma * (e[kLkW1] + gamma * (e[kLkW2] + gamma * e[kLkW3]));
-    Fr t = lambda + e[kLkTTag] +
-           gamma * (e[kLkT1] + gamma * (e[kLkT2] + gamma * e[kLkT3]));
-    Fr expr = e[kLkHf] - e[kLkHt];
-    expr += alpha * (e[kLkHf] * f - e[kLkQLookup]) * eq_val;
-    expr += alpha * alpha * (e[kLkHt] * t - e[kLkM]) * eq_val;
+    auto e = [&](size_t poly) -> const Fr & {
+        return at(kLookupPoint, poly);
+    };
+    Fr f = lambda + e(kQLookup) +
+           gamma * (e(kW1) + gamma * (e(kW2) + gamma * e(kW3)));
+    Fr t = lambda + e(kTTag) +
+           gamma * (e(kT1) + gamma * (e(kT2) + gamma * e(kT3)));
+    Fr expr = e(kHf) - e(kHt);
+    expr += alpha * (e(kHf) * f - e(kQLookup)) * eq_val;
+    expr += alpha * alpha * (e(kHt) * t - e(kM)) * eq_val;
     return expr;
 }
 

@@ -11,47 +11,6 @@ namespace zkspeed::hyperplonk {
 
 using namespace detail;
 
-std::vector<Fr>
-BatchEvaluations::flatten() const
-{
-    std::vector<Fr> out;
-    out.reserve(count());
-    out.insert(out.end(), at_gate.begin(), at_gate.end());
-    out.insert(out.end(), at_perm.begin(), at_perm.end());
-    out.insert(out.end(), at_u0.begin(), at_u0.end());
-    out.insert(out.end(), at_u1.begin(), at_u1.end());
-    out.push_back(pi_at_root);
-    out.push_back(w1_at_pub);
-    // The custom-gate claim slots in right after the base gate block.
-    if (custom) out.insert(out.begin() + 8, qh_at_gate);
-    // The LookupCheck-point claims trail the base list.
-    if (lookup) out.insert(out.end(), at_lookup.begin(), at_lookup.end());
-    return out;
-}
-
-size_t
-Proof::size_bytes() const
-{
-    constexpr size_t kG1Size = 2 * ff::Fq::kByteSize + 1;
-    constexpr size_t kFrSize = ff::Fr::kByteSize;
-    size_t n = 0;
-    n += witness_comms.size() * kG1Size;
-    n += 2 * kG1Size;  // phi, pi
-    for (const auto *sc : {&zerocheck, &permcheck, &opencheck}) {
-        for (const auto &r : sc->round_evals) n += r.size() * kFrSize;
-    }
-    n += evals.count() * kFrSize;
-    n += kFrSize;  // gprime_value
-    n += gprime_proof.quotients.size() * kG1Size;
-    if (evals.lookup) {
-        n += 3 * kG1Size;  // m, h_f, h_t
-        for (const auto &r : lookupcheck.round_evals) {
-            n += r.size() * kFrSize;
-        }
-    }
-    return n;
-}
-
 std::pair<ProvingKey, VerifyingKey>
 keygen(CircuitIndex index, std::shared_ptr<const pcs::Srs> srs)
 {
@@ -401,61 +360,33 @@ prove(const ProvingKey &pk, const Witness &witness)
         &index.q_lookup, &index.table_tag, &index.table[0],
         &index.table[1], &index.table[2],
         m_mle.get(), lk.h_f.get(), lk.h_t.get()};
+    auto claims = claim_list(index.custom_gates, index.has_lookup);
+    proof.custom_gates = index.custom_gates;
+    proof.has_lookup = index.has_lookup;
+    proof.evals.resize(claims.size());
     {
         ProfileRegion reg("Batch Evaluations");
-        // Each claim is an independent MLE Evaluate (~n Fr muls): list
-        // them, then run them in parallel, each writing its own slot.
-        struct Eval {
-            size_t poly, point;
-            Fr *out;
-        };
-        std::vector<Eval> evs;
-        auto ev = [&](size_t poly, size_t point, Fr &out) {
-            evs.push_back({poly, point, &out});
-        };
-        auto &e = proof.evals;
-        for (size_t i = 0; i < 5; ++i) ev(i, 0, e.at_gate[i]);
-        for (size_t i = 0; i < 3; ++i) {
-            ev(kW1 + i, 0, e.at_gate[5 + i]);
-            ev(kW1 + i, 1, e.at_perm[i]);
-            ev(kS1 + i, 1, e.at_perm[3 + i]);
-        }
-        ev(kPhi, 1, e.at_perm[6]);
-        ev(kPi, 1, e.at_perm[7]);
-        ev(kPhi, 2, e.at_u0[0]);
-        ev(kPi, 2, e.at_u0[1]);
-        ev(kPhi, 3, e.at_u1[0]);
-        ev(kPi, 3, e.at_u1[1]);
-        // The root point is boolean: the evaluation is a table lookup.
-        e.pi_at_root = (*oracles.pi)[n - 2];
-        ev(kW1, 5, e.w1_at_pub);
-        e.custom = index.custom_gates;
-        if (index.custom_gates) ev(kQh, 0, e.qh_at_gate);
-        e.lookup = index.has_lookup;
-        if (index.has_lookup) {
-            const size_t lk_polys[BatchEvaluations::kLookupCount] = {
-                kW1, kW2, kW3, kQLookup, kTTag,
-                kT1, kT2, kT3, kM, kHf, kHt};
-            for (size_t i = 0; i < BatchEvaluations::kLookupCount; ++i) {
-                ev(lk_polys[i], 6, e.at_lookup[i]);
-            }
-        }
-        ff::parallel_for(evs.size(), n, [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) {
-                const Eval &v = evs[i];
-                *v.out = polys[v.poly]->evaluate(points[v.point]);
+        // Each claim is an independent MLE Evaluate (~n Fr muls) writing
+        // its own slot. The root point is boolean, so its one claim (pi)
+        // is a table lookup instead.
+        ff::parallel_for(claims.size(), n, [&](size_t begin, size_t end) {
+            for (size_t c = begin; c < end; ++c) {
+                const ClaimEntry &cl = claims[c];
+                proof.evals[c] =
+                    cl.point == kRootPoint
+                        ? (*polys[cl.poly])[n - 2]
+                        : polys[cl.poly]->evaluate(points[cl.point]);
             }
         });
-        reg.add_bytes_in(evs.size() * n * kFrBytes);
+        reg.add_bytes_in((claims.size() - 1) * n * kFrBytes);
     }
-    tr.append_frs("batch_evals", proof.evals.flatten());
+    tr.append_frs("batch_evals", proof.evals);
 
     // ------------------------------------------------------------------
     // Step 5: Polynomial Opening — MLE Combine, Build MLE (k_j),
     // OpenCheck (Eq. 5), g' and the halving MSM opening.
     // ------------------------------------------------------------------
     Fr a = tr.challenge_fr("batch_a");
-    auto claims = claim_list(index.custom_gates, index.has_lookup);
     std::vector<Fr> pw = powers(a, claims.size());
 
     // k_j = eq(X, z_j): six independent Build MLEs (~n Fr muls each).

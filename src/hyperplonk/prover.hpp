@@ -9,8 +9,9 @@
  *   3. Wiring Identity        — Construct N&D, FracMLE, ProdMLE, two
  *                               dense MSMs, ZeroCheck on Eq. 4 (PermCheck)
  *   4. Batch Evaluations      — 22 evaluations of 13 polynomials at 6
- *                               (23/14 with custom gates) points
- *                               (see DESIGN.md for the breakdown)
+ *                               points (23/14 with custom gates), one
+ *                               per detail::claim_list entry (see
+ *                               DESIGN.md for the breakdown)
  *   5. Polynomial Opening     — MLE Combine, Build MLE (k_j), OpenCheck
  *                               on Eq. 5, g' construction and the halving
  *                               MSM opening
@@ -63,54 +64,29 @@ struct VerifyingKey {
     std::shared_ptr<const pcs::Srs> srs;
 };
 
-/**
- * The 22 claimed evaluations of Step 4, grouped by point:
- *   z1 = gate-identity point r_g, z2 = wiring point r_p,
- *   z3/z4 = the p1/p2 child points u0/u1, z5 = the product-tree root
- *   (compile-time fixed), z6 = the public-input point.
- */
-struct BatchEvaluations {
-    std::array<Fr, 8> at_gate;  ///< qL,qR,qM,qO,qC,w1,w2,w3 at r_g
-    std::array<Fr, 8> at_perm;  ///< w1,w2,w3,s1,s2,s3,phi,pi at r_p
-    std::array<Fr, 2> at_u0;    ///< phi,pi at u0
-    std::array<Fr, 2> at_u1;    ///< phi,pi at u1
-    Fr pi_at_root;              ///< pi at the tree-root index (must be 1)
-    Fr w1_at_pub;               ///< w1 at the public-input point
-    /** q_H at the gate point (custom-gate circuits only). */
-    Fr qh_at_gate;
-    bool custom = false;
-    /** w1,w2,w3,q_lookup,tag,t1,t2,t3,m,h_f,h_t at the LookupCheck
-     * point r_l (lookup circuits only; order matches claim_list). */
-    std::array<Fr, 11> at_lookup;
-    bool lookup = false;
-
-    /** All values in canonical order: 22 base, +1 custom, +11 lookup. */
-    std::vector<Fr> flatten() const;
-    size_t
-    count() const
-    {
-        return kBaseCount + (custom ? 1 : 0) + (lookup ? kLookupCount : 0);
-    }
-    static constexpr size_t kBaseCount = 22;
-    static constexpr size_t kLookupCount = 11;
-};
-
 struct Proof {
+    /** Circuit shape: with detail::claim_list these fix which claims
+     * `evals` holds and which lookup fields are present. */
+    bool custom_gates = false;
+    bool has_lookup = false;
+
     std::array<G1Affine, 3> witness_comms;
     SumcheckProof zerocheck;
     G1Affine phi_comm, pi_comm;
     SumcheckProof permcheck;
-    BatchEvaluations evals;
+    /** Step 4's claimed evaluations, one per entry of
+     * detail::claim_list(custom_gates, has_lookup), in its order. */
+    std::vector<Fr> evals;
     SumcheckProof opencheck;
     Fr gprime_value;
     pcs::OpeningProof gprime_proof;
 
-    /** Lookup argument (evals.lookup circuits only): multiplicity and
+    /** Lookup argument (has_lookup circuits only): multiplicity and
      * helper commitments plus the degree-3 LookupCheck transcript. */
     G1Affine m_comm, hf_comm, ht_comm;
     SumcheckProof lookupcheck;
 
-    /** Approximate wire size in bytes (for Table-4-style reporting). */
+    /** Wire size in bytes: serde::serialize_proof(*this).size(). */
     size_t size_bytes() const;
 };
 

@@ -1,5 +1,6 @@
 #include "hyperplonk/serialize.hpp"
 
+#include "hyperplonk/protocol_common.hpp"
 #include "hyperplonk/serde_bytes.hpp"
 
 namespace zkspeed::hyperplonk::serde {
@@ -53,22 +54,21 @@ write_proof(W &w, const Proof &proof)
 {
     w.u64(kProofMagic);
     uint8_t flags = 0;
-    if (proof.evals.custom) flags |= kFlagCustomGates;
-    if (proof.evals.lookup) flags |= kFlagLookup;
+    if (proof.custom_gates) flags |= kFlagCustomGates;
+    if (proof.has_lookup) flags |= kFlagLookup;
     w.u8(flags);
     for (const auto &c : proof.witness_comms) w.g1(c);
-    if (proof.evals.lookup) w.g1(proof.m_comm);
+    if (proof.has_lookup) w.g1(proof.m_comm);
     write_sumcheck(w, proof.zerocheck);
     w.g1(proof.phi_comm);
     w.g1(proof.pi_comm);
     write_sumcheck(w, proof.permcheck);
-    if (proof.evals.lookup) {
+    if (proof.has_lookup) {
         w.g1(proof.hf_comm);
         w.g1(proof.ht_comm);
         write_sumcheck(w, proof.lookupcheck);
     }
-    auto flat = proof.evals.flatten();
-    w.frs(flat);
+    w.frs(proof.evals);
     write_sumcheck(w, proof.opencheck);
     w.fr(proof.gprime_value);
     w.u64(proof.gprime_proof.quotients.size());
@@ -82,10 +82,8 @@ serialize_proof(const Proof &proof)
 {
     // Sized exactly up front: a buffer grown by doubling carries spare
     // capacity, and service responses keep these bytes.
-    ByteCounter count;
-    write_proof(count, proof);
     ByteWriter w;
-    w.buf.reserve(count.size);
+    w.buf.reserve(proof.size_bytes());
     write_proof(w, proof);
     return std::move(w.buf);
 }
@@ -100,37 +98,23 @@ deserialize_proof(std::span<const uint8_t> bytes)
         return std::nullopt;
     }
     Proof p;
-    p.evals.custom = (flags & kFlagCustomGates) != 0;
-    p.evals.lookup = (flags & kFlagLookup) != 0;
+    p.custom_gates = (flags & kFlagCustomGates) != 0;
+    p.has_lookup = (flags & kFlagLookup) != 0;
     for (auto &c : p.witness_comms) c = r.g1();
-    if (p.evals.lookup) p.m_comm = r.g1();
+    if (p.has_lookup) p.m_comm = r.g1();
     p.zerocheck = read_sumcheck(r);
     p.phi_comm = r.g1();
     p.pi_comm = r.g1();
     p.permcheck = read_sumcheck(r);
-    if (p.evals.lookup) {
+    if (p.has_lookup) {
         p.hf_comm = r.g1();
         p.ht_comm = r.g1();
         p.lookupcheck = read_sumcheck(r);
     }
-    const size_t expected_evals = p.evals.count();
-    auto flat = r.frs(expected_evals);
-    if (flat.size() != expected_evals) return std::nullopt;
-    size_t off = 8;
-    for (size_t i = 0; i < 8; ++i) p.evals.at_gate[i] = flat[i];
-    if (p.evals.custom) p.evals.qh_at_gate = flat[off++];
-    for (size_t i = 0; i < 8; ++i) p.evals.at_perm[i] = flat[off + i];
-    off += 8;
-    p.evals.at_u0 = {flat[off], flat[off + 1]};
-    p.evals.at_u1 = {flat[off + 2], flat[off + 3]};
-    p.evals.pi_at_root = flat[off + 4];
-    p.evals.w1_at_pub = flat[off + 5];
-    off += 6;
-    if (p.evals.lookup) {
-        for (size_t i = 0; i < BatchEvaluations::kLookupCount; ++i) {
-            p.evals.at_lookup[i] = flat[off + i];
-        }
-    }
+    const size_t claims =
+        detail::claim_list(p.custom_gates, p.has_lookup).size();
+    p.evals = r.frs(claims);
+    if (p.evals.size() != claims) return std::nullopt;
     p.opencheck = read_sumcheck(r);
     p.gprime_value = r.fr();
     uint64_t nq = r.u64();
@@ -184,7 +168,7 @@ deserialize_verifying_key(std::span<const uint8_t> bytes)
     if (custom > 1 || has_lookup > 1) return std::nullopt;
     vk.custom_gates = custom == 1;
     vk.has_lookup = has_lookup == 1;
-    if (vk.num_vars > kMaxVars ||
+    if (vk.num_vars < 1 || vk.num_vars > kMaxVars ||
         vk.num_public > (uint64_t(1) << std::min<uint64_t>(vk.num_vars,
                                                            30))) {
         return std::nullopt;
@@ -224,3 +208,15 @@ deserialize_verifying_key(std::span<const uint8_t> bytes)
 }
 
 }  // namespace zkspeed::hyperplonk::serde
+
+namespace zkspeed::hyperplonk {
+
+size_t
+Proof::size_bytes() const
+{
+    serde::ByteCounter count;
+    serde::write_proof(count, *this);
+    return count.size;
+}
+
+}  // namespace zkspeed::hyperplonk

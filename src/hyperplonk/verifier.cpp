@@ -25,7 +25,16 @@ verify_deferred(const VerifyingKey &vk, std::span<const Fr> public_inputs,
                 const Proof &proof, zkspeed::verifier::PairingAccumulator &acc)
 {
     const size_t mu = vk.num_vars;
-    if (public_inputs.size() != vk.num_public) return false;
+    // The child points u0/u1 drop r_p's last coordinate, so a key needs
+    // at least one variable (the key decoder enforces the same bound).
+    if (mu < 1 || public_inputs.size() != vk.num_public) return false;
+    if (proof.custom_gates != vk.custom_gates ||
+        proof.has_lookup != vk.has_lookup) {
+        return false;
+    }
+    const auto claims = claim_list(vk.custom_gates, vk.has_lookup);
+    if (proof.evals.size() != claims.size()) return false;
+    const Claims at{claims, proof.evals};
 
     hash::Transcript tr("hyperplonk-v1");
     bind_preamble(tr, mu, vk.num_public, vk.custom_gates, vk.has_lookup,
@@ -36,11 +45,9 @@ verify_deferred(const VerifyingKey &vk, std::span<const Fr> public_inputs,
     for (const auto &c : proof.witness_comms) {
         append_g1(tr, "witness_comm", c);
     }
-    if (proof.evals.lookup != vk.has_lookup) return false;
     if (vk.has_lookup) append_g1(tr, "lookup_m_comm", proof.m_comm);
 
     // Step 2: Gate Identity (ZeroCheck, degree 4, claimed sum 0).
-    if (proof.evals.custom != vk.custom_gates) return false;
     std::vector<Fr> r_z = tr.challenge_frs("zerocheck_r", mu);
     size_t zc_degree = vk.custom_gates ? 7 : 4;
     auto zc = sumcheck_verify(Fr::zero(), mu, zc_degree, proof.zerocheck,
@@ -80,55 +87,52 @@ verify_deferred(const VerifyingKey &vk, std::span<const Fr> public_inputs,
     // Step 4: batch evaluations enter the transcript.
     std::vector<Fr> z_pub = tr.challenge_frs("pub_r", pub_vars(vk.num_public));
     auto points = make_points(r_g, r_p, z_pub, mu, r_l);
-    std::vector<Fr> claim_values = proof.evals.flatten();
-    tr.append_frs("batch_evals", claim_values);
+    tr.append_frs("batch_evals", proof.evals);
 
     // --- Check the ZeroCheck final value against the claimed evals. ---
     {
-        Fr expect = gate_expression(proof.evals) *
+        Fr expect = gate_expression(at, vk.custom_gates) *
                     Mle::eq_eval(r_g, r_z);
         if (!(expect == zc.final_value)) return false;
     }
     // --- Check the PermCheck final value (Eq. 4 at r_p). ---
     {
-        const auto &e = proof.evals.at_perm;  // w1,w2,w3,s1,s2,s3,phi,pi
         Fr nd_n = Fr::one(), nd_d = Fr::one();
         for (size_t j = 0; j < 3; ++j) {
-            nd_n *= e[j] + beta * identity_eval(j, mu, r_p) + gamma;
-            nd_d *= e[j] + beta * e[3 + j] + gamma;
+            const Fr &w = at(kPermPoint, kW1 + j);
+            nd_n *= w + beta * identity_eval(j, mu, r_p) + gamma;
+            nd_d *= w + beta * at(kPermPoint, kS1 + j) + gamma;
         }
         Fr x_last = r_p[mu - 1];
-        Fr p1 = eval_p1_from_children(x_last, proof.evals.at_u0[0],
-                                      proof.evals.at_u0[1]);
-        Fr p2 = eval_p1_from_children(x_last, proof.evals.at_u1[0],
-                                      proof.evals.at_u1[1]);
-        Fr expr = e[7] - p1 * p2 + alpha * (e[6] * nd_d - nd_n);
+        Fr p1 = eval_p1_from_children(x_last, at(kU0Point, kPhi),
+                                      at(kU0Point, kPi));
+        Fr p2 = eval_p1_from_children(x_last, at(kU1Point, kPhi),
+                                      at(kU1Point, kPi));
+        Fr expr = at(kPermPoint, kPi) - p1 * p2 +
+                  alpha * (at(kPermPoint, kPhi) * nd_d - nd_n);
         Fr expect = expr * Mle::eq_eval(r_p, r_z2);
         if (!(expect == pc.final_value)) return false;
     }
     // --- Check the LookupCheck final value against the claimed evals. ---
     if (vk.has_lookup) {
-        Fr expect = lookup_expression(proof.evals.at_lookup, lk_lambda,
-                                      lk_gamma, lk_alpha,
+        Fr expect = lookup_expression(at, lk_lambda, lk_gamma, lk_alpha,
                                       Mle::eq_eval(r_l, r_z3));
         if (!(expect == lc.final_value)) return false;
     }
     // --- Product-tree root must be exactly 1 (grand product check). ---
-    if (!proof.evals.pi_at_root.is_one()) return false;
+    if (!at(kRootPoint, kPi).is_one()) return false;
     // --- Public inputs: w1 over the public prefix matches the claim. ---
     {
         Mle pub = public_input_mle(public_inputs, vk.num_public);
-        if (!(pub.evaluate(z_pub) == proof.evals.w1_at_pub)) return false;
+        if (!(pub.evaluate(z_pub) == at(kPubPoint, kW1))) return false;
     }
 
     // Step 5: OpenCheck + PCS opening of g'.
     Fr a = tr.challenge_fr("batch_a");
-    auto claims = claim_list(vk.custom_gates, vk.has_lookup);
-    if (claim_values.size() != claims.size()) return false;
     std::vector<Fr> pw = powers(a, claims.size());
     Fr claimed_sum = Fr::zero();
     for (size_t c = 0; c < claims.size(); ++c) {
-        claimed_sum += pw[c] * claim_values[c];
+        claimed_sum += pw[c] * proof.evals[c];
     }
     auto oc = sumcheck_verify(claimed_sum, mu, 2, proof.opencheck, tr);
     if (!oc.ok) return false;

@@ -360,24 +360,17 @@ proof_mutations()
                     [](hyperplonk::Proof &p) {
                         p.permcheck.round_evals[0][0] += Fr::one();
                     }});
-    muts.push_back({"evals.at_gate[5]", [](hyperplonk::Proof &p) {
-                        p.evals.at_gate[5] += Fr::one();
-                    }});
-    muts.push_back({"evals.at_perm[3]", [](hyperplonk::Proof &p) {
-                        p.evals.at_perm[3] += Fr::one();
-                    }});
-    muts.push_back({"evals.at_u0[0]", [](hyperplonk::Proof &p) {
-                        p.evals.at_u0[0] += Fr::one();
-                    }});
-    muts.push_back({"evals.at_u1[1]", [](hyperplonk::Proof &p) {
-                        p.evals.at_u1[1] += Fr::one();
-                    }});
-    muts.push_back({"evals.pi_at_root", [](hyperplonk::Proof &p) {
-                        p.evals.pi_at_root += Fr::one();
-                    }});
-    muts.push_back({"evals.w1_at_pub", [](hyperplonk::Proof &p) {
-                        p.evals.w1_at_pub += Fr::one();
-                    }});
+    // Claim indices of the plain 22-claim table (detail::claim_list).
+    static const std::pair<const char *, size_t> kClaims[] = {
+        {"evals[5] (w1 at r_g)", 5},    {"evals[11] (s1 at r_p)", 11},
+        {"evals[16] (phi at u0)", 16},  {"evals[19] (pi at u1)", 19},
+        {"evals[20] (pi at root)", 20}, {"evals[21] (w1 at z_pub)", 21},
+    };
+    for (const auto &[name, c] : kClaims) {
+        muts.push_back({name, [c](hyperplonk::Proof &p) {
+                            p.evals.at(c) += Fr::one();
+                        }});
+    }
     muts.push_back({"opencheck.round_evals[0][0]",
                     [](hyperplonk::Proof &p) {
                         p.opencheck.round_evals[0][0] += Fr::one();

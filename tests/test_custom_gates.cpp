@@ -67,17 +67,18 @@ TEST(CustomGates, EndToEndProveVerify)
     Proof proof = prove(pk, wit);
     // Degree-7 ZeroCheck: 8 evaluations per round.
     EXPECT_EQ(proof.zerocheck.degree, 7u);
-    EXPECT_EQ(proof.evals.count(), 23u);
+    EXPECT_EQ(proof.evals.size(), 23u);
     auto publics = wit.public_inputs(pk.index);
     EXPECT_TRUE(verify(vk, publics, proof));
 
-    // Tampering with the q_H evaluation must be rejected.
+    // Tampering with the q_H evaluation (claim 8, right after the base
+    // gate block) must be rejected.
     Proof bad = proof;
-    bad.evals.qh_at_gate += Fr::one();
+    bad.evals[8] += Fr::one();
     EXPECT_FALSE(verify(vk, publics, bad));
     // Flag mismatch must be rejected.
     bad = proof;
-    bad.evals.custom = false;
+    bad.custom_gates = false;
     EXPECT_FALSE(verify(vk, publics, bad));
 }
 
@@ -140,7 +141,7 @@ TEST(CustomGates, SerializationRoundTrip)
     auto bytes = serde::serialize_proof(proof);
     auto back = serde::deserialize_proof(bytes);
     ASSERT_TRUE(back.has_value());
-    EXPECT_TRUE(back->evals.custom);
+    EXPECT_TRUE(back->custom_gates);
     EXPECT_TRUE(verify(vk, publics, *back));
 
     auto vk_bytes = serde::serialize_verifying_key(vk);

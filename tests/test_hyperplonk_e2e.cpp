@@ -9,7 +9,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "hyperplonk/prover.hpp"
+#include "hyperplonk/serialize.hpp"
+#include "proof_shapes.hpp"
 
 namespace {
 
@@ -17,6 +18,8 @@ using namespace zkspeed::hyperplonk;
 using zkspeed::ff::Fr;
 using zkspeed::pcs::Srs;
 namespace curve = zkspeed::curve;
+using zkspeed::test::kProofShapes;
+using zkspeed::test::proved;
 
 struct E2eContext {
     ProvingKey pk;
@@ -227,17 +230,21 @@ TEST_F(TamperTest, SumcheckMessages)
 
 TEST_F(TamperTest, EveryBatchEvaluation)
 {
-    auto flat = proof_.evals.flatten();
-    for (size_t c = 0; c < flat.size(); ++c) {
-        Proof p = proof_;
-        // Perturb claim c through the structured fields.
-        if (c < 8) p.evals.at_gate[c] += Fr::one();
-        else if (c < 16) p.evals.at_perm[c - 8] += Fr::one();
-        else if (c < 18) p.evals.at_u0[c - 16] += Fr::one();
-        else if (c < 20) p.evals.at_u1[c - 18] += Fr::one();
-        else if (c == 20) p.evals.pi_at_root += Fr::one();
-        else p.evals.w1_at_pub += Fr::one();
-        EXPECT_FALSE(verify_tampered(p)) << "claim " << c;
+    // Every claim of the plain (22), custom-gate (23) and lookup (33)
+    // tables: the bumped proof still decodes, and verify rejects it.
+    const size_t claims[] = {22, 23, 33};
+    for (size_t i = 0; i < std::size(kProofShapes); ++i) {
+        const auto &s = proved(kProofShapes[i]);
+        const char *family = kProofShapes[i].family;
+        ASSERT_EQ(s.proof.evals.size(), claims[i]) << family;
+        for (size_t c = 0; c < claims[i]; ++c) {
+            Proof p = s.proof;
+            p.evals[c] += Fr::one();
+            auto back = serde::deserialize_proof(serde::serialize_proof(p));
+            ASSERT_TRUE(back.has_value()) << family << " claim " << c;
+            EXPECT_FALSE(verify(s.vk, s.publics, *back))
+                << family << " claim " << c;
+        }
     }
 }
 

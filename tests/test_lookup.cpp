@@ -246,18 +246,18 @@ TEST(LookupProof, SerializationRoundTripPreservesLookupArtifacts)
 {
     SCOPED_TRACE(repro());
     auto st = prove_range_lookup(kSeed + 9);
-    ASSERT_TRUE(st.proof.evals.lookup);
+    ASSERT_TRUE(st.proof.has_lookup);
     auto bytes = hyperplonk::serde::serialize_proof(st.proof);
-    EXPECT_GE(bytes.size(), st.proof.size_bytes());
+    EXPECT_EQ(bytes.size(), st.proof.size_bytes());
     auto back = hyperplonk::serde::deserialize_proof(bytes);
     ASSERT_TRUE(back.has_value());
-    EXPECT_TRUE(back->evals.lookup);
+    EXPECT_TRUE(back->has_lookup);
     EXPECT_EQ(back->m_comm, st.proof.m_comm);
     EXPECT_EQ(back->hf_comm, st.proof.hf_comm);
     EXPECT_EQ(back->ht_comm, st.proof.ht_comm);
     EXPECT_EQ(back->lookupcheck.round_evals,
               st.proof.lookupcheck.round_evals);
-    EXPECT_EQ(back->evals.at_lookup, st.proof.evals.at_lookup);
+    EXPECT_EQ(back->evals, st.proof.evals);
     // Canonical: re-encoding reproduces the bytes, and the decoded
     // proof still verifies.
     EXPECT_EQ(hyperplonk::serde::serialize_proof(*back), bytes);
@@ -318,15 +318,15 @@ lookup_mutations()
                     [](hyperplonk::Proof &p) {
                         p.lookupcheck.round_evals[0][0] += Fr::one();
                     }});
-    for (size_t e = 0; e < hyperplonk::BatchEvaluations::kLookupCount;
-         ++e) {
-        static const char *kNames[] = {
-            "at_lookup[w1]", "at_lookup[w2]", "at_lookup[w3]",
-            "at_lookup[q_lookup]", "at_lookup[tag]", "at_lookup[t1]",
-            "at_lookup[t2]", "at_lookup[t3]", "at_lookup[m]",
-            "at_lookup[h_f]", "at_lookup[h_t]"};
+    // The 11 LookupCheck-point claims trail the claim table.
+    static const char *kNames[] = {
+        "evals[w1 at r_l]", "evals[w2 at r_l]", "evals[w3 at r_l]",
+        "evals[q_lookup at r_l]", "evals[tag at r_l]", "evals[t1 at r_l]",
+        "evals[t2 at r_l]", "evals[t3 at r_l]", "evals[m at r_l]",
+        "evals[h_f at r_l]", "evals[h_t at r_l]"};
+    for (size_t e = 0; e < std::size(kNames); ++e) {
         muts.push_back({kNames[e], [e](hyperplonk::Proof &p) {
-                            p.evals.at_lookup[e] += Fr::one();
+                            p.evals.at(p.evals.size() - 11 + e) += Fr::one();
                         }});
     }
     muts.push_back({"gprime_proof.quotients[0]",

@@ -156,11 +156,11 @@ TEST_P(E2eGrid, ProveVerifyAndSingleBitTamper)
     // Deterministic proving: same inputs, same proof bytes.
     auto proof2 = hyperplonk::prove(pk, wit);
     EXPECT_EQ(proof2.gprime_value, proof.gprime_value);
-    EXPECT_EQ(proof2.evals.flatten(), proof.evals.flatten());
-    // Random single-field tamper in the batch evals must be rejected.
+    EXPECT_EQ(proof2.evals, proof.evals);
+    // Random single-claim tamper at r_p (claims 8..15) must be rejected.
     auto bad = proof;
-    size_t victim = rng() % 8;
-    bad.evals.at_perm[victim] += Fr::one();
+    size_t victim = 8 + rng() % 8;
+    bad.evals[victim] += Fr::one();
     EXPECT_FALSE(hyperplonk::verify(vk, publics, bad));
 }
 

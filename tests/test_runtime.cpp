@@ -11,6 +11,7 @@
 
 #include "hyperplonk/serialize.hpp"
 #include "obs/window.hpp"
+#include "proof_shapes.hpp"
 #include "runtime/queue.hpp"
 #include "runtime/service.hpp"
 #include "sim/replay.hpp"
@@ -328,6 +329,31 @@ TEST(Service, MalformedRequestsGetErrorResponsesAndWorkerSurvives)
     EXPECT_EQ(series_total(service, lat, {{"status", "rejected"}}),
               bad.size() + 1);
     EXPECT_EQ(series_total(service, lat, {{"status", "failed"}}), 0u);
+}
+
+TEST(Service, ZeroVariableKeyIsMalformedAndWorkerSurvives)
+{
+    ServiceConfig cfg;
+    cfg.num_workers = 1;  // the honest job must land on the same worker
+    ProofService service(cfg);
+
+    const auto &honest = test::proved(test::kProofShapes[0]);
+    auto [vk0, proof0] = test::zero_variable_statement(honest.vk);
+    VerifyRequest hostile;
+    hostile.request_id = 1;
+    hostile.vk = hyperplonk::serde::serialize_verifying_key(vk0);
+    hostile.proof = hyperplonk::serde::serialize_proof(proof0);
+    auto resp = service.submit(hostile).get();
+    EXPECT_EQ(resp.status, JobStatus::malformed_request);
+    EXPECT_FALSE(resp.error.empty());
+
+    VerifyRequest req;
+    req.request_id = 2;
+    req.vk = hyperplonk::serde::serialize_verifying_key(honest.vk);
+    req.public_inputs = honest.publics;
+    req.proof = honest.bytes;
+    auto ok = service.submit(req).get();
+    EXPECT_TRUE(ok.ok()) << ok.error;
 }
 
 TEST(Service, TraceReplaysThroughChipModel)
