@@ -8,8 +8,10 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <chrono>
 #include <random>
 
+#include "curve/batch_affine.hpp"
 #include "ff/batch_inverse.hpp"
 #include "ff/lanes8.hpp"
 #include "hash/keccak.hpp"
@@ -48,6 +50,76 @@ BM_FqMul(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FqMul);
+
+// A dependent chain of additions: the carry and borrow corrections
+// see data-dependent values, as in the sumcheck and bucket loops.
+void
+BM_FrAdd(benchmark::State &state)
+{
+    Fr a = Fr::random(rng()), b = Fr::random(rng());
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(a = a + b);
+    }
+}
+BENCHMARK(BM_FrAdd);
+
+void
+BM_FqAdd(benchmark::State &state)
+{
+    Fq a = Fq::random(rng()), b = Fq::random(rng());
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(a = a + b);
+    }
+}
+BENCHMARK(BM_FqAdd);
+
+// One bucket-phase batch: queue n adds of distinct input points (every
+// other one negated) into result slots, then complete them behind one
+// inversion on the selected lane kernel. The counters split the time
+// per add between queueing (AffineBatch::add) and completion.
+void
+BM_AffineBatchAdd(benchmark::State &state)
+{
+    using curve::AffineBatch;
+    const size_t n = size_t(state.range(0));
+    std::vector<curve::G1> jac(2 * n);
+    const curve::G1 g = curve::g1_generator();
+    curve::G1 acc = g.mul(Fr::random(rng()));
+    for (auto &p : jac) {
+        p = acc;
+        acc += g;
+    }
+    const auto pts =
+        curve::batch_to_affine<curve::G1Params>(std::span<const curve::G1>(jac));
+    std::vector<curve::AffineSlot> slots(n);
+    AffineBatch batch;
+    batch.reserve(n);
+    batch.bind(std::span(pts), std::span(slots));
+    using Clock = std::chrono::steady_clock;
+    Clock::duration queue{}, complete{};
+    for (auto _ : state) {
+        const auto t0 = Clock::now();
+        for (size_t j = 0; j < n; ++j) {
+            batch.add(AffineBatch::input(2 * j),
+                      AffineBatch::input(2 * j + 1, j % 2 == 1), uint32_t(j));
+        }
+        const auto t1 = Clock::now();
+        batch.complete();
+        const auto t2 = Clock::now();
+        queue += t1 - t0;
+        complete += t2 - t1;
+        benchmark::DoNotOptimize(slots.data());
+    }
+    const double adds = double(state.iterations()) * double(n);
+    auto ns = [&](Clock::duration d) {
+        return std::chrono::duration<double, std::nano>(d).count() / adds;
+    };
+    state.counters["queue_ns"] = ns(queue);
+    state.counters["complete_ns"] = ns(complete);
+    state.SetItemsProcessed(int64_t(adds));
+    state.SetLabel(ff::lane_kernel_name());
+}
+BENCHMARK(BM_AffineBatchAdd)->Arg(4096);
 
 // Eight independent Fq muls per iteration on the lane kernel this
 // process selected (its name is the label), repacking included; the

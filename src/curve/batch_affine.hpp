@@ -9,18 +9,24 @@
  * datapath (paper Section 4.2). Like the unit's pipelined adder, a
  * batch completes its adds eight at a time, on the 8-lane Fq kernel
  * this process selected (ff/lanes8.hpp), and counts exactly the muls
- * of one scalar chain. Three callers advance many independent chains
- * in lockstep, one batch per step:
- *  - curve::msm's bucket accumulation and chunked aggregation, and
- *    pairwise_sums, which derives each lower SRS level, queue into an
- *    AffineBatch, which copies its operands and handles P + P and
- *    P + (-P);
- *  - fixed_base_mul, the SRS builder's fixed-base multiplication, adds
- *    in place: its chains can never meet those cases, so it keeps only
- *    the denominators (a batch of 1024 adds in ~50 KB, not ~250 KB).
+ * of one scalar chain.
+ *
+ * A queued add holds no field elements: it is four 32-bit words that
+ * name its operands and its result by index into storage the caller
+ * binds (AffineBatch::bind). Operands are input points, read-only and
+ * optionally negated, or slots; the sum overwrites a slot in place, so
+ * a batch reserves 64 bytes per queued add (the add and one prefix
+ * product). Every caller of the affine add runs on this one engine,
+ * each advancing many independent chains in lockstep, one batch per
+ * step:
+ *  - curve::msm's bucket accumulation (its slots are a pool of running
+ *    bucket sums) and chunked aggregation (its slots are the chains);
+ *  - pairwise_sums, which derives each lower SRS level;
+ *  - fixed_base_mul and its window table, which build the top level.
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -37,102 +43,173 @@ struct AffineSlot {
     ff::Fq x, y;
 };
 
-namespace detail {
-
-/** One queued addition. complete() overwrites x1, y1 with the sum. */
-struct PendingAdd {
-    /** sum_x pre-stores x1 + x2 so completion is exactly lambda,
-     * lambda^2 and the y3 product. */
-    ff::Fq x1, y1, sum_x, num;
-    uint32_t out = 0;
-};
-
 /**
- * Invert every dens[j] behind one inversion and replace pend[j]'s x1,
- * y1 with its sum: lambda = num / den, x3 = lambda^2 - (x1 + x2),
- * y3 = lambda (x1 - x3) - y1. `prefix` is scratch of dens.size().
- * Runs 8 lanes at a time on ff::lane_kernel(); see batch_affine.cpp.
- */
-void finish_adds(std::span<PendingAdd> pend, std::span<ff::Fq> dens,
-                 ff::Fq *prefix);
-
-}  // namespace detail
-
-/**
- * A batch of pending affine additions P + Q (or doublings) that share
- * one inversion over their slope denominators.
+ * A batch of pending affine additions (or doublings) that share one
+ * inversion over their slope denominators.
  *
  * Equal-x pairs never reach the inversion: P + (-P) cancels (add()
  * queues nothing and returns false) and P + P is queued as a doubling
  * with denominator 2y != 0 (y = 0 would be a 2-torsion point, and E(Fq)
  * has odd order), so no zero denominator can poison the batch.
+ *
+ * Operands are read when complete() runs, not when add() queues them,
+ * so the caller keeps every named operand in place until then. The
+ * sums are written in reverse queue order, each after its own
+ * operands are read: an add may read a slot that another add of the
+ * same batch overwrites only if it was queued after that add.
  */
 class AffineBatch
 {
   public:
-    /** Queue p + q for destination `out`. @return false when the sum is
+    /** An operand: input point i (y negated when asked) or slot i of
+     * the bound storage, for i <= kMaxIndex. */
+    using Ref = uint32_t;
+    static constexpr Ref kSlotBit = Ref(1) << 31;
+    static constexpr Ref kNegBit = Ref(1) << 30;
+    /** Largest input or slot index a Ref can name. */
+    static constexpr uint32_t kMaxIndex = kNegBit - 1;
+
+    static Ref input(size_t i, bool neg = false)
+    {
+        return Ref(i) | (neg ? kNegBit : 0);
+    }
+    static Ref slot(size_t i) { return Ref(i) | kSlotBit; }
+    static bool is_slot(Ref r) { return (r & kSlotBit) != 0; }
+    static uint32_t index(Ref r) { return r & kMaxIndex; }
+
+    /** One queued addition: slot dst = a + b. */
+    struct Queued {
+        Ref a, b;
+        /** The result slot; kDoubling marks a doubling. */
+        uint32_t dst_bits;
+        /** The caller's label, handed back by complete(). */
+        uint32_t tag;
+
+        static constexpr uint32_t kDoubling = uint32_t(1) << 31;
+        uint32_t dst() const { return dst_bits & ~kDoubling; }
+        bool doubling() const { return (dst_bits & kDoubling) != 0; }
+    };
+
+    /** The storage refs index: y follows x in every element. */
+    struct Storage {
+        const char *in = nullptr;
+        size_t in_stride = 0;
+        AffineSlot *slots = nullptr;
+
+        const ff::Fq *
+        x(Ref r) const
+        {
+            return is_slot(r) ? &slots[index(r)].x
+                              : reinterpret_cast<const ff::Fq *>(
+                                    in + size_t(index(r)) * in_stride);
+        }
+
+        /** y, negated for an input ref that asks for it. */
+        ff::Fq
+        y(Ref r) const
+        {
+            const ff::Fq &y = x(r)[1];
+            return (r & kNegBit) ? -y : y;
+        }
+    };
+
+    /**
+     * Name the storage operands and results live in: `inputs` is read
+     * through input refs (any array whose elements start with the Fq
+     * pair x, y, such as G1Affine or AffineSlot) and `slots` through
+     * slot refs and result slots. Refs are indices, so re-binding a
+     * grown array keeps the queued adds valid.
+     */
+    template <typename Point>
+    void
+    bind(std::span<const Point> inputs, std::span<AffineSlot> slots)
+    {
+        static_assert(offsetof(Point, x) == 0 &&
+                      offsetof(Point, y) == sizeof(ff::Fq));
+        s_ = {reinterpret_cast<const char *>(inputs.data()), sizeof(Point),
+              slots.data()};
+    }
+
+    /** Queue slot dst = a + b; dst may be a's or b's own slot, which
+     * the sum then overwrites in place. @return false when the sum is
      * the identity (nothing is queued). */
     bool
-    add(const AffineSlot &p, const AffineSlot &q, uint32_t out)
+    add(Ref a, Ref b, uint32_t dst, uint32_t tag = 0)
     {
-        if (p.x == q.x) {
-            if (!(p.y == q.y) || p.y.is_zero()) return false;  // P + (-P)
-            ff::Fq x_sq = p.x.square();
-            dens_.push_back(p.y.dbl());
-            pend_.push_back({p.x, p.y, p.x.dbl(), x_sq.dbl() + x_sq, out});
-            return true;
+        uint32_t bits = dst;
+        if (*s_.x(a) == *s_.x(b)) {
+            const ff::Fq ay = s_.y(a), by = s_.y(b);
+            if (!(ay == by) || ay.is_zero()) return false;  // P + (-P)
+            bits |= Queued::kDoubling;
         }
-        dens_.push_back(q.x - p.x);
-        pend_.push_back({p.x, p.y, p.x + q.x, q.y - p.y, out});
+        if (n_ == q_.size()) q_.emplace_back();
+        q_[n_++] = {a, b, bits, tag};
         return true;
     }
 
-    /** Size both batch buffers for m queued additions up front, so a
-     * batch that never exceeds m never reallocates. */
+    /** Size the batch for m queued additions up front, so a batch that
+     * never exceeds m never reallocates. */
     void
     reserve(size_t m)
     {
-        for (auto *v : {&pend_, &done_}) v->reserve(m);
-        for (auto *v : {&dens_, &done_dens_, &prefix_}) v->reserve(m);
+        q_.reserve(m);
+        prefix_.reserve(m);
     }
 
-    bool empty() const { return pend_.empty(); }
-    size_t size() const { return pend_.size(); }
+    /** Bytes this batch holds reserved for its queue and scratch. */
+    size_t
+    reserved_bytes() const
+    {
+        return q_.capacity() * sizeof(Queued) +
+               prefix_.capacity() * sizeof(ff::Fq);
+    }
+
+    bool empty() const { return n_ == 0; }
+    size_t size() const { return n_; }
 
     /** Additions completed by this batch so far. */
     uint64_t completed() const { return completed_; }
 
     /**
-     * Complete every queued addition behind one inversion and hand each
-     * sum to sink(out, sum), in queue order. sink may queue new
-     * additions into this batch; they wait for the next complete().
+     * Complete every queued addition behind one inversion, writing each
+     * sum into its dst slot, then hand each add to sink(const Queued &)
+     * in queue order. The sink may queue at most one new addition per
+     * call; those wait for the next complete(). A doubling's x^2 is
+     * counted here, not in add().
      */
     template <typename Sink>
     void
     complete(Sink &&sink)
     {
-        const size_t m = pend_.size();
+        const size_t m = n_;
         if (m == 0) return;
-        std::swap(pend_, done_);
-        std::swap(dens_, done_dens_);
         if (prefix_.size() < m) prefix_.resize(m);
-        detail::finish_adds(done_, done_dens_, prefix_.data());
+        finish();
         completed_ += m;
-        for (const detail::PendingAdd &p : done_) {
-            sink(p.out, AffineSlot{p.x1, p.y1});
+        // The sink's adds land at indices <= j, all of them already
+        // handed out, so the queue is read and refilled in one buffer.
+        n_ = 0;
+        for (size_t j = 0; j < m; ++j) {
+            const Queued done = q_[j];
+            sink(done);
         }
-        done_.clear();
-        done_dens_.clear();
+    }
+
+    void
+    complete()
+    {
+        complete([](const Queued &) {});
     }
 
   private:
-    std::vector<ff::Fq> dens_;
+    /** Compute every queued sum (batch_affine.cpp). */
+    void finish();
+
+    Storage s_;
+    /** q_[0 .. n_) are queued; q_.size() is only a high-water mark. */
+    std::vector<Queued> q_;
+    size_t n_ = 0;
     std::vector<ff::Fq> prefix_;
-    std::vector<detail::PendingAdd> pend_;
-    /** The batch being completed; swapped with pend_ so sink can queue
-     * the next batch while this one is read. */
-    std::vector<ff::Fq> done_dens_;
-    std::vector<detail::PendingAdd> done_;
     uint64_t completed_ = 0;
 };
 

@@ -375,6 +375,8 @@ class BucketTables
     const AffineSlot *val(size_t g) const { return val_.data() + g * stride_; }
     uint8_t *set(size_t g) { return set_.data() + g * stride_; }
     const uint8_t *set(size_t g) const { return set_.data() + g * stride_; }
+    /** Every table's values, window g's bucket b at g * (half + 1) + b. */
+    std::span<const AffineSlot> all() const { return val_; }
 
   private:
     size_t stride_;
@@ -382,48 +384,112 @@ class BucketTables
     std::vector<uint8_t> set_;
 };
 
+/** Per-worker scratch of the bucket phase, reused across windows so
+ * buffers are only ever grown. */
+struct BucketScratch {
+    AffineBatch batch;
+    /** Per bucket: the Ref of its waiting occupant, or kEmpty. */
+    std::vector<AffineBatch::Ref> occ;
+    /** Running sums: each live sum sits in one slot until it is read
+     * into the bucket table. */
+    std::vector<AffineSlot> slots;
+    /** Slots below `used` that are free again. */
+    std::vector<uint32_t> free;
+    uint32_t used = 0;
+
+    static constexpr AffineBatch::Ref kEmpty = ~AffineBatch::Ref(0);
+};
+
 /**
  * Bucket phase of one window: reduce its signed digits into table g of
  * `tables`.
  *
- * Entries stream through in point order against an L2-resident
- * per-bucket waiting slot: the first occupant of a bucket waits, the
- * next one pairs with it (vacating the slot), and pairs accumulate into
- * a pending batch that shares ONE inversion over its slope
- * denominators. Batches are completed every kFlush pairs — small enough
- * that the batch buffers stay cache-resident — and each completed pair
- * feeds straight back into its bucket's waiting slot, where it either
- * waits or pairs again (into the next batch). No sorting, no
- * index-gathers, no result streams: pending work strictly shrinks per
- * feedback generation and whatever rests in the slots at the end IS the
- * bucket table, which the aggregation reads in place.
+ * Entries stream through in point order against a per-bucket waiting
+ * occupant: the first occupant of a bucket waits, the next one pairs
+ * with it (vacating the bucket), and pairs accumulate into a pending
+ * batch that shares ONE inversion over its slope denominators. Batches
+ * are completed every kFlush pairs — small enough that the batch stays
+ * cache-resident — and each completed pair feeds straight back into its
+ * bucket, where it either waits or pairs again (into the next batch).
+ * No sorting and no result streams: pending work strictly shrinks per
+ * feedback generation, and whatever waits in the buckets at the end is
+ * read into the bucket table, which the aggregation reads in place.
+ *
+ * Nothing is copied into the batch. An occupant is a Ref: an input
+ * point with its digit's sign, or a slot of the running-sum pool. A
+ * pair's sum overwrites its occupant's or its newcomer's slot in place,
+ * or takes a free slot when both are input points, and the slot it did
+ * not overwrite is freed once the batch has read it. Every slot is
+ * named by at most one pending add or waiting occupant, so the in-place
+ * writes never alias a value still to be read.
  */
 void
 fill_buckets(std::span<const G1Affine> points, const int32_t *col,
-             unsigned half, AffineBatch &batch, BucketTables &tables,
+             unsigned half, BucketScratch &sc, BucketTables &tables,
              size_t g)
 {
+    using B = AffineBatch;
     const size_t n = points.size();
-    AffineSlot *val = tables.val(g);
-    uint8_t *set = tables.set(g);
-    std::fill_n(set, size_t(half) + 1, 0);
     constexpr size_t kFlush = 4096;
-    // Every pending pair holds two of at most n live points, and a
-    // batch is completed once it reaches kFlush; sizing for that up
-    // front keeps the batch from growing through discarded buffers.
-    batch.reserve(std::min(n / 2 + 1, kFlush));
+    // A batch is completed once it reaches kFlush, so it queues at most
+    // kFlush + 1 adds, and every pending pair holds two of at most n
+    // live points.
+    sc.batch.reserve(std::min(n / 2 + 1, kFlush + 1));
+    sc.occ.assign(size_t(half) + 1, BucketScratch::kEmpty);
+    // Live sums are disjoint and hold two points or more each, so at
+    // most n / 2 slots are ever live; most windows need about one per
+    // queued add plus one per bucket, and the pool grows past that only
+    // when a window needs it.
+    const size_t want = std::min(n / 2, kFlush + 1 + half);
+    if (sc.slots.size() < want) sc.slots.resize(want);
+    sc.free.clear();
+    sc.used = 0;
+    sc.batch.bind(points, std::span(sc.slots));
+
+    auto alloc = [&]() -> uint32_t {
+        if (!sc.free.empty()) {
+            const uint32_t i = sc.free.back();
+            sc.free.pop_back();
+            return i;
+        }
+        if (sc.used == sc.slots.size()) {
+            sc.slots.resize(std::max<size_t>(1, 2 * sc.slots.size()));
+            sc.batch.bind(points, std::span(sc.slots));
+        }
+        return sc.used++;
+    };
+    auto release = [&](B::Ref r) {
+        if (B::is_slot(r)) sc.free.push_back(B::index(r));
+    };
 
     // One streamed entry: pair with the bucket's waiting occupant, or
-    // become the waiting occupant (a queued pair vacates the slot; a
+    // become the waiting occupant (a queued pair vacates the bucket; a
     // cancelling pair just disappears).
-    auto feed = [&](uint32_t b, const AffineSlot &p) {
-        if (!set[b]) {
-            val[b] = p;
-            set[b] = 1;
+    auto feed = [&](uint32_t b, B::Ref r) {
+        B::Ref &o = sc.occ[b];
+        if (o == BucketScratch::kEmpty) {
+            o = r;
             return;
         }
-        set[b] = 0;
-        batch.add(val[b], p, b);
+        const B::Ref occupant = o;
+        o = BucketScratch::kEmpty;
+        const bool fresh = !B::is_slot(occupant) && !B::is_slot(r);
+        const uint32_t dst = B::is_slot(occupant) ? B::index(occupant)
+                             : fresh              ? alloc()
+                                                  : B::index(r);
+        if (!sc.batch.add(occupant, r, dst, b)) {
+            release(occupant);
+            release(r);
+            if (fresh) sc.free.push_back(dst);
+        }
+    };
+    // A completed pair: free the operand slot its sum did not
+    // overwrite, then feed the sum back.
+    auto done = [&](const B::Queued &q) {
+        for (B::Ref r : {q.a, q.b}) {
+            if (B::is_slot(r) && B::index(r) != q.dst()) release(r);
+        }
+        feed(q.tag, B::slot(q.dst()));
     };
 
     // Stream the input points in order (signed digits pick the
@@ -432,11 +498,24 @@ fill_buckets(std::span<const G1Affine> points, const int32_t *col,
     for (size_t i = 0; i < n; ++i) {
         int32_t d = col[i];
         if (d == 0) continue;
-        AffineSlot p{points[i].x, d < 0 ? -points[i].y : points[i].y};
-        feed(uint32_t(d < 0 ? -d : d), p);
-        if (batch.size() >= kFlush) batch.complete(feed);
+        feed(uint32_t(d < 0 ? -d : d), B::input(i, d < 0));
+        if (sc.batch.size() >= kFlush) sc.batch.complete(done);
     }
-    while (!batch.empty()) batch.complete(feed);
+    while (!sc.batch.empty()) sc.batch.complete(done);
+
+    AffineSlot *val = tables.val(g);
+    uint8_t *set = tables.set(g);
+    for (uint32_t b = 0; b <= half; ++b) {
+        const B::Ref r = sc.occ[b];
+        set[b] = r != BucketScratch::kEmpty;
+        if (!set[b]) continue;
+        if (B::is_slot(r)) {
+            val[b] = sc.slots[B::index(r)];
+        } else {
+            const G1Affine &p = points[B::index(r)];
+            val[b] = {p.x, (r & B::kNegBit) ? -p.y : p.y};
+        }
+    }
 }
 
 /** Aggregation of a small window, sum_b b * B_b over its 2^{w-1}
@@ -477,59 +556,58 @@ struct AggScratch {
  * step j fuses with the independent "acc += B_{j-1}" of the next step.
  * All windows of the group take each step together, so the group's
  * L + 1 steps cost L + 1 inversions, not L + 1 per window.
+ *
+ * The chains are the batch's slots and each add overwrites its chain in
+ * place. "T += acc" reads acc's value from before the step, so it is
+ * queued after the step's "acc += B", whose sum the batch writes only
+ * once "T += acc" has read acc.
  */
 void
 aggregate_chunked(const BucketTables &tables, size_t first, size_t count,
                   unsigned half, AggScratch &s, G1 *out)
 {
+    using B = AffineBatch;
     const uint32_t C = half / kAggChunk;
     const size_t stride = size_t(2) * C;  // per window: acc_c, then T_c
+    const size_t bucket_stride = size_t(half) + 1;
     s.chain.resize(stride * count);
     s.chain_set.assign(stride * count, 0);
+    s.batch.bind(tables.all(), std::span(s.chain));
 
-    auto chain_add = [&](size_t dst, const AffineSlot &src) {
+    // chain[dst] += src, read as of this step.
+    auto chain_add = [&](size_t dst, B::Ref src, const AffineSlot &value) {
         if (!s.chain_set[dst]) {
-            s.chain[dst] = src;
+            s.chain[dst] = value;
             s.chain_set[dst] = 1;
             return;
         }
-        if (!s.batch.add(s.chain[dst], src, uint32_t(dst))) {
+        if (!s.batch.add(B::slot(dst), src, uint32_t(dst))) {
             s.chain_set[dst] = 0;
         }
     };
-    auto acc_step = [&](uint32_t j) {  // acc_c += B_{c*L + j + 1}
+    // One lockstep step: acc_c += B_{c*L + j + 1} when j >= 0, and
+    // T_c += acc_c (the value acc_c held before the step) when `tri`.
+    auto step = [&](int j, bool tri) {
         for (size_t g = 0; g < count; ++g) {
+            const size_t table = (first + g) * bucket_stride;
             const AffineSlot *val = tables.val(first + g);
             const uint8_t *set = tables.set(first + g);
             for (uint32_t c = 0; c < C; ++c) {
-                uint32_t b = c * kAggChunk + j + 1;
-                if (set[b]) chain_add(g * stride + c, val[b]);
+                const size_t a = g * stride + c;
+                const bool was_set = s.chain_set[a];
+                if (j >= 0) {
+                    const uint32_t b = c * kAggChunk + uint32_t(j) + 1;
+                    if (set[b]) chain_add(a, B::input(table + b), val[b]);
+                }
+                if (tri && was_set) chain_add(a + C, B::slot(a), s.chain[a]);
             }
         }
-    };
-    auto tri_step = [&]() {  // T_c += acc_c (pre-batch value)
-        for (size_t g = 0; g < count; ++g) {
-            for (uint32_t c = 0; c < C; ++c) {
-                size_t a = g * stride + c;
-                if (s.chain_set[a]) chain_add(a + C, s.chain[a]);
-            }
-        }
-    };
-    auto complete = [&]() {
-        s.batch.complete([&](uint32_t dst, const AffineSlot &p) {
-            s.chain[dst] = p;
-        });
+        s.batch.complete();
     };
 
-    acc_step(kAggChunk - 1);
-    complete();
-    for (uint32_t j = kAggChunk - 1; j-- > 0;) {
-        tri_step();      // reads acc after step j+1
-        acc_step(j);     // writes acc for step j
-        complete();
-    }
-    tri_step();
-    complete();
+    step(kAggChunk - 1, false);
+    for (int j = int(kAggChunk) - 2; j >= 0; --j) step(j, true);
+    step(-1, true);
 
     // Combine per window: hi = sum_c c*S_c via a short Jacobian running
     // sum over the C chunk sums, then window_sum = L*hi + sum_c T_c.
@@ -587,16 +665,16 @@ pippenger_signed(std::span<const G1Affine> points,
     if (half < kChunkedMinBuckets) {
         ff::parallel_for(nw, size_t(window_cost(n, w)),
                          [&](size_t win_begin, size_t win_end) {
-                             AffineBatch batch;
+                             BucketScratch sc;
                              BucketTables t(1, half);
                              for (size_t win = win_begin; win < win_end;
                                   ++win) {
                                  fill_buckets(points, digits.data() + win * n,
-                                              half, batch, t, 0);
+                                              half, sc, t, 0);
                                  window_sums[win] =
                                      running_sum(t.val(0), t.set(0), half);
                              }
-                             adds += batch.completed();
+                             adds += sc.batch.completed();
                          });
     } else {
         // Chunked windows: fill every window's table, then aggregate
@@ -605,12 +683,12 @@ pippenger_signed(std::span<const G1Affine> points,
         // inversion count, and so the Fq muls, budget-independent.
         BucketTables tables(nw, half);
         ff::parallel_for(nw, 6 * n, [&](size_t win_begin, size_t win_end) {
-            AffineBatch batch;
+            BucketScratch sc;
             for (size_t win = win_begin; win < win_end; ++win) {
-                fill_buckets(points, digits.data() + win * n, half, batch,
+                fill_buckets(points, digits.data() + win * n, half, sc,
                              tables, win);
             }
-            adds += batch.completed();
+            adds += sc.batch.completed();
         });
         const size_t groups = (nw + kAggGroup - 1) / kAggGroup;
         auto first = [&](size_t g) { return g * nw / groups; };

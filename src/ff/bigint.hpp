@@ -15,6 +15,11 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
+
+#if defined(__x86_64__)
+#include <x86intrin.h>
+#endif
 
 namespace zkspeed::ff {
 
@@ -236,22 +241,67 @@ widen(const BigInt<N> &a)
     return r;
 }
 
-/** Modular addition of values already reduced mod p. */
+/**
+ * Modular addition of values already reduced mod p. At run time on
+ * x86-64 the correction is a mask, not a branch on the data: a + b and
+ * a + b - p are both formed with carry/borrow chains and one is kept.
+ */
 template <size_t N>
 constexpr BigInt<N>
 mod_add(const BigInt<N> &a, const BigInt<N> &b, const BigInt<N> &p)
 {
+#if defined(__x86_64__)
+    if (!std::is_constant_evaluated()) {
+        BigInt<N> s, d;
+        unsigned char carry = 0, borrow = 0;
+        for (size_t i = 0; i < N; ++i) {
+            carry = _addcarry_u64(
+                carry, a.limbs[i], b.limbs[i],
+                reinterpret_cast<unsigned long long *>(&s.limbs[i]));
+        }
+        for (size_t i = 0; i < N; ++i) {
+            borrow = _subborrow_u64(
+                borrow, s.limbs[i], p.limbs[i],
+                reinterpret_cast<unsigned long long *>(&d.limbs[i]));
+        }
+        // Keep a + b only when it neither carried out nor reached p.
+        const uint64_t keep = uint64_t(0) - uint64_t(borrow & ~carry & 1);
+        for (size_t i = 0; i < N; ++i) {
+            s.limbs[i] = (s.limbs[i] & keep) | (d.limbs[i] & ~keep);
+        }
+        return s;
+    }
+#endif
     BigInt<N> r = a;
     uint64_t carry = r.add_assign(b);
     if (carry || r >= p) r.sub_assign(p);
     return r;
 }
 
-/** Modular subtraction of values already reduced mod p. */
+/** Modular subtraction of values already reduced mod p; branch-free at
+ * run time on x86-64, like mod_add (p is added back under a mask). */
 template <size_t N>
 constexpr BigInt<N>
 mod_sub(const BigInt<N> &a, const BigInt<N> &b, const BigInt<N> &p)
 {
+#if defined(__x86_64__)
+    if (!std::is_constant_evaluated()) {
+        BigInt<N> d;
+        unsigned char borrow = 0, carry = 0;
+        for (size_t i = 0; i < N; ++i) {
+            borrow = _subborrow_u64(
+                borrow, a.limbs[i], b.limbs[i],
+                reinterpret_cast<unsigned long long *>(&d.limbs[i]));
+        }
+        const uint64_t mask = uint64_t(0) - uint64_t(borrow);
+        for (size_t i = 0; i < N; ++i) {
+            carry = _addcarry_u64(
+                carry, d.limbs[i], p.limbs[i] & mask,
+                reinterpret_cast<unsigned long long *>(&d.limbs[i]));
+        }
+        return d;
+    }
+#endif
     BigInt<N> r = a;
     if (r.sub_assign(b)) r.add_assign(p);
     return r;

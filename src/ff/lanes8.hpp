@@ -137,8 +137,8 @@ void mul_lanes8(LaneKernel k, Fq *out, const Fq *a, const Fq *b);
 
 /**
  * The portable lane kernel. A load or store names its lanes either as
- * xs[0 .. lanes) or as the field `f` of items[0 .. lanes); lanes at or
- * past `lanes` are zero on load and untouched on store.
+ * xs[0 .. lanes) or as *ptrs[0 .. lanes); lanes at or past `lanes` are
+ * zero on load and untouched on store.
  */
 struct PortableLanes {
     using V = std::array<Fq, kLanes>;
@@ -151,26 +151,25 @@ struct PortableLanes {
         return v;
     }
 
-    template <typename T>
-    static V
-    load(const T *items, Fq T::*f, unsigned lanes)
-    {
-        V v{};
-        for (unsigned c = 0; c < lanes; ++c) v[c] = items[c].*f;
-        return v;
-    }
-
     static void
     store(Fq *xs, const V &v, unsigned lanes)
     {
         for (unsigned c = 0; c < lanes; ++c) xs[c] = v[c];
     }
 
-    template <typename T>
-    static void
-    store(T *items, Fq T::*f, const V &v, unsigned lanes)
+    /** Lane c from *ptrs[c]. */
+    static V
+    load(const Fq *const *ptrs, unsigned lanes)
     {
-        for (unsigned c = 0; c < lanes; ++c) items[c].*f = v[c];
+        V v{};
+        for (unsigned c = 0; c < lanes; ++c) v[c] = *ptrs[c];
+        return v;
+    }
+
+    static void
+    store(Fq *const *ptrs, const V &v, unsigned lanes)
+    {
+        for (unsigned c = 0; c < lanes; ++c) *ptrs[c] = v[c];
     }
 
     /** a * b in the first `lanes` lanes (one counted mul each). */
@@ -183,10 +182,29 @@ struct PortableLanes {
     }
 
     static V
+    add(const V &a, const V &b)
+    {
+        V r;
+        for (unsigned c = 0; c < kLanes; ++c) r[c] = a[c] + b[c];
+        return r;
+    }
+
+    static V
     sub(const V &a, const V &b)
     {
         V r;
         for (unsigned c = 0; c < kLanes; ++c) r[c] = a[c] - b[c];
+        return r;
+    }
+
+    /** -a in the lanes whose bit is set in `mask`, a elsewhere. */
+    static V
+    neg(const V &a, unsigned mask)
+    {
+        V r = a;
+        for (unsigned c = 0; c < kLanes; ++c) {
+            if (mask >> c & 1) r[c] = -a[c];
+        }
         return r;
     }
 };
@@ -229,24 +247,23 @@ struct IfmaLanes {
         return gather(xs, sizeof(Fq), lanes);
     }
 
-    template <typename T>
-    ZKSPEED_IFMA_TARGET static V
-    load(const T *items, Fq T::*f, unsigned lanes)
-    {
-        return gather(&(items->*f), sizeof(T), lanes);
-    }
-
     ZKSPEED_IFMA_TARGET static void
     store(Fq *xs, const V &v, unsigned lanes)
     {
         scatter(xs, sizeof(Fq), v, lanes);
     }
 
-    template <typename T>
-    ZKSPEED_IFMA_TARGET static void
-    store(T *items, Fq T::*f, const V &v, unsigned lanes)
+    /** Lane c from *ptrs[c]; all eight pointers must be set. */
+    ZKSPEED_IFMA_TARGET static V
+    load(const Fq *const *ptrs, unsigned lanes)
     {
-        scatter(&(items->*f), sizeof(T), v, lanes);
+        return gather(ptrs[0], pointer_offsets(ptrs), lanes);
+    }
+
+    ZKSPEED_IFMA_TARGET static void
+    store(Fq *const *ptrs, const V &v, unsigned lanes)
+    {
+        scatter(ptrs[0], pointer_offsets(ptrs), v, lanes);
     }
 
     /** a * b in every lane, counted once per lane below `lanes`. */
@@ -255,6 +272,42 @@ struct IfmaLanes {
     {
         modmul_counters().counts[int(CounterTag::fq)] += lanes;
         return mont_mul(a, b);
+    }
+
+    /** a + b mod p in every lane. @pre a, b < p. */
+    ZKSPEED_IFMA_TARGET static V
+    add(const V &a, const V &b)
+    {
+        // a + b < 2p < 2^382 fits the eight limbs; then subtract p
+        // where that does not go negative.
+        const __m512i m = _mm512_set1_epi64(kMask52);
+        V s, p;
+        __m512i carry = _mm512_setzero_si512();
+#pragma GCC unroll 8
+        for (int j = 0; j < 8; ++j) {
+            __m512i x = _mm512_add_epi64(_mm512_add_epi64(a.l[j], b.l[j]),
+                                         carry);
+            carry = shr<52>(x);
+            s.l[j] = _mm512_and_si512(x, m);
+            p.l[j] = _mm512_set1_epi64(kP[j]);
+        }
+        return sub(s, p);
+    }
+
+    /** -a in the lanes whose bit is set in `mask`, a elsewhere.
+     * @pre a < p. */
+    ZKSPEED_IFMA_TARGET static V
+    neg(const V &a, unsigned mask)
+    {
+        if (mask == 0) return a;
+        V zero;
+        for (int j = 0; j < 8; ++j) zero.l[j] = _mm512_setzero_si512();
+        const V n = sub(zero, a);  // p - a, or 0 where a = 0
+        V r;
+        for (int j = 0; j < 8; ++j) {
+            r.l[j] = _mm512_mask_blend_epi64(__mmask8(mask), a.l[j], n.l[j]);
+        }
+        return r;
     }
 
     /** a - b mod p in every lane. @pre -p <= a - b < p, limbs below
@@ -365,8 +418,14 @@ struct IfmaLanes {
     ZKSPEED_IFMA_TARGET static V
     gather(const Fq *first, size_t stride, unsigned lanes)
     {
+        return gather(first, lane_offsets(stride), lanes);
+    }
+
+    /** Lane c from the Fq at `first` advanced by idx[c] bytes. */
+    ZKSPEED_IFMA_TARGET static V
+    gather(const Fq *first, __m512i idx, unsigned lanes)
+    {
         static_assert(sizeof(Fq) == 8 * Fq::kLimbs);
-        const __m512i idx = lane_offsets(stride);
         const __mmask8 k = lane_mask(lanes);
         const auto *base = reinterpret_cast<const char *>(first);
         __m512i q[6];
@@ -381,7 +440,12 @@ struct IfmaLanes {
     ZKSPEED_IFMA_TARGET static void
     scatter(Fq *first, size_t stride, const V &v, unsigned lanes)
     {
-        const __m512i idx = lane_offsets(stride);
+        scatter(first, lane_offsets(stride), v, lanes);
+    }
+
+    ZKSPEED_IFMA_TARGET static void
+    scatter(Fq *first, __m512i idx, const V &v, unsigned lanes)
+    {
         const __mmask8 k = lane_mask(lanes);
         auto *base = reinterpret_cast<char *>(first);
         __m512i q[6];
@@ -455,6 +519,17 @@ struct IfmaLanes {
     join(const __m512i &lo, const __m512i &hi)
     {
         return _mm512_or_si512(shr<R>(lo), shl<L>(hi));
+    }
+
+    /** Byte offsets ptrs[c] - ptrs[0] of lanes c = 0..7. */
+    template <typename P>
+    ZKSPEED_IFMA_TARGET static __m512i
+    pointer_offsets(P *const *ptrs)
+    {
+        static_assert(sizeof(P *) == sizeof(long long));
+        return _mm512_sub_epi64(
+            _mm512_loadu_si512(ptrs),
+            _mm512_set1_epi64(reinterpret_cast<long long>(ptrs[0])));
     }
 
     /** Byte offsets c * stride of lanes c = 0..7. */

@@ -451,10 +451,13 @@ fq_inverse_muls()
 TEST(BatchAffine, LaneKernelsMatchJacobianAndCount3mMinus3)
 {
     // Queued adds P_j + Q_j over distinct points, with every 5th a
-    // doubling (Q = P) and every 7th a cancelling pair (Q = -P, queued
-    // as nothing). Each m = 1..40 covers every tail length and 0..5 full
-    // lane groups; 4096 is the bucket phase's batch size.
+    // doubling (Q = P) and every 7th a cancelling pair (Q = -P as a
+    // negated input, queued as nothing). Every 3rd add reads P from its
+    // own result slot, which the sum overwrites in place. Each m = 1..40
+    // covers every tail length and 0..5 full lane groups; 4096 is the
+    // bucket phase's batch size.
     namespace ff = zkspeed::ff;
+    using B = AffineBatch;
     const auto pool = doubling_chain(2 * 4800);  // m = 4096 uses j < 4780
     const uint64_t inv_muls = fq_inverse_muls();
     std::vector<size_t> sizes;
@@ -462,37 +465,53 @@ TEST(BatchAffine, LaneKernelsMatchJacobianAndCount3mMinus3)
     sizes.push_back(4096);
     auto run = [&](size_t m, const char *kernel) {
         AffineBatch batch;
+        std::vector<AffineSlot> slots(m);
+        batch.bind(std::span(pool), std::span(slots));
         std::vector<G1> want;
-        std::vector<uint32_t> outs;
+        std::vector<uint32_t> tags;
+        uint64_t doublings = 0;
         for (size_t j = 0; want.size() < m; ++j) {
             const G1Affine &p = pool[2 * j];
-            const G1Affine q = j % 7 == 6   ? p.neg()
-                               : j % 5 == 4 ? p
-                                            : pool[2 * j + 1];
-            const bool queued = batch.add({p.x, p.y}, {q.x, q.y}, uint32_t(j));
-            ASSERT_EQ(queued, j % 7 != 6) << kernel << ", m = " << m;
+            const bool cancel = j % 7 == 6, dbl = !cancel && j % 5 == 4;
+            const B::Ref q = cancel ? B::input(2 * j, true)
+                             : dbl  ? B::input(2 * j)
+                                    : B::input(2 * j + 1);
+            const uint32_t dst = uint32_t(want.size());
+            B::Ref a = B::input(2 * j);
+            if (j % 3 == 0) {
+                slots[dst] = {p.x, p.y};
+                a = B::slot(dst);
+            }
+            const bool queued = batch.add(a, q, dst, uint32_t(j));
+            ASSERT_EQ(queued, !cancel) << kernel << ", m = " << m;
             if (!queued) continue;
-            want.push_back(G1::from_affine(p) + G1::from_affine(q));
-            outs.push_back(uint32_t(j));
+            doublings += dbl;
+            want.push_back(G1::from_affine(p) +
+                           G1::from_affine(dbl ? p : pool[2 * j + 1]));
+            tags.push_back(uint32_t(j));
         }
         const auto want_aff = batch_to_affine<G1Params>(
             std::span<const G1>(want));
         ASSERT_EQ(batch.size(), m);
         size_t i = 0;
         ff::ModmulScope muls;
-        batch.complete([&](uint32_t out, const AffineSlot &sum) {
+        batch.complete([&](const B::Queued &q) {
             ASSERT_LT(i, m);
-            EXPECT_EQ(out, outs[i]) << kernel << ", m = " << m;
-            EXPECT_EQ(G1Affine(sum.x, sum.y), want_aff[i])
-                << kernel << ", m = " << m << ", add " << i;
+            EXPECT_EQ(q.tag, tags[i]) << kernel << ", m = " << m;
+            EXPECT_EQ(q.dst(), i) << kernel << ", m = " << m;
             ++i;
         });
         EXPECT_EQ(i, m);
         EXPECT_TRUE(batch.empty());
         EXPECT_EQ(batch.completed(), m);
-        // The inversion chains cost 3m - 3 muls and the sums 3 per add.
+        for (size_t k = 0; k < m; ++k) {
+            EXPECT_EQ(G1Affine(slots[k].x, slots[k].y), want_aff[k])
+                << kernel << ", m = " << m << ", add " << k;
+        }
+        // The inversion chains cost 3m - 3 muls, the sums 3 per add and
+        // each doubling's x^2 one more.
         EXPECT_EQ(muls.inv_fq_delta(), 1u) << kernel << ", m = " << m;
-        EXPECT_EQ(muls.fq_delta() - inv_muls - 3 * m, 3 * m - 3)
+        EXPECT_EQ(muls.fq_delta() - inv_muls - 3 * m - doublings, 3 * m - 3)
             << kernel << ", m = " << m;
     };
     {
@@ -504,6 +523,91 @@ TEST(BatchAffine, LaneKernelsMatchJacobianAndCount3mMinus3)
                         "avx512ifma; the portable lanes passed";
     }
     for (size_t m : sizes) run(m, "ifma8");
+}
+
+TEST(BatchAffine, ReservedBytesPerQueuedAddStayBounded)
+{
+    // A queued add is four 32-bit refs plus one prefix product; the
+    // operands stay where the caller keeps them. Reserving and running
+    // the bucket phase's batch size (kFlush = 4096), with every sum fed
+    // back as one new add as fill_buckets does, must hold at most 128
+    // bytes per queued add: operand copies or a second buffer would
+    // read 500 or more.
+    using B = AffineBatch;
+    constexpr size_t kFlush = 4096;
+    const auto pts = doubling_chain(2 * kFlush);
+    std::vector<AffineSlot> slots(kFlush);
+    AffineBatch batch;
+    batch.reserve(kFlush);
+    batch.bind(std::span(pts), std::span(slots));
+    for (size_t j = 0; j < kFlush; ++j) {
+        ASSERT_TRUE(batch.add(B::input(2 * j), B::input(2 * j + 1),
+                              uint32_t(j)));
+    }
+    EXPECT_LE(batch.reserved_bytes(), 128 * kFlush);
+    for (int generation = 0; generation < 3; ++generation) {
+        batch.complete([&](const B::Queued &q) {
+            batch.add(B::slot(q.dst()), B::input(q.dst()), q.dst());
+        });
+        EXPECT_EQ(batch.size(), kFlush);
+        EXPECT_LE(batch.reserved_bytes(), 128 * kFlush)
+            << "generation " << generation;
+    }
+}
+
+TEST(Msm, QueueAliasingMatchesNaive)
+{
+    // The bucket phase queues refs, not copies, and sums overwrite their
+    // slots in place. Each input is checked against msm_naive at budgets
+    // 1 and 4 (same value, same Fq muls); small scalars keep the oracle
+    // cheap at 9000 points, where a window streams past two kFlush
+    // batches:
+    //  - few distinct digits over distinct points: each bucket takes a
+    //    new occupant while pending adds still read its old ones, and
+    //    65535 / 65534 give negative digits;
+    //  - all scalars equal: one bucket per window, deep feedback;
+    //  - one repeated point: every bucket pair is a doubling;
+    //  - P, P, -P, -P runs: inputs and queued sums cancel, freeing
+    //    slots that later adds reuse.
+    std::mt19937_64 rng(83);
+    const G1 g = g1_generator();
+    msm(std::vector{g.to_affine()}, std::vector{Fr::one()});  // GLV set-up
+    const std::vector<Fr> digits = {Fr::from_uint(1),     Fr::from_uint(2),
+                                    Fr::from_uint(3),     Fr::from_uint(7),
+                                    Fr::from_uint(65535), Fr::from_uint(65534),
+                                    Fr::from_uint(4095)};
+    for (size_t n : {31u, 1024u, 9000u}) {
+        const auto distinct = doubling_chain(n);
+        const Fr big = n > 1024 ? Fr::from_uint(3) : Fr::random(rng);
+        std::vector<G1Affine> same(n, distinct[1]), pm(n);
+        std::vector<Fr> few(n), equal(n, big), pairs(n);
+        for (size_t i = 0; i < n; ++i) {
+            few[i] = digits[i % digits.size()];
+            pm[i] = (i % 4 < 2) ? distinct[i / 4] : distinct[i / 4].neg();
+            pairs[i] = digits[(i / 4) % digits.size()];
+        }
+        struct Case {
+            const char *name;
+            const std::vector<G1Affine> &pts;
+            const std::vector<Fr> &scalars;
+        };
+        for (const Case &c :
+             {Case{"few digits", distinct, few},
+              Case{"all scalars equal", distinct, equal},
+              Case{"repeated point", same, few},
+              Case{"P, P, -P, -P", pm, pairs}}) {
+            const G1 want = msm_naive(c.pts, c.scalars);
+            std::vector<uint64_t> fq;
+            for (size_t budget : {1u, 4u}) {
+                zkspeed::ff::WorkerBudgetScope scope(budget);
+                zkspeed::ff::ModmulScope muls;
+                EXPECT_EQ(msm(c.pts, c.scalars), want)
+                    << c.name << ", n = " << n << ", budget " << budget;
+                fq.push_back(muls.fq_delta());
+            }
+            EXPECT_EQ(fq[0], fq[1]) << c.name << ", n = " << n;
+        }
+    }
 }
 
 TEST(Msm, LaneKernelsGiveSameValuesAndCounts)
