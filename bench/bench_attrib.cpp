@@ -15,9 +15,12 @@
  *     The verify layer adds, per scenario, the Fr/Fq muls of a VERIFY
  *     job's algebraic stage, and one pairing row: the Fq muls of one
  *     final exponentiation and of one BatchVerifier flush over the
- *     roster proofs. Any divergence is a silent perf/correctness
- *     regression and fails the build naming the scenario (or MSM size)
- *     and field.
+ *     roster proofs. The telemetry layer adds, per scenario, the exact
+ *     record calls of the same key-cache-hit PROVE job by kind (spans,
+ *     counter adds, histogram observations, gauge writes, log events):
+ *     the deterministic cost of the always-on instrumentation. Any
+ *     divergence is a silent perf/correctness regression and fails the
+ *     build naming the scenario (or MSM size) and field.
  *
  *  2. Drift gate: runs the same roster through the conformance Harness
  *     and checks the kernel-level attribution report (obs/attrib):
@@ -51,6 +54,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "curve/msm.hpp"
@@ -59,6 +63,7 @@
 #include "hyperplonk/serialize.hpp"
 #include "obs/attrib.hpp"
 #include "obs/jsonv.hpp"
+#include "obs/metrics.hpp"
 #include "report.hpp"
 #include "runtime/key_cache.hpp"
 #include "runtime/service.hpp"
@@ -106,6 +111,8 @@ struct Counters {
     /** Modmuls of a VERIFY job's algebraic stage for the same proof. */
     uint64_t verify_fr = 0;
     uint64_t verify_fq = 0;
+    /** Telemetry record calls of the PROVE job, by kind. */
+    obs::RecordCounts records;
 };
 
 /** One roster proof as a verifier receives it. */
@@ -126,13 +133,34 @@ make_spec(const RosterEntry &e)
 }
 
 /**
+ * Wait until the service's only worker is idle. Its last records of a
+ * job are the busy and utilization gauges, written after the response
+ * is set, so a job's record count is complete only once utilization
+ * reads 0 again (the gauge store is a release, so the snapshot also
+ * sees every record before it).
+ */
+void
+wait_worker_idle(const runtime::ProofService &service)
+{
+    const obs::LabelSet svc = {{"service", service.instance_label()}};
+    for (;;) {
+        auto snap = obs::MetricsRegistry::global().snapshot();
+        const auto *u = snap.find("zkspeed_worker_utilization", svc);
+        if (u != nullptr && u->gauge == 0.0) return;
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+}
+
+/**
  * Measure the roster's exact counters: prove each scenario through a
  * single-worker service with ff parallelism pinned to 1, so the modmul
  * counts are independent of the host's core count, then verify the
  * proof through the same service. Each scenario is proved twice and the
  * row comes from the second job: the first one's key-cache miss also
- * pays for Srs::generate and keygen, which are not proof cost. Each
- * proof is also appended to `proofs` for the pairing row.
+ * pays for Srs::generate and keygen, which are not proof cost. The
+ * second job's telemetry records are counted from its submit until its
+ * worker is idle. Each proof is also appended to `proofs` for the
+ * pairing row.
  */
 std::vector<Counters>
 measure_counters(std::vector<RosterProof> &proofs)
@@ -151,7 +179,11 @@ measure_counters(std::vector<RosterProof> &proofs)
         req.circuit = inst.circuit;
         req.witness = inst.witness;
         const auto cold = service.submit(req).get();
+        wait_worker_idle(service);
+        const obs::RecordCounts before = obs::record_counts();
         auto resp = service.submit(req).get();
+        wait_worker_idle(service);
+        const obs::RecordCounts records = obs::record_counts() - before;
         if (cold.ok() &&
             (!resp.metrics.key_cache_hit || resp.proof != cold.proof)) {
             std::fprintf(stderr,
@@ -172,6 +204,7 @@ measure_counters(std::vector<RosterProof> &proofs)
         c.modmul_fr = resp.metrics.modmul_fr;
         c.modmul_fq = resp.metrics.modmul_fq;
         c.proof_bytes = resp.ok() ? resp.proof.size() : 0;
+        c.records = records;
         if (resp.ok()) {
             auto vk = client.get_or_create(inst.circuit).first.vk;
             runtime::VerifyRequest vreq;
@@ -212,7 +245,7 @@ struct PairingRow {
 PairingRow
 measure_pairing(const std::vector<RosterProof> &proofs)
 {
-    ff::ParallelismGuard guard(1);
+    ff::WorkerBudgetScope budget(1);
     const curve::Fq12 f = curve::miller_loop(curve::G1Params::generator(),
                                              curve::G2Params::generator());
     curve::final_exponentiation(f);
@@ -250,7 +283,7 @@ template <typename Fn>
 CostRow
 measure_cost(uint64_t n, Fn &&fn)
 {
-    ff::ParallelismGuard guard(1);
+    ff::WorkerBudgetScope budget(1);
     ff::ModmulScope scope;
     auto t0 = std::chrono::steady_clock::now();
     fn();
@@ -357,6 +390,20 @@ measure_attrib()
     return harness.finish().attrib;
 }
 
+using FieldList = std::vector<std::pair<const char *, uint64_t>>;
+
+/** A PROVE job's telemetry record counts as ledger fields. */
+FieldList
+record_fields(const Counters &c)
+{
+    const obs::RecordCounts &r = c.records;
+    return {{"spans", r.spans},
+            {"counter_adds", r.counter_adds},
+            {"observations", r.observations},
+            {"gauge_writes", r.gauge_writes},
+            {"log_events", r.log_events}};
+}
+
 Value
 counters_json(const Counters &c)
 {
@@ -410,6 +457,16 @@ render_baselines(const std::vector<Counters> &counters,
         verify_rows.push(std::move(o));
     }
     doc.set("verify", std::move(verify_rows));
+    Value telemetry_rows = Value::array();
+    for (const Counters &c : counters) {
+        Value o = Value::object();
+        o.set("name", Value::of(c.name));
+        for (const auto &[key, n] : record_fields(c)) {
+            o.set(key, Value::of(n));
+        }
+        telemetry_rows.push(std::move(o));
+    }
+    doc.set("telemetry", std::move(telemetry_rows));
     Value pairing_row = Value::object();
     pairing_row.set("final_exp_fq_muls",
                     Value::of(pairing.final_exp_fq_muls));
@@ -544,8 +601,6 @@ check_field(const Value &row, const std::string &where, const char *key,
                   ", measured " + u64s(got));
 }
 
-using FieldList = std::vector<std::pair<const char *, uint64_t>>;
-
 /**
  * Diff the ledger array `section` of per-scenario rows, matched to the
  * roster by name, against the measured counters; `fields` lists a
@@ -619,6 +674,8 @@ check_counters(const Value &baselines,
                              {"modmul_fq", c.verify_fq}};
         },
         log);
+    check_scenario_rows(baselines, "telemetry", "telemetry.", measured,
+                        record_fields, log);
     const Value *row = baselines.find("pairing");
     if (row == nullptr || !row->is_object()) {
         log.check("baselines_schema", false,
@@ -822,6 +879,17 @@ main(int argc, char **argv)
     for (const Counters &c : counters) {
         vt.row({c.name, bench::fmt_int(c.verify_fr),
                 bench::fmt_int(c.verify_fq)});
+    }
+    bench::title("Exact telemetry records per PROVE job");
+    bench::Table rt({{"Scenario", 20}, {"Spans", 8}, {"Ctr adds", 10},
+                     {"Observes", 10}, {"Gauge wr", 10}, {"Log ev", 8}});
+    for (const Counters &c : counters) {
+        const obs::RecordCounts &r = c.records;
+        rt.row({c.name, bench::fmt_int(r.spans),
+                bench::fmt_int(r.counter_adds),
+                bench::fmt_int(r.observations),
+                bench::fmt_int(r.gauge_writes),
+                bench::fmt_int(r.log_events)});
     }
     auto pairing = measure_pairing(proofs);
     std::printf("final exponentiation: %s Fq muls; flush of %s roster "

@@ -1,7 +1,7 @@
 /**
  * @file
  * Batch proving service throughput: proofs/sec vs worker count and
- * batch size, plus the telemetry overhead gate.
+ * batch size.
  *
  * Each configuration proves a batch of small-circuit jobs (a few
  * distinct shapes, repeated, so the key cache behaves as in serving)
@@ -11,15 +11,11 @@
  * (two-level parallelism), so worker counts compete for the same
  * hardware rather than oversubscribing it — scaling therefore tracks
  * physical cores; on a single-core host the sweep degenerates to ~1x
- * by construction.
+ * by construction. Every figure is wall-derived and reported, never
+ * gated; telemetry cost is gated as exact per-job record counts by
+ * bench_attrib (DESIGN.md §10).
  *
- * The final section measures instrumentation cost: the same fixed
- * batch is proven with telemetry on (`obs::set_enabled(true)`) and off,
- * interleaved over `--reps` repetitions, and the min-of-reps walls are
- * compared. Exit status is non-zero when the observed overhead exceeds
- * the 5% budget DESIGN.md §10 commits to — CI runs this as a gate.
- *
- * Usage: bench_runtime_throughput [--quick] [--reps N] [--json PATH]
+ * Usage: bench_runtime_throughput [--quick] [--json PATH]
  * `--json` writes the machine-readable BENCH_runtime.json summary.
  */
 #include <algorithm>
@@ -27,7 +23,6 @@
 #include <random>
 #include <thread>
 
-#include "obs/http.hpp"
 #include "obs/metrics.hpp"
 #include "report.hpp"
 #include "runtime/service.hpp"
@@ -98,8 +93,7 @@ run_batch(const std::vector<std::vector<uint8_t>> &frames, size_t workers,
         res.cache_hit_rate = service.cache_stats().hit_rate();
         res.trace = service.trace();
         // Latency mean and percentiles come from this instance's
-        // registry histogram (percentiles within ±4.4% bucket error;
-        // zeros when telemetry is off).
+        // registry histogram (percentiles within ±4.4% bucket error).
         auto snap = obs::MetricsRegistry::global().snapshot();
         const auto *lat = snap.find(
             "zkspeed_job_latency_ms",
@@ -122,13 +116,10 @@ run_batch(const std::vector<std::vector<uint8_t>> &frames, size_t workers,
 int
 main(int argc, char **argv)
 {
-    size_t reps = 5;
     bool quick = false;
     const char *json_path = nullptr;
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--reps") && i + 1 < argc) {
-            reps = size_t(std::max(1, std::atoi(argv[++i])));
-        } else if (!std::strcmp(argv[i], "--quick")) {
+        if (!std::strcmp(argv[i], "--quick")) {
             quick = true;
         } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
             json_path = argv[++i];
@@ -149,6 +140,7 @@ main(int argc, char **argv)
                     {"p99 (ms)", 10}, {"Cache hit", 10}});
     double base_pps = 0;
     RunResult last;
+    obs::jsonv::Value sweep = obs::jsonv::Value::array();
     for (size_t workers : {size_t(1), size_t(2), size_t(4)}) {
         auto res = run_batch(frames, workers, cores);
         if (workers == 1) base_pps = res.proofs_per_s;
@@ -157,6 +149,17 @@ main(int argc, char **argv)
                bench::fmt(res.proofs_per_s / base_pps, 2) + "x",
                bench::fmt(res.p50_ms, 1), bench::fmt(res.p99_ms, 1),
                bench::fmt(100.0 * res.cache_hit_rate, 0) + "%"});
+        using obs::jsonv::Value;
+        Value row = Value::object();
+        row.set("workers", Value::of(uint64_t(workers)));
+        row.set("wall_ms", Value::of(res.wall_ms));
+        row.set("proofs_per_s", Value::of(res.proofs_per_s));
+        row.set("p50_ms", Value::of(res.p50_ms));
+        row.set("p95_ms", Value::of(res.p95_ms));
+        row.set("p99_ms", Value::of(res.p99_ms));
+        row.set("mean_latency_ms", Value::of(res.mean_latency_ms));
+        row.set("cache_hit_rate", Value::of(res.cache_hit_rate));
+        sweep.push(std::move(row));
         last = std::move(res);
     }
 
@@ -187,96 +190,21 @@ main(int argc, char **argv)
     std::printf("accelerator speedup on this stream: %.0fx\n",
                 report.speedup);
 
-    // --- Telemetry overhead gate -----------------------------------------
-    // Interleave on/off repetitions (drift hits both modes equally) and
-    // compare min-of-reps walls: min damps scheduler noise, which at
-    // these run lengths routinely exceeds the effect being measured.
-    bench::title("Telemetry overhead (instrumentation on vs off)");
-    const size_t kGateWorkers = std::min<size_t>(2, cores);
-    const double kBudgetPct = 5.0;
-    // The budget must hold with the live scrape plane up, not just the
-    // record paths: keep an ephemeral HTTP server running for the whole
-    // gate (idle acceptor + handler pool, like a production sidecar).
-    auto http = obs::HttpServer::start();
-    if (http != nullptr) {
-        std::printf("telemetry HTTP server on 127.0.0.1:%u for the "
-                    "gate\n",
-                    unsigned(http->port()));
-    }
-    run_batch(frames, kGateWorkers, cores);  // warm-up (ff tables, ...)
-    double min_on = 0, min_off = 0;
-    RunResult best_on;
-    for (size_t r = 0; r < reps; ++r) {
-        obs::set_enabled(false);
-        auto off = run_batch(frames, kGateWorkers, cores);
-        obs::set_enabled(true);
-        auto on = run_batch(frames, kGateWorkers, cores);
-        if (r == 0 || off.wall_ms < min_off) min_off = off.wall_ms;
-        if (r == 0 || on.wall_ms < min_on) {
-            min_on = on.wall_ms;
-            best_on = std::move(on);
-        }
-    }
-    double overhead_pct = 100.0 * (min_on - min_off) / min_off;
-    bool within_budget = overhead_pct < kBudgetPct;
-    std::printf("%zu jobs x %zu reps, %zu workers: "
-                "on %.1f ms, off %.1f ms -> overhead %+.2f%% "
-                "(budget <%.0f%%) %s\n",
-                kBatch, reps, kGateWorkers, min_on, min_off, overhead_pct,
-                kBudgetPct, within_budget ? "OK" : "FAILED");
-    std::printf("instrumented latency (registry, +/-4.4%% bucket error): "
-                "p50 %.1f ms, p95 %.1f ms, p99 %.1f ms\n",
-                best_on.p50_ms, best_on.p95_ms, best_on.p99_ms);
-
     if (json_path != nullptr) {
         using obs::jsonv::Value;
         Value metrics = Value::object();
         metrics.set("batch", Value::of(uint64_t(kBatch)));
         metrics.set("mu", Value::of(uint64_t(kMu)));
-        metrics.set("workers", Value::of(uint64_t(kGateWorkers)));
-        metrics.set("reps", Value::of(uint64_t(reps)));
-        Value inst = Value::object();
-        inst.set("wall_ms_min", Value::of(min_on));
-        inst.set("proofs_per_s",
-                 Value::of(1000.0 * double(kBatch) / min_on));
-        inst.set("p50_ms", Value::of(best_on.p50_ms));
-        inst.set("p95_ms", Value::of(best_on.p95_ms));
-        inst.set("p99_ms", Value::of(best_on.p99_ms));
-        inst.set("mean_latency_ms", Value::of(best_on.mean_latency_ms));
-        metrics.set("instrumented", std::move(inst));
-        Value uninst = Value::object();
-        uninst.set("wall_ms_min", Value::of(min_off));
-        uninst.set("proofs_per_s",
-                   Value::of(1000.0 * double(kBatch) / min_off));
-        metrics.set("uninstrumented", std::move(uninst));
+        metrics.set("hardware_threads", Value::of(uint64_t(cores)));
+        metrics.set("sweep", std::move(sweep));
         metrics.set("percentile_max_relative_error",
                     Value::of(obs::HistogramBuckets::kMaxRelativeError));
-        metrics.set("overhead_pct", Value::of(overhead_pct));
-        metrics.set("overhead_budget_pct", Value::of(kBudgetPct));
-        metrics.set("within_overhead_budget", Value::of(within_budget));
-        metrics.set("http_port",
-                    Value::of(uint64_t(http != nullptr ? http->port()
-                                                       : 0)));
-        char detail[128];
-        std::snprintf(detail, sizeof(detail),
-                      "overhead %+.2f%% (budget <%.0f%%)", overhead_pct,
-                      kBudgetPct);
-        if (!bench::write_unified_report(
-                json_path, "runtime_throughput", std::move(metrics),
-                {{"telemetry_overhead_under_budget", within_budget,
-                  detail}})) {
+        if (!bench::write_unified_report(json_path, "runtime_throughput",
+                                         std::move(metrics), {})) {
             std::fprintf(stderr, "cannot write %s\n", json_path);
             return 2;
         }
         std::printf("wrote %s\n", json_path);
-    }
-
-    if (!within_budget) {
-        std::fprintf(stderr,
-                     "FAILED: telemetry overhead %.2f%% exceeds the "
-                     "%.0f%% budget\n",
-                     overhead_pct, kBudgetPct);
-        return 1;
     }
     return 0;
 }

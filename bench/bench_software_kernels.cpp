@@ -17,6 +17,9 @@
 #include "hash/keccak.hpp"
 #include "hyperplonk/permutation.hpp"
 #include "hyperplonk/prover.hpp"
+#include "obs/log.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -377,6 +380,65 @@ BM_Verify(benchmark::State &state)
     }
 }
 BENCHMARK(BM_Verify)->Arg(6)->Arg(10)->Unit(benchmark::kMillisecond);
+
+// ns per telemetry record, one benchmark per record kind. bench_attrib
+// gates how many records a job makes; these times are only reported.
+// Each runs on the global registry and rings, as the prover does; a
+// span and a log event include the ring telemetry they write.
+
+void
+BM_ObsCounterAdd(benchmark::State &state)
+{
+    auto &reg = obs::MetricsRegistry::global();
+    const obs::MetricId id = reg.counter("bm_obs_counter_total");
+    for (auto _ : state) reg.add(id, 3);
+}
+BENCHMARK(BM_ObsCounterAdd);
+
+void
+BM_ObsObserve(benchmark::State &state)
+{
+    auto &reg = obs::MetricsRegistry::global();
+    const obs::MetricId id = reg.histogram("bm_obs_seconds");
+    double v = 1e-4;
+    for (auto _ : state) {
+        reg.observe(id, v);
+        v = v < 1.0 ? v * 1.5 : 1e-4;
+    }
+}
+BENCHMARK(BM_ObsObserve);
+
+void
+BM_ObsGaugeSet(benchmark::State &state)
+{
+    auto &reg = obs::MetricsRegistry::global();
+    const obs::MetricId id = reg.gauge("bm_obs_gauge");
+    double v = 0;
+    for (auto _ : state) reg.set(id, v += 1.0);
+}
+BENCHMARK(BM_ObsGaugeSet);
+
+void
+BM_ObsSpan(benchmark::State &state)
+{
+    for (auto _ : state) {
+        obs::Span span("bm.obs.span", "bench", 1);
+        span.arg("modmul_fr", 1.0);
+    }
+}
+BENCHMARK(BM_ObsSpan);
+
+void
+BM_ObsLogEvent(benchmark::State &state)
+{
+    // Unlimited rate, so every event takes the admitted path.
+    auto &log = obs::LogRecorder::global();
+    log.set_rate_limit(0, 64);
+    for (auto _ : state) {
+        obs::log_event(obs::LogLevel::debug, "bench", "bm obs event", 1);
+    }
+}
+BENCHMARK(BM_ObsLogEvent);
 
 }  // namespace
 

@@ -757,7 +757,6 @@ constexpr unsigned kSizeClasses = 64;
 void
 record_msm(size_t n, uint64_t fq_muls, uint64_t adds)
 {
-    if (!obs::enabled()) return;
     struct Series {
         obs::MetricId calls, points, fq_muls, ifma_adds;
     };
@@ -780,7 +779,10 @@ record_msm(size_t n, uint64_t fq_muls, uint64_t adds)
     reg.add(h.calls);
     reg.add(h.points, n);
     reg.add(h.fq_muls, fq_muls);
-    if (ff::lane_kernel() == ff::LaneKernel::ifma8) reg.add(h.ifma_adds, adds);
+    // Added on every host (0 on portable lanes), so the record count of
+    // a call does not depend on CPUID.
+    reg.add(h.ifma_adds,
+            ff::lane_kernel() == ff::LaneKernel::ifma8 ? adds : 0);
 }
 
 }  // namespace

@@ -32,23 +32,29 @@ void
 batch_inverse(std::span<F> xs)
 {
     const size_t n = xs.size();
-    if (n == 0) return;
-    // prefix[i] = product of all non-zero xs[0..i]
+    // The chain starts at the first non-zero element, so k non-zero
+    // elements cost exactly 3(k-1) muls and one inversion.
+    size_t first = 0;
+    while (first < n && xs[first].is_zero()) ++first;
+    if (first == n) return;
+    // prefix[i] = product of all non-zero xs[first..i]
     std::vector<F> prefix(n);
-    F acc = F::one();
-    for (size_t i = 0; i < n; ++i) {
+    F acc = xs[first];
+    prefix[first] = acc;
+    for (size_t i = first + 1; i < n; ++i) {
         if (!xs[i].is_zero()) acc = acc * xs[i];
         prefix[i] = acc;
     }
     F inv = acc.inverse();
-    // Walk backwards, peeling one inverse off the running product.
-    for (size_t i = n; i-- > 0;) {
+    // Walk backwards, peeling one inverse off the running product; what
+    // is left at the first element is its own inverse.
+    for (size_t i = n - 1; i > first; --i) {
         if (xs[i].is_zero()) continue;
-        F before = (i == 0) ? F::one() : prefix[i - 1];
-        F x_inv = inv * before;
+        F x_inv = inv * prefix[i - 1];
         inv = inv * xs[i];
         xs[i] = x_inv;
     }
+    xs[first] = inv;
 }
 
 /** Convenience overload for vectors. */

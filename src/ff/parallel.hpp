@@ -30,17 +30,18 @@
 
 namespace zkspeed::ff {
 
-/** Global worker count (default: hardware concurrency; 1 = serial). */
-inline size_t &
+/** Default worker count: the hardware concurrency (at least 1). */
+inline size_t
 parallel_threads()
 {
-    static size_t n = std::max(1u, std::thread::hardware_concurrency());
+    static const size_t n =
+        std::max(1u, std::thread::hardware_concurrency());
     return n;
 }
 
 /** Worker count after applying the calling thread's budget override.
  * worker_budget() (ff/thread_pool.hpp) is the thread-local override a
- * runtime worker sets for its own proof; 0 defers to the global. */
+ * WorkerBudgetScope sets; 0 defers to the default. */
 inline size_t
 effective_parallelism()
 {
@@ -78,24 +79,10 @@ parallel_for(size_t n, size_t item_modmuls,
     WorkerPool::instance().run(n, fn, chunks);
 }
 
-/** RAII override of the worker count (tests and benches). */
-class ParallelismGuard
-{
-  public:
-    explicit ParallelismGuard(size_t n) : saved_(parallel_threads())
-    {
-        parallel_threads() = n;
-    }
-    ~ParallelismGuard() { parallel_threads() = saved_; }
-
-  private:
-    size_t saved_;
-};
-
 /**
- * RAII override of the *calling thread's* worker budget. Unlike
- * ParallelismGuard this touches no shared state, so concurrent proofs
- * on different threads can carve up the machine without racing: a pool
+ * RAII override of the *calling thread's* worker budget, the one way
+ * to set it. It touches no shared state, so concurrent proofs on
+ * different threads can carve up the machine without racing: a pool
  * of W runtime workers on C cores gives each worker a budget of about
  * C / W and the per-proof kernels stay within it. Budgets bound the
  * number of chunks a call enqueues on the shared WorkerPool, so a

@@ -61,7 +61,6 @@ inline void
 record_kernel(const std::string &name, uint64_t modmuls, uint64_t bytes_in,
               uint64_t bytes_out, double seconds)
 {
-    if (!obs::enabled()) return;
     struct Handles {
         obs::MetricId modmuls, bytes_in, bytes_out, seconds;
     };

@@ -338,71 +338,6 @@ kernel_row_json(const KernelRow &r)
     return o;
 }
 
-const char *const kKernelRowKeys[] = {
-    "kernel",          "measured_seconds", "measured_modmuls",
-    "measured_bytes",  "calls",            "modeled_cycles",
-    "measured_share",  "modeled_share",    "drift_ratio",
-    "modmuls_per_byte", "implied_speedup",
-};
-
-const char *const kJobRowKeys[] = {"job", "mu", "sw_ms", "chip_ms",
-                                   "kernels"};
-
-const char *const kSerialShareKeys[] = {"circuit",     "budget",
-                                        "fr_muls",     "fr_parallel",
-                                        "fq_muls",     "fq_parallel"};
-
-/** Required report keys; "serial_share" may appear on top of them. */
-const char *const kReportKeys[] = {
-    "schema",           "build",
-    "clock_ghz",
-    "measured_total_seconds", "modeled_total_cycles",
-    "jobs_joined",      "jobs_modeled_only",
-    "jobs_measured_only", "spans_seen",
-    "spans_joined",     "unmapped_kernels",
-    "kernels",          "jobs",
-};
-
-/** Strict object shape check: every listed key present, and no others
- * beyond `optional_present` known optional ones. */
-template <size_t N>
-bool
-exact_keys(const jsonv::Value &obj, const char *const (&keys)[N],
-           size_t optional_present = 0)
-{
-    if (!obj.is_object() || obj.fields.size() != N + optional_present) {
-        return false;
-    }
-    for (const char *key : keys) {
-        if (obj.find(key) == nullptr) return false;
-    }
-    return true;
-}
-
-std::optional<KernelRow>
-parse_kernel_row(const jsonv::Value &o)
-{
-    if (!exact_keys(o, kKernelRowKeys)) return std::nullopt;
-    for (const auto &[key, v] : o.fields) {
-        bool want_string = std::string_view(key) == "kernel";
-        if (want_string != v.is_string()) return std::nullopt;
-        if (!want_string && !v.is_number()) return std::nullopt;
-    }
-    KernelRow r;
-    r.kernel = o.find("kernel")->str;
-    r.measured_seconds = o.find("measured_seconds")->as_double();
-    r.measured_modmuls = o.find("measured_modmuls")->as_u64();
-    r.measured_bytes = o.find("measured_bytes")->as_u64();
-    r.calls = o.find("calls")->as_u64();
-    r.modeled_cycles = o.find("modeled_cycles")->as_u64();
-    r.measured_share = o.find("measured_share")->as_double();
-    r.modeled_share = o.find("modeled_share")->as_double();
-    r.drift_ratio = o.find("drift_ratio")->as_double();
-    r.modmuls_per_byte = o.find("modmuls_per_byte")->as_double();
-    r.implied_speedup = o.find("implied_speedup")->as_double();
-    return r;
-}
-
 }  // namespace
 
 std::string
@@ -460,107 +395,6 @@ render_json(const Report &report)
         doc.set("serial_share", std::move(o));
     }
     return doc.render();
-}
-
-std::optional<Report>
-parse_json(const std::string &text)
-{
-    auto parsed = jsonv::parse(text);
-    if (!parsed.has_value()) return std::nullopt;
-    const jsonv::Value &doc = *parsed;
-    const jsonv::Value *share = doc.find("serial_share");
-    if (!exact_keys(doc, kReportKeys, share != nullptr ? 1 : 0)) {
-        return std::nullopt;
-    }
-    const jsonv::Value *schema = doc.find("schema");
-    if (!schema->is_string() || schema->str != "zkspeed-attrib-v1") {
-        return std::nullopt;
-    }
-    if (!doc.find("build")->is_object()) return std::nullopt;
-    Report report;
-    auto number = [&](const char *key, double &out) {
-        const jsonv::Value *v = doc.find(key);
-        if (!v->is_number()) return false;
-        out = v->as_double();
-        return true;
-    };
-    auto count = [&](const char *key, size_t &out) {
-        const jsonv::Value *v = doc.find(key);
-        if (!v->is_integer()) return false;
-        out = size_t(v->as_u64());
-        return true;
-    };
-    uint64_t total_cycles = 0;
-    const jsonv::Value *cycles = doc.find("modeled_total_cycles");
-    if (!cycles->is_integer()) return std::nullopt;
-    total_cycles = cycles->as_u64();
-    if (!number("clock_ghz", report.clock_ghz) ||
-        !number("measured_total_seconds",
-                report.measured_total_seconds) ||
-        !count("jobs_joined", report.jobs_joined) ||
-        !count("jobs_modeled_only", report.jobs_modeled_only) ||
-        !count("jobs_measured_only", report.jobs_measured_only) ||
-        !count("spans_seen", report.spans_seen) ||
-        !count("spans_joined", report.spans_joined)) {
-        return std::nullopt;
-    }
-    report.modeled_total_cycles = total_cycles;
-    const jsonv::Value *unmapped = doc.find("unmapped_kernels");
-    if (!unmapped->is_array()) return std::nullopt;
-    for (const jsonv::Value &v : unmapped->items) {
-        if (!v.is_string()) return std::nullopt;
-        report.unmapped_kernels.push_back(v.str);
-    }
-    const jsonv::Value *kernels = doc.find("kernels");
-    if (!kernels->is_array()) return std::nullopt;
-    for (const jsonv::Value &v : kernels->items) {
-        auto row = parse_kernel_row(v);
-        if (!row.has_value()) return std::nullopt;
-        report.kernels.push_back(std::move(*row));
-    }
-    const jsonv::Value *jobs = doc.find("jobs");
-    if (!jobs->is_array()) return std::nullopt;
-    for (const jsonv::Value &v : jobs->items) {
-        if (!exact_keys(v, kJobRowKeys)) return std::nullopt;
-        JobRow job;
-        const jsonv::Value *id = v.find("job");
-        const jsonv::Value *mu = v.find("mu");
-        const jsonv::Value *sw = v.find("sw_ms");
-        const jsonv::Value *chip = v.find("chip_ms");
-        const jsonv::Value *rows = v.find("kernels");
-        if (!id->is_integer() || !mu->is_integer() ||
-            !sw->is_number() || !chip->is_number() ||
-            !rows->is_array()) {
-            return std::nullopt;
-        }
-        job.job_id = id->as_u64();
-        job.mu = uint32_t(mu->as_u64());
-        job.sw_ms = sw->as_double();
-        job.chip_ms = chip->as_double();
-        for (const jsonv::Value &rv : rows->items) {
-            auto row = parse_kernel_row(rv);
-            if (!row.has_value()) return std::nullopt;
-            job.kernels.push_back(std::move(*row));
-        }
-        report.jobs.push_back(std::move(job));
-    }
-    if (share != nullptr) {
-        if (!exact_keys(*share, kSerialShareKeys) ||
-            !share->find("circuit")->is_string()) {
-            return std::nullopt;
-        }
-        SerialShare s;
-        s.circuit = share->find("circuit")->str;
-        uint64_t *fields[] = {&s.budget,  &s.fr_muls, &s.fr_parallel,
-                              &s.fq_muls, &s.fq_parallel};
-        for (size_t k = 0; k < 5; ++k) {
-            const jsonv::Value *v = share->find(kSerialShareKeys[k + 1]);
-            if (!v->is_integer()) return std::nullopt;
-            *fields[k] = v->as_u64();
-        }
-        report.serial_share = std::move(s);
-    }
-    return report;
 }
 
 }  // namespace zkspeed::obs::attrib

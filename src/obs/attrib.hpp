@@ -155,10 +155,6 @@ void export_to_registry(const Report &report, MetricsRegistry &reg);
 /** Render ATTRIB_report.json (schema "zkspeed-attrib-v1"). */
 std::string render_json(const Report &report);
 
-/** Strict parse of render_json output: unknown or missing fields fail
- * (the schema round-trip test pins the format). */
-std::optional<Report> parse_json(const std::string &text);
-
 /** The measured ProfileRegion names the group table recognises (used
  * by tests to keep the table in lockstep with the prover). */
 std::vector<std::string> known_measured_kernels();

@@ -131,13 +131,6 @@ Response
 dispatch(const std::string &method, const std::string &path)
 {
     Response resp;
-    if (!enabled()) {
-        // Kill switch covers the scrape plane: a disabled process
-        // serves nothing, not stale expositions.
-        resp.code = 503;
-        resp.body = "telemetry disabled (obs::set_enabled(false))\n";
-        return resp;
-    }
     if (method != "GET") {
         resp.code = 405;
         resp.body = "only GET is supported\n";
@@ -248,10 +241,7 @@ struct HttpServer::Impl {
                 busy.body = "handler queue full\n";
                 send_response(fd, busy);
                 close(fd);
-                if (enabled()) {
-                    MetricsRegistry::global().add(
-                        http_telemetry().dropped);
-                }
+                MetricsRegistry::global().add(http_telemetry().dropped);
             }
         }
     }
@@ -326,10 +316,8 @@ struct HttpServer::Impl {
         std::string path = line.substr(sp1 + 1, sp2 - sp1 - 1);
         size_t query = path.find('?');
         if (query != std::string::npos) path.resize(query);
-        if (enabled()) {
-            MetricsRegistry::global().add(
-                http_telemetry().requests[endpoint_index(path)]);
-        }
+        MetricsRegistry::global().add(
+            http_telemetry().requests[endpoint_index(path)]);
         send_response(fd, dispatch(method, path));
         // Scrapes are another normal-context chance to keep the crash
         // snapshot fresh (debounced; no-op until flight::install()).

@@ -19,9 +19,7 @@
  * `ZKSPEED_HTTP_PORT` enables the server in `proof_server` (port 0 =
  * ephemeral; the chosen port is exported as the `zkspeed_http_port`
  * gauge, printed on stdout and written to `$ZKSPEED_HTTP_PORT_FILE`
- * for CI). `obs::set_enabled(false)` turns every endpoint into
- * 503 telemetry disabled — the kill switch covers the scrape plane,
- * not just the record paths.
+ * for CI).
  */
 #pragma once
 

@@ -126,7 +126,6 @@ void
 LogRecorder::record(LogLevel level, std::string component,
                     std::string message, uint64_t correlation_id)
 {
-    if (!enabled()) return;
     bool is_global = this == &LogRecorder::global();
     LogEvent ev;
     ev.ts_us = TraceRecorder::to_us(std::chrono::steady_clock::now());
@@ -140,6 +139,7 @@ LogRecorder::record(LogLevel level, std::string component,
     bool evicted = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
+        ++recorded_;
         admitted = admit(level);
         if (admitted) {
             evicted = ring_.push(std::move(ev));
@@ -149,13 +149,12 @@ LogRecorder::record(LogLevel level, std::string component,
         live = ring_.size();
     }
     if (is_global && g_log_tele != nullptr) {
+        // The same records whatever the outcome, so an event's cost
+        // does not depend on the ring or the rate limiter.
         auto &reg = MetricsRegistry::global();
-        if (admitted) {
-            reg.add(g_log_tele->events[int(level)]);
-            if (evicted) reg.add(g_log_tele->dropped_ring);
-        } else {
-            reg.add(g_log_tele->dropped_rate);
-        }
+        reg.add(g_log_tele->events[int(level)], admitted ? 1 : 0);
+        reg.add(g_log_tele->dropped_ring, evicted ? 1 : 0);
+        reg.add(g_log_tele->dropped_rate, admitted ? 0 : 1);
         reg.set(g_log_tele->live, double(live));
     }
     // The flight recorder's pre-serialized snapshot rides the log flow:
@@ -190,6 +189,13 @@ LogRecorder::rate_limited() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return rate_limited_;
+}
+
+uint64_t
+LogRecorder::recorded() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return recorded_;
 }
 
 void

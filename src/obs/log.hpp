@@ -19,9 +19,8 @@
  * per second per level, default 200, 0 = unlimited) so a log-spamming
  * bug cannot starve the ring of the events around a crash.
  *
- * `obs::set_enabled(false)` makes the ring and every counter a no-op;
- * only warn/error events still echo to stderr (operators keep their
- * error lines when telemetry is off).
+ * Every record() call, admitted or not, counts once in `recorded()`
+ * (under the ring mutex): the log term of obs::record_counts().
  */
 #pragma once
 
@@ -69,8 +68,8 @@ class LogRecorder
      * default when unset or unparsable. */
     static size_t env_capacity();
 
-    /** Append one event (no-op while obs is disabled; may drop under
-     * the per-level rate limit or ring bound, counted either way). */
+    /** Append one event (may drop under the per-level rate limit or
+     * ring bound, counted either way). */
     void record(LogLevel level, std::string component,
                 std::string message, uint64_t correlation_id = 0);
 
@@ -81,6 +80,8 @@ class LogRecorder
     uint64_t dropped() const;
     /** Events refused by the per-level token bucket. */
     uint64_t rate_limited() const;
+    /** record() calls since construction (clear() keeps the count). */
+    uint64_t recorded() const;
     void clear();
 
     /** Token bucket per level: sustained events/s and burst size.
@@ -100,6 +101,7 @@ class LogRecorder
     mutable std::mutex mu_;
     Ring<LogEvent> ring_;
     uint64_t rate_limited_ = 0;
+    uint64_t recorded_ = 0;
     double rate_per_s_;
     double burst_;
     double tokens_[4];
@@ -110,8 +112,7 @@ class LogRecorder
 /**
  * Format + record an event on the global recorder, echoing one
  * `[level component] message` line to stderr when `level` clears the
- * recorder's stderr threshold. With obs disabled the echo (warn and
- * above) still happens but nothing is recorded or counted.
+ * recorder's stderr threshold.
  */
 void logf(LogLevel level, const char *component, uint64_t correlation_id,
           const char *fmt, ...)

@@ -1,6 +1,8 @@
 #include "obs/metrics.hpp"
 
 #include "obs/build_info.hpp"
+#include "obs/log.hpp"
+#include "obs/trace.hpp"
 
 #include <algorithm>
 #include <cstdlib>
@@ -50,10 +52,25 @@ sorted(LabelSet labels)
 
 }  // namespace
 
-void
-set_enabled(bool on)
+RecordCounts
+RecordCounts::operator-(const RecordCounts &base) const
 {
-    g_obs_enabled.store(on, std::memory_order_relaxed);
+    return {spans - base.spans, counter_adds - base.counter_adds,
+            observations - base.observations,
+            gauge_writes - base.gauge_writes, log_events - base.log_events};
+}
+
+RecordCounts
+record_counts()
+{
+    // The rings first: the first use of one writes its capacity gauge,
+    // which must not land between two reads of a caller's delta.
+    const uint64_t spans = TraceRecorder::global().recorded();
+    const uint64_t log_events = LogRecorder::global().recorded();
+    RecordCounts c = MetricsRegistry::global().record_counts();
+    c.spans = spans;
+    c.log_events = log_events;
+    return c;
 }
 
 const char *
@@ -176,9 +193,23 @@ struct MetricsRegistry::Shard {
         return *cells_[idx];
     }
 
+    /** Owner-thread access: count one record call of `kind`. Only the
+     * owner writes, so a load and a store make an exact lock-free
+     * increment. */
+    void
+    tally(Tally kind)
+    {
+        auto &n = tally_[kind];
+        n.store(n.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+    }
+
     std::mutex mu_;  ///< growth vs. snapshot/reset
     std::vector<std::unique_ptr<Cell>> cells_;
     std::atomic<size_t> ready_{0};
+    /** Record calls by Tally kind; reset() keeps them. On its own
+     * cache line: snapshots lock `mu_`, the owner bumps these. */
+    alignas(64) std::atomic<uint64_t> tally_[3] = {};
 };
 
 MetricsRegistry::MetricsRegistry()
@@ -243,7 +274,7 @@ MetricsRegistry::get_or_register(MetricKind kind, const std::string &name,
     std::lock_guard<std::mutex> lock(mu_);
     for (uint32_t i = 0; i < defs_.size(); ++i) {
         if (defs_[i].name == name && defs_[i].labels == canon) {
-            return MetricId{i};
+            return MetricId{i, defs_[i].gauge_slot};
         }
     }
     MetricDef def;
@@ -255,7 +286,7 @@ MetricsRegistry::get_or_register(MetricKind kind, const std::string &name,
         def.gauge_slot = num_gauges_++;
     }
     defs_.push_back(std::move(def));
-    return MetricId{uint32_t(defs_.size() - 1)};
+    return MetricId{uint32_t(defs_.size() - 1), defs_.back().gauge_slot};
 }
 
 MetricId
@@ -300,44 +331,36 @@ MetricsRegistry::local_shard()
 void
 MetricsRegistry::add(MetricId id, uint64_t v)
 {
-    if (!enabled() || !id.valid()) return;
-    auto &cell = local_shard().cell(id.index, MetricKind::counter);
+    if (!id.valid()) return;
+    Shard &shard = local_shard();
+    shard.tally(kCounterAdds);
+    auto &cell = shard.cell(id.index, MetricKind::counter);
     cell.count.fetch_add(v, std::memory_order_relaxed);
 }
 
 void
 MetricsRegistry::set(MetricId id, double v)
 {
-    if (!enabled() || !id.valid()) return;
-    uint32_t slot;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (id.index >= defs_.size()) return;
-        slot = defs_[id.index].gauge_slot;
-    }
-    if (slot < kMaxGauges) {
-        gauge_slots_[slot].store(v, std::memory_order_relaxed);
-    }
+    if (id.gauge_slot >= kMaxGauges) return;
+    local_shard().tally(kGaugeWrites);
+    gauge_slots_[id.gauge_slot].store(v, std::memory_order_release);
 }
 
 void
 MetricsRegistry::gauge_add(MetricId id, double delta)
 {
-    if (!enabled() || !id.valid()) return;
-    uint32_t slot;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (id.index >= defs_.size()) return;
-        slot = defs_[id.index].gauge_slot;
-    }
-    if (slot < kMaxGauges) atomic_add(gauge_slots_[slot], delta);
+    if (id.gauge_slot >= kMaxGauges) return;
+    local_shard().tally(kGaugeWrites);
+    atomic_add(gauge_slots_[id.gauge_slot], delta);
 }
 
 void
 MetricsRegistry::observe(MetricId id, double v)
 {
-    if (!enabled() || !id.valid()) return;
-    auto &cell = local_shard().cell(id.index, MetricKind::histogram);
+    if (!id.valid()) return;
+    Shard &shard = local_shard();
+    shard.tally(kObservations);
+    auto &cell = shard.cell(id.index, MetricKind::histogram);
     cell.buckets[HistogramBuckets::index_for(v)].fetch_add(
         1, std::memory_order_relaxed);
     cell.count.fetch_add(1, std::memory_order_relaxed);
@@ -369,7 +392,7 @@ MetricsRegistry::snapshot() const
         if (m.kind == MetricKind::gauge &&
             defs[i].gauge_slot < kMaxGauges) {
             m.gauge = gauge_slots_[defs[i].gauge_slot].load(
-                std::memory_order_relaxed);
+                std::memory_order_acquire);
         }
         if (m.kind == MetricKind::histogram) {
             m.hist.min = std::numeric_limits<double>::infinity();
@@ -456,6 +479,26 @@ MetricsRegistry::num_series() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return defs_.size();
+}
+
+RecordCounts
+MetricsRegistry::record_counts() const
+{
+    std::vector<std::shared_ptr<Shard>> shards;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        shards = shards_;
+    }
+    RecordCounts c;
+    for (const auto &shard : shards) {
+        auto get = [&](Tally k) {
+            return shard->tally_[k].load(std::memory_order_relaxed);
+        };
+        c.counter_adds += get(kCounterAdds);
+        c.observations += get(kObservations);
+        c.gauge_writes += get(kGaugeWrites);
+    }
+    return c;
 }
 
 }  // namespace zkspeed::obs

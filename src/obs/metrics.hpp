@@ -10,16 +10,19 @@
  *     thread's shard through a thread-local cache and update relaxed
  *     atomics in cells only that thread writes. Snapshots lock each
  *     shard briefly and merge — recording threads never wait on a
- *     snapshot or on each other.
+ *     snapshot or on each other. A gauge's slot is fixed at
+ *     registration and carried in its MetricId, so a gauge write
+ *     touches only that slot's atomic.
  *   - Shards outlive their threads: a worker that exits leaves its
  *     cumulative cells in the registry, so totals survive pool
  *     shutdown (a snapshot after ProofService::shutdown() still sees
  *     every job).
  *   - Gauges are registry-level single atomics (set semantics do not
  *     shard); counters and histograms shard and merge by summation.
- *   - `obs::set_enabled(false)` turns every record path into an early
- *     return — the instrumentation-overhead gate in
- *     bench_runtime_throughput measures against exactly this switch.
+ *   - Telemetry is always on. Its cost is the exact number of record
+ *     calls, tallied by kind (RecordCounts): registry writes on the
+ *     writing thread's shard, spans and log events under their ring's
+ *     mutex. bench_attrib pins the per-job counts in the ledger.
  *
  * Series identity is (name, sorted label set). Exposition (Prometheus
  * text / JSON) lives in obs/export.hpp.
@@ -38,17 +41,6 @@
 
 namespace zkspeed::obs {
 
-/** Process-wide instrumentation kill switch (metrics AND tracing). */
-inline std::atomic<bool> g_obs_enabled{true};
-
-inline bool
-enabled()
-{
-    return g_obs_enabled.load(std::memory_order_relaxed);
-}
-
-void set_enabled(bool on);
-
 enum class MetricKind : uint8_t { counter = 0, gauge = 1, histogram = 2 };
 
 const char *to_string(MetricKind k);
@@ -56,8 +48,29 @@ const char *to_string(MetricKind k);
 /** Stable handle returned by registration; indexes the snapshot. */
 struct MetricId {
     uint32_t index = UINT32_MAX;
+    /** The gauge's value slot (UINT32_MAX for other kinds). */
+    uint32_t gauge_slot = UINT32_MAX;
     bool valid() const { return index != UINT32_MAX; }
 };
+
+/**
+ * Exact number of record calls by kind since process start: the
+ * deterministic measure of telemetry cost (DESIGN.md §10). A call
+ * counts whatever it records, so `add(id, 0)` is one counter add.
+ */
+struct RecordCounts {
+    uint64_t spans = 0;
+    uint64_t counter_adds = 0;
+    uint64_t observations = 0;
+    uint64_t gauge_writes = 0;
+    uint64_t log_events = 0;
+
+    RecordCounts operator-(const RecordCounts &base) const;
+};
+
+/** The process-wide tally: the global registry's shards plus the
+ * global span and log rings. */
+RecordCounts record_counts();
 
 /** Sorted-by-key label pairs; part of the series identity. */
 using LabelSet = std::vector<std::pair<std::string, std::string>>;
@@ -111,7 +124,9 @@ class MetricsRegistry
 
     /** Counter increment (hot path, shard-local, lock-free). */
     void add(MetricId id, uint64_t v = 1);
-    /** Gauge set / delta (registry-level atomic). */
+    /** Gauge set / delta (the gauge's own atomic, lock-free). A set
+     * is a release store, so a thread that reads the value through
+     * snapshot() also sees every record the writer made before it. */
     void set(MetricId id, double v);
     void gauge_add(MetricId id, double delta);
     /** Histogram observation (hot path, shard-local, lock-free). */
@@ -126,6 +141,10 @@ class MetricsRegistry
 
     size_t num_series() const;
 
+    /** This registry's counter adds, observations and gauge writes
+     * (the other RecordCounts fields stay 0). */
+    RecordCounts record_counts() const;
+
   private:
     struct Shard;
     struct MetricDef {
@@ -135,6 +154,7 @@ class MetricsRegistry
         MetricKind kind = MetricKind::counter;
         uint32_t gauge_slot = UINT32_MAX;
     };
+    enum Tally : uint8_t { kCounterAdds, kObservations, kGaugeWrites };
 
     MetricId get_or_register(MetricKind kind, const std::string &name,
                              const LabelSet &labels,

@@ -6,7 +6,7 @@
 #include <cstdlib>
 
 #include "obs/jsonv.hpp"
-#include "obs/metrics.hpp"  // obs::enabled()
+#include "obs/metrics.hpp"
 
 namespace zkspeed::obs {
 
@@ -290,10 +290,13 @@ TraceRecorder::record(SpanEvent ev)
         std::lock_guard<std::mutex> lock(mu_);
         evicted = ring_.push(ev);
         live = ring_.size();
+        ++recorded_;
     }
     if (this == &global()) {
+        // Unconditional add: a span costs the same records whether or
+        // not the ring is full, so per-job counts do not depend on it.
         auto &reg = MetricsRegistry::global();
-        if (evicted) reg.add(ring_telemetry().dropped);
+        reg.add(ring_telemetry().dropped, evicted ? 1 : 0);
         reg.set(ring_telemetry().live, double(live));
     }
 }
@@ -325,6 +328,13 @@ TraceRecorder::dropped() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return ring_.evicted();
+}
+
+uint64_t
+TraceRecorder::recorded() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return recorded_;
 }
 
 void
@@ -362,13 +372,11 @@ Span::Span(std::string name, std::string category, uint64_t correlation_id)
       category_(std::move(category)),
       correlation_id_(correlation_id)
 {
-    if (!enabled()) return;
     auto &stack = span_stack();
     parent_id_ = stack.empty() ? 0 : stack.back();
     id_ = TraceRecorder::next_span_id();
     stack.push_back(id_);
     start_ = std::chrono::steady_clock::now();
-    active_ = true;
     OpenSpan open;
     open.span_id = id_;
     open.parent_id = parent_id_;
@@ -382,11 +390,9 @@ Span::Span(std::string name, std::string category, uint64_t correlation_id)
 
 Span::~Span()
 {
-    if (!active_) return;
     open_span_unregister(id_);
     auto end = std::chrono::steady_clock::now();
     auto &stack = span_stack();
-    // Pop our own id; tolerate a disable() between open and close.
     if (!stack.empty() && stack.back() == id_) stack.pop_back();
     SpanEvent ev;
     ev.span_id = id_;
@@ -408,7 +414,6 @@ Span::record_complete(std::string name, std::string category,
                       uint64_t correlation_id, uint64_t parent_id,
                       std::vector<std::pair<std::string, double>> args)
 {
-    if (!enabled()) return;
     if (parent_id == 0) {
         auto &stack = span_stack();
         parent_id = stack.empty() ? 0 : stack.back();

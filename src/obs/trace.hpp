@@ -14,8 +14,8 @@
  * Recording cost is one short mutex push per span *end* (spans are
  * orders of magnitude rarer than metric observations; the ring holds
  * the most recent `capacity` spans, packed, and counts what it
- * dropped). The process-wide `obs::set_enabled(false)` switch makes
- * every span inert. `ZKSPEED_TRACE_OUT=<path>` dumps the ring as
+ * dropped) — and one count of it in `recorded()`, the span term of
+ * obs::record_counts(). `ZKSPEED_TRACE_OUT=<path>` dumps the ring as
  * Chrome JSON on service shutdown (`obs::dump_artifacts_to_env` is the
  * shared hook).
  */
@@ -172,6 +172,8 @@ class TraceRecorder
      * `zkspeed_trace_ring_spans{kind=live|capacity}`) so it shows up
      * in metrics.prom, not only through this API. */
     uint64_t dropped() const;
+    /** Spans recorded since construction (clear() keeps the count). */
+    uint64_t recorded() const;
     void clear();
 
     /** Chrome trace-event JSON ({"traceEvents":[...]}; ph:"X"). */
@@ -180,6 +182,7 @@ class TraceRecorder
   private:
     mutable std::mutex mu_;
     PackedSpanRing ring_;
+    uint64_t recorded_ = 0;
 };
 
 /**
@@ -195,15 +198,14 @@ class Span
     Span(const Span &) = delete;
     Span &operator=(const Span &) = delete;
 
-    /** 0 when tracing is disabled. */
     uint64_t id() const { return id_; }
 
     /** Attach a numeric attribute to this span (flushed with the event
-     * at destruction; no-op while tracing is disabled). */
+     * at destruction). */
     void
     arg(std::string key, double value)
     {
-        if (active_) args_.emplace_back(std::move(key), value);
+        args_.emplace_back(std::move(key), value);
     }
 
     /**
@@ -225,7 +227,6 @@ class Span
     uint64_t id_ = 0;
     uint64_t parent_id_ = 0;
     std::chrono::steady_clock::time_point start_;
-    bool active_ = false;
     std::vector<std::pair<std::string, double>> args_;
 };
 

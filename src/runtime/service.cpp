@@ -194,7 +194,6 @@ ProofService::telemetry_series() const
 void
 ProofService::record_job_telemetry(const JobResponse &resp)
 {
-    if (!obs::enabled()) return;
     auto &reg = obs::MetricsRegistry::global();
     int cls = resp.kind == JobKind::verify ? 1 : 0;
     const JobMetrics &m = resp.metrics;
@@ -677,19 +676,17 @@ ProofService::flush_verify_batch(std::vector<PendingVerify> batch,
         if (result->verdicts[i]) ++accepted;
     }
 
-    if (obs::enabled()) {
-        auto &reg = obs::MetricsRegistry::global();
-        reg.observe(tele_.flush_ms, flush_ms);
-        reg.observe(tele_.batch_size, double(batch.size()));
-        reg.add(tele_.flush_reason[timed_out ? 1 : 0]);
-        if (accepted != 0) reg.add(tele_.verdicts[0], accepted);
-        if (accepted != batch.size()) {
-            reg.add(tele_.verdicts[1], batch.size() - accepted);
-        }
-        reg.add(tele_.pairing_checks, result->stats.pairing_checks);
-        reg.add(tele_.bisection_steps, result->stats.bisection_steps);
-        reg.add(tele_.msm_points, result->stats.msm_points);
+    auto &reg = obs::MetricsRegistry::global();
+    reg.observe(tele_.flush_ms, flush_ms);
+    reg.observe(tele_.batch_size, double(batch.size()));
+    reg.add(tele_.flush_reason[timed_out ? 1 : 0]);
+    if (accepted != 0) reg.add(tele_.verdicts[0], accepted);
+    if (accepted != batch.size()) {
+        reg.add(tele_.verdicts[1], batch.size() - accepted);
     }
+    reg.add(tele_.pairing_checks, result->stats.pairing_checks);
+    reg.add(tele_.bisection_steps, result->stats.bisection_steps);
+    reg.add(tele_.msm_points, result->stats.msm_points);
     TraceEntry entry;
     entry.kind = JobKind::verify;
     entry.num_vars = max_vars;
@@ -731,8 +728,8 @@ void
 ProofService::finish_response(std::promise<JobResponse> &promise,
                               JobResponse resp)
 {
-    // Readiness window first and unconditionally: /readyz must keep
-    // answering truthfully with the telemetry kill switch off.
+    // Readiness window before the response, so /readyz counts the job
+    // by the time its submitter sees the answer.
     uint64_t slot = terminal_jobs_.fetch_add(1, std::memory_order_relaxed);
     recent_failed_[slot % kReadinessWindow].store(
         status_bucket(resp.status) == 2 ? 1 : 0,
@@ -749,7 +746,7 @@ ProofService::push_trace(TraceEntry entry)
         std::lock_guard<std::mutex> lock(trace_mu_);
         evicted = trace_.push(std::move(entry));
     }
-    if (evicted) obs::MetricsRegistry::global().add(tele_.trace_evicted);
+    obs::MetricsRegistry::global().add(tele_.trace_evicted, evicted ? 1 : 0);
 }
 
 ServiceReadiness

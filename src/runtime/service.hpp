@@ -227,8 +227,8 @@ class ProofService
     std::atomic<size_t> busy_workers_{0};
 
     /** Terminal-status ring behind readiness(): slot = job index mod
-     * window, value 1 when the job failed. Updated unconditionally in
-     * finish_response (readiness must work with telemetry disabled). */
+     * window, value 1 when the job failed. Updated in finish_response
+     * before the job's promise is set. */
     std::array<std::atomic<uint8_t>, kReadinessWindow> recent_failed_{};
     std::atomic<uint64_t> terminal_jobs_{0};
 

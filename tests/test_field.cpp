@@ -162,6 +162,47 @@ TYPED_TEST(FieldTest, BatchInverse)
     }
 }
 
+TYPED_TEST(FieldTest, BatchInverseSkipsZerosAndCostsThreeMulsPerLink)
+{
+    // Zeros at both ends and in the middle: the chain starts at the
+    // first non-zero element, so k non-zero elements cost exactly
+    // 3(k-1) muls plus one inversion (whose own muls are measured).
+    using F = TypeParam;
+    std::mt19937_64 rng(61);
+    const F probe = F::random(rng);
+    uint64_t inversion_muls;
+    {
+        zkspeed::ff::ModmulScope scope;
+        (void)probe.inverse();
+        inversion_muls = scope.total_delta();
+    }
+    for (size_t k : {1u, 2u, 9u}) {
+        std::vector<F> xs = {F::zero(), F::zero()};
+        for (size_t i = 0; i < k; ++i) {
+            xs.push_back(F::random(rng));
+            if (i == k / 2) xs.push_back(F::zero());
+        }
+        xs.push_back(F::zero());
+        const std::vector<F> ref = xs;
+        zkspeed::ff::ModmulScope scope;
+        zkspeed::ff::batch_inverse(xs);
+        EXPECT_EQ(scope.total_delta(), 3 * (k - 1) + inversion_muls) << k;
+        EXPECT_EQ(scope.inv_fr_delta() + scope.inv_fq_delta(), 1u) << k;
+        for (size_t i = 0; i < xs.size(); ++i) {
+            if (ref[i].is_zero()) {
+                EXPECT_TRUE(xs[i].is_zero()) << k << " " << i;
+            } else {
+                EXPECT_EQ(ref[i] * xs[i], F::one()) << k << " " << i;
+            }
+        }
+    }
+    std::vector<F> zeros(3, F::zero());
+    zkspeed::ff::ModmulScope scope;
+    zkspeed::ff::batch_inverse(zeros);
+    EXPECT_EQ(scope.total_delta(), 0u);
+    for (const F &z : zeros) EXPECT_TRUE(z.is_zero());
+}
+
 TYPED_TEST(FieldTest, UnrolledCiosMatchesSchoolbookReference)
 {
     // The fused, compile-time-unrolled CIOS multiplier (PR 8) against

@@ -181,13 +181,13 @@ TEST(LogUp, ParallelMultiplicityConstructionMatchesSerial)
                                                    &wit.w[2]};
     mle::Mle serial, parallel;
     {
-        zkspeed::ff::ParallelismGuard guard(1);
+        zkspeed::ff::WorkerBudgetScope budget(1);
         serial = lookup::multiplicities(index.q_lookup, index.table_tag,
                                         index.table, index.table_rows,
                                         wires);
     }
     {
-        zkspeed::ff::ParallelismGuard guard(8);
+        zkspeed::ff::WorkerBudgetScope budget(8);
         parallel = lookup::multiplicities(index.q_lookup, index.table_tag,
                                           index.table, index.table_rows,
                                           wires);

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -22,6 +24,7 @@
 #include "json_check.hpp"
 #include "obs/export.hpp"
 #include "obs/histogram.hpp"
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/ring.hpp"
 #include "obs/trace.hpp"
@@ -137,8 +140,18 @@ TEST(ObsHistogram, EmptyAndSingleton)
 }
 
 // ---------------------------------------------------------------------------
-// Registry semantics: identity, gauges, kill switch, shard merging.
+// Registry semantics: identity, gauges, record tally, shard merging.
 // ---------------------------------------------------------------------------
+
+void
+expect_counts(const obs::RecordCounts &got, const obs::RecordCounts &want)
+{
+    EXPECT_EQ(got.spans, want.spans);
+    EXPECT_EQ(got.counter_adds, want.counter_adds);
+    EXPECT_EQ(got.observations, want.observations);
+    EXPECT_EQ(got.gauge_writes, want.gauge_writes);
+    EXPECT_EQ(got.log_events, want.log_events);
+}
 
 TEST(ObsRegistry, SeriesIdentityIsNamePlusSortedLabels)
 {
@@ -158,26 +171,108 @@ TEST(ObsRegistry, SeriesIdentityIsNamePlusSortedLabels)
     EXPECT_EQ(snap.find("t23_c", {{"y", "2"}, {"x", "1"}}), snap[a]);
 }
 
-TEST(ObsRegistry, GaugesAndKillSwitch)
+TEST(ObsRegistry, GaugesSetAndAdd)
 {
     obs::MetricsRegistry reg;
     obs::MetricId g = reg.gauge("t23_g");
-    obs::MetricId c = reg.counter("t23_kc");
-    obs::MetricId h = reg.histogram("t23_kh");
     reg.set(g, 2.5);
     reg.gauge_add(g, 0.5);
     EXPECT_DOUBLE_EQ(reg.snapshot()[g]->gauge, 3.0);
+    // A counter id carries no gauge slot: gauge writes through it are
+    // no-ops, as are writes through an unregistered id.
+    obs::MetricId c = reg.counter("t23_kc");
+    reg.set(c, 9.0);
+    reg.set(obs::MetricId{}, 9.0);
+    EXPECT_EQ(reg.snapshot()[c]->counter, 0u);
+    EXPECT_EQ(reg.record_counts().gauge_writes, 2u);
+}
 
-    obs::set_enabled(false);
-    reg.set(g, 99.0);
-    reg.add(c, 10);
+TEST(ObsRegistry, RecordCountsAreExactPerKind)
+{
+    obs::MetricsRegistry reg;
+    obs::MetricId c = reg.counter("t28_c");
+    obs::MetricId g = reg.gauge("t28_g");
+    obs::MetricId h = reg.histogram("t28_h");
+    reg.add(c, 3);
+    reg.add(c, 0);  // a call counts whatever it adds
     reg.observe(h, 1.0);
-    obs::set_enabled(true);
+    reg.set(g, 1.0);
+    reg.gauge_add(g, 1.0);
+    reg.add(obs::MetricId{}, 1);  // invalid ids record nothing
+    // Another thread's calls land on its own shard and still count.
+    std::thread([&] {
+        reg.add(c);
+        reg.observe(h, 2.0);
+        reg.set(g, 0.0);
+    }).join();
+    reg.reset();  // zeroes values, never the tally
+    obs::RecordCounts want;
+    want.counter_adds = 3;
+    want.observations = 2;
+    want.gauge_writes = 3;
+    expect_counts(reg.record_counts(), want);
 
+    // The process-wide tally: a span is one span record plus the ring
+    // telemetry it writes (one counter add, one gauge write); a log
+    // event is one log record plus three counter adds and one gauge
+    // write, whether or not it is admitted.
+    auto &global = obs::MetricsRegistry::global();
+    obs::MetricId gc = global.counter("t28_global_c");
+    // Both rings register their series on first use.
+    obs::TraceRecorder::global();
+    obs::LogRecorder::global();
+    const obs::RecordCounts before = obs::record_counts();
+    { obs::Span s("t28.span", "test"); }
+    auto now = std::chrono::steady_clock::now();
+    obs::Span::record_complete("t28.window", "test", now, now);
+    global.add(gc);
+    obs::log_event(obs::LogLevel::debug, "t28", "tally");
+    const obs::RecordCounts d = obs::record_counts() - before;
+    obs::RecordCounts want_global;
+    want_global.spans = 2;
+    want_global.counter_adds = 2 + 1 + 3;
+    want_global.gauge_writes = 2 + 1;
+    want_global.log_events = 1;
+    expect_counts(d, want_global);
+}
+
+TEST(ObsRegistry, GaugeWritesNeverWaitOnRegistrationOrSnapshots)
+{
+    // Gauge writes touch only their slot's atomic: writers run while
+    // another thread registers series and snapshots (TSan checks the
+    // races), and every write is counted.
+    obs::MetricsRegistry reg;
+    constexpr int kWriters = 4, kWrites = 2000;
+    std::vector<obs::MetricId> gauges;
+    for (int w = 0; w < kWriters; ++w) {
+        gauges.push_back(reg.gauge("t28_busy", {{"w", std::to_string(w)}}));
+    }
+    std::atomic<bool> stop{false};
+    std::thread churn([&] {
+        for (int i = 0; !stop.load(); ++i) {
+            reg.counter("t28_churn", {{"i", std::to_string(i % 512)}});
+            auto snap = reg.snapshot();
+            EXPECT_GE(snap.metrics.size(), size_t(kWriters));
+        }
+    });
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+        writers.emplace_back([&, w] {
+            for (int i = 1; i <= kWrites; ++i) {
+                reg.set(gauges[w], double(i));
+                reg.gauge_add(gauges[w], 1.0);
+            }
+        });
+    }
+    for (auto &t : writers) t.join();
+    stop = true;
+    churn.join();
     auto snap = reg.snapshot();
-    EXPECT_DOUBLE_EQ(snap[g]->gauge, 3.0) << "gauge set while disabled";
-    EXPECT_EQ(snap[c]->counter, 0u) << "counter add while disabled";
-    EXPECT_EQ(snap[h]->hist.count, 0u) << "observe while disabled";
+    for (int w = 0; w < kWriters; ++w) {
+        EXPECT_DOUBLE_EQ(snap[gauges[w]]->gauge, double(kWrites + 1));
+    }
+    EXPECT_EQ(reg.record_counts().gauge_writes,
+              uint64_t(2 * kWriters * kWrites));
 }
 
 TEST(ObsRegistry, ShardMergeDeterministicUnderThreads)
@@ -496,19 +591,6 @@ TEST(ObsSpanStorage, ChromeJsonMatchesTheUnpackedRing)
     for (const auto &e : fixed_spans()) rec.record(e);
     EXPECT_EQ(rec.render_chrome_json(), golden);
     EXPECT_TRUE(valid_json(golden));
-}
-
-TEST(ObsTrace, DisabledSpansAreInert)
-{
-    auto &rec = obs::TraceRecorder::global();
-    rec.clear();
-    obs::set_enabled(false);
-    {
-        obs::Span s("t23.ghost", "test");
-        EXPECT_EQ(s.id(), 0u);
-    }
-    obs::set_enabled(true);
-    for (const auto &e : rec.events()) EXPECT_NE(e.name, "t23.ghost");
 }
 
 // ---------------------------------------------------------------------------

@@ -19,11 +19,10 @@ namespace {
 
 using namespace zkspeed;
 using ff::Fr;
-using ff::ParallelismGuard;
 
 TEST(Parallel, ParallelForCoversRangeExactlyOnce)
 {
-    ParallelismGuard guard(4);
+    ff::WorkerBudgetScope budget(4);
     std::vector<std::atomic<int>> hits(10000);
     ff::parallel_for(hits.size(), ff::kGrainModmuls / 16,
                      [&](size_t b, size_t e) {
@@ -40,7 +39,7 @@ TEST(Parallel, CounterMigrationPreservesTotals)
     std::vector<Fr> xs(5000);
     for (auto &x : xs) x = Fr::random(rng);
     auto run = [&](size_t threads) {
-        ParallelismGuard guard(threads);
+        ff::WorkerBudgetScope budget(threads);
         ff::ModmulScope scope;
         std::vector<Fr> out(xs.size());
         ff::parallel_for(xs.size(), 1, [&](size_t b, size_t e) {
@@ -61,7 +60,7 @@ TEST(Parallel, InversionCountsMigrate)
     std::vector<Fr> xs(64);
     for (auto &x : xs) x = Fr::random(rng);
     auto run = [&](size_t threads) {
-        ParallelismGuard guard(threads);
+        ff::WorkerBudgetScope budget(threads);
         ff::ModmulScope scope;
         std::vector<Fr> out(xs.size());
         ff::parallel_for(xs.size(), ff::kGrainModmuls,
@@ -128,7 +127,7 @@ TEST(Parallel, MsmIdenticalAcrossThreadCounts)
         auto pts = curve::batch_to_affine<curve::G1Params>(
             std::span<const curve::G1>(jac));
         auto run = [&](size_t threads) {
-            ParallelismGuard guard(threads);
+            ff::WorkerBudgetScope budget(threads);
             ff::ModmulScope scope;
             curve::G1 r = curve::msm(pts, scalars);
             return std::make_tuple(r, scope.fq_delta(),
@@ -255,7 +254,7 @@ TEST(Parallel, PoolReusesWorkersAcrossCalls)
     // The pool must not spawn fresh threads per call (the seed library
     // did): after a burst of parallel_for calls at the same budget, the
     // worker count stays bounded by that budget's needs.
-    ParallelismGuard guard(4);
+    ff::WorkerBudgetScope budget(4);
     std::vector<Fr> xs(50000, Fr::one());
     for (int rep = 0; rep < 20; ++rep) {
         std::vector<Fr> out(xs.size());
@@ -275,7 +274,7 @@ TEST(Parallel, SrsGenerationIdenticalAcrossThreadCounts)
     // mu = 11 spans two lockstep blocks of the fixed-base pass.
     for (size_t mu : {5u, 11u}) {
         auto gen = [&](size_t threads) {
-            ParallelismGuard guard(threads);
+            ff::WorkerBudgetScope budget(threads);
             std::mt19937_64 rng(604);
             ff::ModmulScope scope;
             pcs::Srs srs = pcs::Srs::generate(mu, rng);
