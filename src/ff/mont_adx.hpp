@@ -111,7 +111,9 @@ inline const bool g_use_mulx_adx = cpu_has_mulx_adx();
 // has no registers to spare for those operands' addresses, so it
 // declares a memory clobber instead.
 #if defined(__OPTIMIZE__)
-#define ZK_MEM_IN , "m"(*(Limbs)a), "m"(*(Limbs)b), "m"(*(Consts)p)
+#define ZK_MEM_IN                                                       \
+    , "m"(*(const uint64_t(*)[N])a), "m"(*(const uint64_t(*)[N])b),     \
+        "m"(*(const uint64_t(*)[N + 1])p)
 #define ZK_CLOBBERS "cc"
 #else
 #define ZK_MEM_IN
@@ -128,8 +130,6 @@ mont_mul_mulx_adx(uint64_t *out, const uint64_t *a, const uint64_t *b,
                   const uint64_t *p)
 {
     static_assert(N == 4 || N == 6, "MULX/ADX kernel covers Fr and Fq");
-    using Limbs = const uint64_t(*)[N];
-    using Consts = const uint64_t(*)[N + 1];
     uint64_t t0, t1, t2, t3, A, lo, hi, rdx;
     if constexpr (N == 4) {
 #define ZK_ROUND4(aoff)                                                 \

@@ -82,46 +82,23 @@ linear_combine(std::span<const ScaledMle> terms, size_t n)
     });
 }
 
-/** Record a sumcheck's two kernels under their Table-1 row names. */
-void
-record_sumcheck(const std::string &round_name, const SumcheckCosts &costs,
-                double seconds)
-{
-    uint64_t total = costs.round_modmuls + costs.update_modmuls;
-    double round_share =
-        total == 0 ? 0.5 : double(costs.round_modmuls) / double(total);
-    record_kernel(round_name, costs.round_modmuls, costs.round_bytes_in, 0,
-                  seconds * round_share);
-    record_kernel("All MLE Updates", costs.update_modmuls,
-                  costs.update_bytes_in, costs.update_bytes_out,
-                  seconds * (1.0 - round_share));
-}
-
-/** Timed sumcheck wrapper feeding the kernel series (and a trace span —
- * the per-round/update metric split keeps its Table-1 row names while
- * the span shows the whole sumcheck as one prover phase). */
+/** Sumcheck as one prover span. The extra args split it exactly into
+ * its Table-1 rows, "<name>" (the rounds, which write nothing) and
+ * "All MLE Updates"; the span totals also count the transcript's
+ * challenge derivations, which belong to neither. */
 SumcheckProverResult
 profiled_sumcheck(const std::string &name, const VirtualPolynomial &vp,
                   hash::Transcript &tr)
 {
-    obs::Span span(name, "prover");
-    ff::ModmulScope scope;
+    ProfileRegion reg(name);
     SumcheckCosts costs;
-    auto t0 = std::chrono::steady_clock::now();
     auto res = sumcheck_prove(vp, tr, &costs);
-    double secs = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    record_sumcheck(name, costs, secs);
-    // Mirror ProfileRegion's span attributes so obs/attrib joins
-    // sumcheck spans the same way (rounds + MLE updates together,
-    // matching the modeled sumcheck kernel's scope).
-    span.arg("modmul_fr", double(scope.fr_delta()));
-    span.arg("modmul_fq", double(scope.fq_delta()));
-    span.arg("inv_fq", double(scope.inv_fq_delta()));
-    span.arg("bytes_in", double(costs.round_bytes_in +
-                                costs.update_bytes_in));
-    span.arg("bytes_out", double(costs.update_bytes_out));
+    reg.add_bytes_in(costs.round_bytes_in + costs.update_bytes_in);
+    reg.add_bytes_out(costs.update_bytes_out);
+    reg.arg("round_modmuls", double(costs.round_modmuls));
+    reg.arg("round_bytes_in", double(costs.round_bytes_in));
+    reg.arg("update_modmuls", double(costs.update_modmuls));
+    reg.arg("update_bytes_in", double(costs.update_bytes_in));
     return res;
 }
 

@@ -24,6 +24,10 @@ namespace {
  * the summary; snapshot_json() halves its inputs until it fits. */
 constexpr size_t kBufCap = 256 * 1024;
 char g_bufs[2][kBufCap];
+constexpr size_t kMaxLogEvents = 64;
+constexpr size_t kMaxOpenSpans = 32;
+/** Debounce for maybe_refresh() (snapshot staleness bound). */
+constexpr double kRefreshIntervalUs = 250e3;
 
 /** Published snapshot: [63] buffer index, [62:32] offset of the
  * 4-digit signal patch region, [31:0] length. 0 = nothing published.
@@ -129,10 +133,11 @@ publish(const std::string &doc)
 }  // namespace
 
 std::string
-snapshot_json(const char *reason, const char *detail, int signal,
-              size_t max_log_events, size_t max_open_spans)
+snapshot_json(const char *reason, const char *detail, int signal)
 {
     using jsonv::Value;
+    size_t max_log_events = kMaxLogEvents;
+    size_t max_open_spans = kMaxOpenSpans;
     for (;;) {
         Value doc = Value::object();
         doc.set("schema", Value::of("zkspeed-flight-v1"));
@@ -233,8 +238,7 @@ install(const Options &opts)
         }
     }
     g_installed.store(true, std::memory_order_release);
-    publish(snapshot_json("snapshot", "", 9999, g_opts.max_log_events,
-                          g_opts.max_open_spans));
+    publish(snapshot_json("snapshot", "", 9999));
     return true;
 }
 
@@ -249,8 +253,7 @@ refresh()
 {
     if (!installed()) return;
     std::lock_guard<std::mutex> lock(g_refresh_mu);
-    publish(snapshot_json("snapshot", "", 9999, g_opts.max_log_events,
-                          g_opts.max_open_spans));
+    publish(snapshot_json("snapshot", "", 9999));
 }
 
 void
@@ -258,7 +261,7 @@ maybe_refresh()
 {
     if (!installed()) return;
     double last = g_last_refresh_us.load(std::memory_order_relaxed);
-    if (now_us() - last < g_opts.refresh_interval_ms * 1000.0) return;
+    if (now_us() - last < kRefreshIntervalUs) return;
     refresh();
 }
 
@@ -269,9 +272,8 @@ note_worker_exception(const char *where, const char *what)
     std::lock_guard<std::mutex> lock(g_refresh_mu);
     std::string detail = std::string(where) + ": " +
                          (what != nullptr ? what : "unknown");
-    std::string doc = snapshot_json("worker_exception", detail.c_str(),
-                                    -1, g_opts.max_log_events,
-                                    g_opts.max_open_spans);
+    std::string doc =
+        snapshot_json("worker_exception", detail.c_str(), -1);
     int fd = g_report_fd.load(std::memory_order_acquire);
     if (fd < 0) return false;
     if (lseek(fd, 0, SEEK_SET) != 0) return false;

@@ -40,10 +40,6 @@ namespace zkspeed::obs::flight {
 struct Options {
     /** Report path; empty = $ZKSPEED_FLIGHT_OUT or FLIGHT_report.json. */
     std::string path;
-    size_t max_log_events = 64;
-    size_t max_open_spans = 32;
-    /** Debounce for maybe_refresh() (snapshot staleness bound). */
-    double refresh_interval_ms = 250.0;
     /** Install SIGSEGV/SIGABRT/SIGBUS/SIGFPE/SIGILL handlers (off for
      * tests that only exercise the worker-exception path). */
     bool install_signal_handlers = true;
@@ -62,8 +58,8 @@ bool installed();
 void refresh();
 
 /** Debounced refresh(): no-op unless installed and the last snapshot
- * is older than Options::refresh_interval_ms. Hooked into the log
- * record flow so the snapshot tracks a live process. */
+ * is older than 250 ms. Hooked into the log record flow so the
+ * snapshot tracks a live process. */
 void maybe_refresh();
 
 /**
@@ -75,9 +71,10 @@ void maybe_refresh();
 bool note_worker_exception(const char *where, const char *what);
 
 /** Build one snapshot document (exposed so tests can pin the schema
- * without crashing). `signal` < 0 renders as -1. */
+ * without crashing): the newest 64 log events and the first 32 open
+ * spans, halved until it fits the snapshot buffer. `signal` < 0
+ * renders as -1. */
 std::string snapshot_json(const char *reason, const char *detail,
-                          int signal, size_t max_log_events = 64,
-                          size_t max_open_spans = 32);
+                          int signal);
 
 }  // namespace zkspeed::obs::flight

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -54,17 +53,6 @@ register_log_telemetry(size_t capacity)
     g_log_tele = &tele;
 }
 
-double
-env_rate()
-{
-    const char *v = std::getenv("ZKSPEED_LOG_RATE");
-    if (v == nullptr || *v == '\0') return 200.0;
-    char *end = nullptr;
-    double rate = std::strtod(v, &end);
-    if (end == v || rate < 0) return 200.0;
-    return rate;
-}
-
 }  // namespace
 
 const char *
@@ -80,7 +68,7 @@ to_string(LogLevel level)
 }
 
 LogRecorder::LogRecorder(size_t capacity)
-    : ring_(capacity), rate_per_s_(env_rate()), burst_(64.0)
+    : ring_(capacity), rate_per_s_(kRatePerSecond), burst_(64.0)
 {
     for (double &t : tokens_) t = burst_;
 }
@@ -89,22 +77,11 @@ LogRecorder &
 LogRecorder::global()
 {
     static LogRecorder *rec = [] {
-        auto *r = new LogRecorder(env_capacity());
+        auto *r = new LogRecorder();
         register_log_telemetry(r->ring_.capacity());
         return r;
     }();
     return *rec;
-}
-
-size_t
-LogRecorder::env_capacity()
-{
-    const char *v = std::getenv("ZKSPEED_LOG_RING");
-    if (v == nullptr || *v == '\0') return 4096;
-    char *end = nullptr;
-    long n = std::strtol(v, &end, 10);
-    if (end == v || n <= 0) return 4096;
-    return size_t(n);
 }
 
 bool

@@ -15,8 +15,8 @@
  * Sinks: events at or above the stderr threshold (default `warn`) echo
  * as one human-readable line; `ZKSPEED_LOG_OUT=<path>` dumps the whole
  * ring as JSON lines on `flush_all()` / service shutdown. A token
- * bucket per level bounds sustained volume (`ZKSPEED_LOG_RATE` events
- * per second per level, default 200, 0 = unlimited) so a log-spamming
+ * bucket per level bounds sustained volume (kRatePerSecond events per
+ * second per level; set_rate_limit(0, ..) lifts it) so a log-spamming
  * bug cannot starve the ring of the events around a crash.
  *
  * Every record() call, admitted or not, counts once in `recorded()`
@@ -58,15 +58,15 @@ jsonv::Value to_json(const LogEvent &ev);
 class LogRecorder
 {
   public:
-    explicit LogRecorder(size_t capacity = 4096);
+    /** Events the process-wide ring keeps. */
+    static constexpr size_t kCapacity = 4096;
+    /** Default sustained events/s per level (burst 64). */
+    static constexpr double kRatePerSecond = 200.0;
 
-    /** The process-wide recorder `logf` / `log_event` append to. Its
-     * capacity is `env_capacity()` (ZKSPEED_LOG_RING). */
+    explicit LogRecorder(size_t capacity = kCapacity);
+
+    /** The process-wide recorder `logf` / `log_event` append to. */
     static LogRecorder &global();
-
-    /** ZKSPEED_LOG_RING parsed as a positive event count, or the 4096
-     * default when unset or unparsable. */
-    static size_t env_capacity();
 
     /** Append one event (may drop under the per-level rate limit or
      * ring bound, counted either way). */

@@ -244,10 +244,10 @@ register_build_info(MetricsRegistry &reg)
     };
     // Info-style gauge: the value is always 1; the payload is the label
     // set. `format` tracks the wire/serialization format version
-    // (proof/vk/key-cache magics); the soak knobs and trace-ring size
-    // make exported artifacts self-describing about the run that
-    // produced them; git/compiler/flags come from obs/build_info.hpp —
-    // the same payload every artifact JSON embeds under "build".
+    // (proof/vk/key-cache magics); the soak knobs make exported
+    // artifacts self-describing about the run that produced them;
+    // git/compiler/flags come from obs/build_info.hpp — the same
+    // payload every artifact JSON embeds under "build".
     const BuildInfo &build = build_info();
     MetricId id = reg.gauge(
         "zkspeed_build_info",
@@ -258,8 +258,7 @@ register_build_info(MetricsRegistry &reg)
          {"git", build.git},
          {"keccak_rounds", env_or("ZKSPEED_KECCAK_ROUNDS", "1")},
          {"soak_mu_bump", env_or("ZKSPEED_SOAK_MU_BUMP", "0")},
-         {"soak_seeds", env_or("ZKSPEED_SOAK_SEEDS", "2")},
-         {"trace_ring", env_or("ZKSPEED_TRACE_RING", "16384")}},
+         {"soak_seeds", env_or("ZKSPEED_SOAK_SEEDS", "2")}},
         "Static build/runtime identity (info-style gauge; value is "
         "always 1)");
     reg.set(id, 1.0);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 
 #include "obs/jsonv.hpp"
 #include "obs/metrics.hpp"
@@ -215,21 +214,10 @@ PackedSpanRing::events() const
 
 TraceRecorder::TraceRecorder(size_t capacity) : ring_(capacity) {}
 
-size_t
-TraceRecorder::env_capacity()
-{
-    const char *e = std::getenv("ZKSPEED_TRACE_RING");
-    if (e == nullptr || *e == '\0') return 16384;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(e, &end, 10);
-    if (end == e || *end != '\0' || v == 0) return 16384;
-    return size_t(v);
-}
-
 TraceRecorder &
 TraceRecorder::global()
 {
-    static TraceRecorder rec(env_capacity());
+    static TraceRecorder rec;
     static const bool telemetry_init = [] {
         MetricsRegistry::global().set(ring_telemetry().capacity,
                                       double(rec.ring_.capacity()));

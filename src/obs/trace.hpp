@@ -11,10 +11,12 @@
  * those carry the job's correlation id so Perfetto can line them up
  * with the worker-side spans. Span taxonomy: DESIGN.md §10.
  *
- * Recording cost is one short mutex push per span *end* (spans are
+ * Recording cost: an RAII `Span` takes the process-wide open-span
+ * table's mutex on open and again on close, then the ring's mutex for
+ * the push; `record_complete` takes only the ring's mutex (spans are
  * orders of magnitude rarer than metric observations; the ring holds
  * the most recent `capacity` spans, packed, and counts what it
- * dropped) — and one count of it in `recorded()`, the span term of
+ * dropped). Each span counts once in `recorded()`, the span term of
  * obs::record_counts(). `ZKSPEED_TRACE_OUT=<path>` dumps the ring as
  * Chrome JSON on service shutdown (`obs::dump_artifacts_to_env` is the
  * shared hook).
@@ -115,11 +117,11 @@ class PackedSpanRing
     std::deque<std::string> strings_;
     std::unordered_map<std::string_view, uint32_t> string_ids_;
 };
-/** Every span this code base records has at most four args, so none
- * takes more than 128 B of ring, and the ring's memory is bounded by
- * its capacity. */
-static_assert(PackedSpanRing::record_bytes(4) <= 128,
-              "a retained span must fit 128 B");
+/** Every span this code base records has at most nine args (a
+ * sumcheck's prover span), so none takes more than 168 B of ring, and
+ * the ring's memory is bounded by its capacity. */
+static_assert(PackedSpanRing::record_bytes(9) <= 168,
+              "a retained span must fit 168 B");
 
 /** A span currently open somewhere in the process. The flight
  * recorder snapshots this table ("what was in flight when we died");
@@ -140,17 +142,14 @@ std::vector<OpenSpan> open_spans();
 class TraceRecorder
 {
   public:
-    explicit TraceRecorder(size_t capacity = 16384);
+    /** Spans the process-wide ring keeps, exported as
+     * `zkspeed_trace_ring_spans{kind="capacity"}`. */
+    static constexpr size_t kCapacity = 16384;
 
-    /** The process-wide recorder every span lands in. Its capacity is
-     * `env_capacity()` — override with ZKSPEED_TRACE_RING. */
+    explicit TraceRecorder(size_t capacity = kCapacity);
+
+    /** The process-wide recorder every span lands in. */
     static TraceRecorder &global();
-
-    /** Ring capacity requested by the environment: ZKSPEED_TRACE_RING
-     * parsed as a positive span count, or the 16384 default when the
-     * variable is unset or unparsable. The effective value is exported
-     * as `zkspeed_trace_ring_spans{kind="capacity"}`. */
-    static size_t env_capacity();
 
     /** Steady-clock zero point shared by every span in the process. */
     static std::chrono::steady_clock::time_point epoch();

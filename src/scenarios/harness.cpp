@@ -218,16 +218,13 @@ Harness::finish()
             obs::write_file(attrib_out, suite.attrib_json);
         }
     }
-    if (cfg_.capture_telemetry) {
-        // Snapshot after shutdown so the drained batch window and every
-        // worker's shard are in; render both expositions and the span
-        // trace so callers can persist the artifacts directly.
-        suite.telemetry = obs::MetricsRegistry::global().snapshot();
-        suite.metrics_prom = obs::render_prometheus_text(suite.telemetry);
-        suite.metrics_json = obs::render_json(suite.telemetry);
-        suite.trace_json =
-            obs::TraceRecorder::global().render_chrome_json();
-    }
+    // Snapshot after shutdown so the drained batch window and every
+    // worker's shard are in; render both expositions and the span trace
+    // so callers can persist the artifacts directly.
+    suite.telemetry = obs::MetricsRegistry::global().snapshot();
+    suite.metrics_prom = obs::render_prometheus_text(suite.telemetry);
+    suite.metrics_json = obs::render_json(suite.telemetry);
+    suite.trace_json = obs::TraceRecorder::global().render_chrome_json();
     predicted_.clear();
     return suite;
 }

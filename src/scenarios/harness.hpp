@@ -37,9 +37,6 @@ struct HarnessConfig {
     runtime::ServiceConfig service;
     /** Replay the service trace through the chip model in finish(). */
     bool replay = true;
-    /** Capture the telemetry artifacts (metrics exposition + Chrome
-     * trace JSON) into the SuiteResult in finish(). */
-    bool capture_telemetry = true;
 
     HarnessConfig()
     {
@@ -93,10 +90,10 @@ struct SuiteResult {
     obs::attrib::Report attrib;
     std::string attrib_json;  ///< rendered "zkspeed-attrib-v1" document
 
-    /** Telemetry artifacts (config.capture_telemetry): a registry
-     * snapshot taken after shutdown plus the rendered expositions and
-     * the Chrome trace of the whole suite — callers write these
-     * straight to metrics.prom / metrics.json / trace.json. */
+    /** Telemetry artifacts: a registry snapshot taken after shutdown
+     * plus the rendered expositions and the Chrome trace of the whole
+     * suite — callers write these straight to metrics.prom /
+     * metrics.json / trace.json. */
     obs::Snapshot telemetry;
     std::string metrics_prom;
     std::string metrics_json;

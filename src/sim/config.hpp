@@ -63,7 +63,7 @@ struct Workload {
      * (the LookupUnit prices one CAM bank fill per table); empty means
      * the circuit carries no lookup argument. */
     uint64_t lookup_gates = 0;
-    std::vector<uint64_t> table_row_counts;
+    std::vector<uint64_t> table_row_counts = {};
     bool has_lookup() const { return !table_row_counts.empty(); }
 
     size_t num_gates() const { return size_t(1) << mu; }

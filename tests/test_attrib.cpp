@@ -12,8 +12,8 @@
  * Instrumentation side: cross-thread modmuls must fold into the
  * enclosing kernel span (ff::parallel_for migrates worker counters to
  * the caller, so a ProfileRegion's modmul args are identical serial
- * vs threaded); ZKSPEED_TRACE_RING sizes the global ring and the
- * capacity gauge tracks it; zkspeed_build_info is an info-style gauge.
+ * vs threaded); the capacity gauge tracks the global ring's size;
+ * zkspeed_build_info is an info-style gauge.
  *
  * End-to-end: two honest scenarios through scenarios::Harness must
  * join every prover kernel span to a modeled cycle count (the PR's
@@ -22,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -419,25 +418,11 @@ TEST(AttribSpans, CrossThreadModmulsFoldIntoEnclosingSpan)
         << "worker-thread modmuls did not migrate to the enclosing span";
 }
 
-// Satellite: ZKSPEED_TRACE_RING sizes the global ring; the capacity
-// gauge tracks set_capacity.
-TEST(AttribSpans, TraceRingCapacityFromEnvAndGauge)
+// Satellite: the capacity gauge tracks set_capacity.
+TEST(AttribSpans, TraceRingCapacityGauge)
 {
-    const size_t dflt = 16384;
-    unsetenv("ZKSPEED_TRACE_RING");
-    EXPECT_EQ(obs::TraceRecorder::env_capacity(), dflt);
-    setenv("ZKSPEED_TRACE_RING", "4096", 1);
-    EXPECT_EQ(obs::TraceRecorder::env_capacity(), 4096u);
-    setenv("ZKSPEED_TRACE_RING", "0", 1);  // 0 would wedge the ring
-    EXPECT_EQ(obs::TraceRecorder::env_capacity(), dflt);
-    setenv("ZKSPEED_TRACE_RING", "12cats", 1);
-    EXPECT_EQ(obs::TraceRecorder::env_capacity(), dflt);
-    setenv("ZKSPEED_TRACE_RING", "", 1);
-    EXPECT_EQ(obs::TraceRecorder::env_capacity(), dflt);
-    unsetenv("ZKSPEED_TRACE_RING");
-
     // Resizing the global recorder updates the capacity gauge (and
-    // clears the ring); restore the env-derived capacity after.
+    // clears the ring); restore the default capacity after.
     auto &rec = obs::TraceRecorder::global();
     rec.set_capacity(2048);
     obs::Snapshot snap = obs::MetricsRegistry::global().snapshot();
@@ -445,7 +430,7 @@ TEST(AttribSpans, TraceRingCapacityFromEnvAndGauge)
                                 {{"kind", "capacity"}});
     ASSERT_NE(cap, nullptr);
     EXPECT_DOUBLE_EQ(cap->gauge, 2048.0);
-    rec.set_capacity(obs::TraceRecorder::env_capacity());
+    rec.set_capacity(obs::TraceRecorder::kCapacity);
 }
 
 // Satellite: zkspeed_build_info is an info-style gauge — value 1, the

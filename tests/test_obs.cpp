@@ -5,7 +5,7 @@
  * threads, trace-event JSON well-formedness and span-nesting links,
  * Prometheus text parseability, the Snippet-1-style exposition
  * exhaustiveness sweep over every series a ProofService registers, the
- * concurrent (2-prover) kernel-recording hot path and the latency of
+ * prover kernel spans of two concurrent provers and the latency of
  * rejected and failed jobs.
  */
 #include <gtest/gtest.h>
@@ -16,10 +16,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <random>
 #include <thread>
+#include <unordered_map>
 
-#include "hyperplonk/profile.hpp"
 #include "hyperplonk/serialize.hpp"
 #include "json_check.hpp"
 #include "obs/export.hpp"
@@ -51,7 +52,9 @@ TEST(ObsHistogram, BucketGeometryInvariants)
         double v = std::exp2(exp_dist(rng));
         size_t i = B::index_for(v);
         EXPECT_LE(v, B::upper_bound(i)) << v;
-        if (i > 0) EXPECT_GT(v, B::upper_bound(i - 1)) << v;
+        if (i > 0) {
+            EXPECT_GT(v, B::upper_bound(i - 1)) << v;
+        }
     }
     // Exact powers of two sit on a bucket boundary (inclusive bound).
     for (int e = -19; e <= 39; ++e) {
@@ -819,44 +822,96 @@ TEST(ObsService, CancelledJobsLandInFailedHistogram)
 }
 
 // ---------------------------------------------------------------------------
-// Kernel-recording hot path: concurrent recording.
+// Prover kernel spans: the only record of a kernel.
 // ---------------------------------------------------------------------------
 
-TEST(ObsProfiler, TwoConcurrentRecordersNeverCorrupt)
-{
-    // The sharded kernel-recording path must produce exact totals under
-    // 2-way concurrency — this is the 2-prover recording pattern with
-    // the prover math stripped out.
-    constexpr int kCalls = 50000;
-    auto worker = [](int t) {
-        for (int k = 0; k < kCalls; ++k) {
-            hyperplonk::record_kernel("t23 kernel A", 3, 64, 32, 1e-7);
-            if (k % 2 == t) {
-                hyperplonk::record_kernel("t23 kernel B", 1, 8, 8, 1e-7);
-            }
-        }
-    };
-    std::thread a(worker, 0), b(worker, 1);
-    a.join();
-    b.join();
+/** Kernel name -> arg name -> sum over one job's `prover` spans. */
+using KernelArgs = std::map<std::string, std::map<std::string, double>>;
 
-    auto kernels = hyperplonk::kernel_profiles(
-        obs::MetricsRegistry::global().snapshot());
-    ASSERT_TRUE(kernels.count("t23 kernel A"));
-    ASSERT_TRUE(kernels.count("t23 kernel B"));
-    const auto &ka = kernels["t23 kernel A"];
-    EXPECT_EQ(ka.calls, uint64_t(2 * kCalls));
-    EXPECT_EQ(ka.modmuls, uint64_t(2 * kCalls) * 3);
-    EXPECT_EQ(ka.bytes_in, uint64_t(2 * kCalls) * 64);
-    EXPECT_EQ(ka.bytes_out, uint64_t(2 * kCalls) * 32);
-    EXPECT_EQ(kernels["t23 kernel B"].calls, uint64_t(kCalls));
-    EXPECT_GT(ka.arithmetic_intensity(), 0.0);
+/** Every job's prover spans, summed per kernel and keyed by the
+ * correlation id of the nearest ancestor that carries one. */
+std::map<uint64_t, KernelArgs>
+prover_spans_by_job(const std::vector<obs::SpanEvent> &events)
+{
+    std::unordered_map<uint64_t, const obs::SpanEvent *> by_id;
+    for (const auto &e : events) by_id[e.span_id] = &e;
+    std::map<uint64_t, KernelArgs> jobs;
+    for (const auto &e : events) {
+        if (e.category != "prover") continue;
+        const obs::SpanEvent *p = &e;
+        while (p != nullptr && p->correlation_id == 0) {
+            auto it = by_id.find(p->parent_id);
+            p = it == by_id.end() ? nullptr : it->second;
+        }
+        if (p == nullptr) continue;
+        for (const auto &[k, v] : e.args) {
+            jobs[p->correlation_id][e.name][k] += v;
+        }
+    }
+    return jobs;
+}
+
+TEST(ObsProfiler, ConcurrentProversRecordIdenticalKernelSpans)
+{
+    // Two workers prove the same circuit at the same time. Joined by
+    // correlation chain, each job's prover spans must carry the same
+    // modmuls and bytes per kernel: a span lost, doubled or credited
+    // to the other job shows as a difference.
+    obs::TraceRecorder::global().clear();
+    runtime::ServiceConfig cfg;
+    cfg.num_workers = 2;
+    cfg.total_parallelism = 2;
+    runtime::ProofService service(cfg);
+    auto a = service.submit(make_request(29001, 4, 29000));
+    auto b = service.submit(make_request(29002, 4, 29000));
+    ASSERT_TRUE(a.get().ok());
+    ASSERT_TRUE(b.get().ok());
+    service.shutdown();
+
+    const auto events = obs::TraceRecorder::global().events();
+    auto jobs = prover_spans_by_job(events);
+    ASSERT_EQ(jobs.size(), 2u);
+    const KernelArgs &ka = jobs[29001];
+    const KernelArgs &kb = jobs[29002];
+    ASSERT_TRUE(ka.contains("Witness MSMs"));
+    EXPECT_GT(ka.at("Witness MSMs").at("modmul_fq"), 0.0);
+    ASSERT_EQ(ka.size(), kb.size());
+    for (const auto &[kernel, args] : ka) {
+        ASSERT_TRUE(kb.contains(kernel)) << kernel;
+        for (const char *key :
+             {"modmul_fr", "modmul_fq", "bytes_in", "bytes_out"}) {
+            EXPECT_EQ(args.at(key), kb.at(kernel).at(key))
+                << kernel << " " << key;
+        }
+    }
+
+    // A sumcheck span's round/update split adds up to its totals. The
+    // modmul total also holds the transcript's challenge derivations,
+    // which are neither rounds nor updates: one per round (mu = 4),
+    // 4 Fr muls each (Horner over the digest's four 64-bit words).
+    size_t sumchecks = 0;
+    for (const auto &e : events) {
+        std::map<std::string, double> arg(e.args.begin(), e.args.end());
+        if (e.category != "prover" || !arg.contains("round_modmuls")) {
+            continue;
+        }
+        ++sumchecks;
+        EXPECT_EQ(arg["round_bytes_in"] + arg["update_bytes_in"],
+                  arg["bytes_in"])
+            << e.name;
+        EXPECT_EQ(arg["round_modmuls"] + arg["update_modmuls"] + 4 * 4,
+                  arg["modmul_fr"] + arg["modmul_fq"])
+            << e.name;
+    }
+    EXPECT_EQ(sumchecks, 6u);  // ZeroCheck, PermCheck, OpenCheck per job
 }
 
 TEST(ObsService, TwoConcurrentProversRecordEveryJob)
 {
     // End-to-end flavour of the same satellite: two workers prove
-    // concurrently; every job must land in the registry exactly once.
+    // concurrently; every job must land in the registry and the span
+    // ring exactly once.
+    obs::TraceRecorder::global().clear();
     runtime::ServiceConfig cfg;
     cfg.num_workers = 2;
     cfg.total_parallelism = 2;
@@ -864,8 +919,8 @@ TEST(ObsService, TwoConcurrentProversRecordEveryJob)
     constexpr int kJobs = 6;
     std::vector<std::future<runtime::JobResponse>> futs;
     for (int k = 0; k < kJobs; ++k) {
-        futs.push_back(
-            service.submit(make_request(uint64_t(k), 3, 23400 + k)));
+        futs.push_back(service.submit(
+            make_request(uint64_t(23400 + k), 3, 23400 + k)));
     }
     for (auto &f : futs) EXPECT_TRUE(f.get().ok());
     service.shutdown();
@@ -875,10 +930,13 @@ TEST(ObsService, TwoConcurrentProversRecordEveryJob)
     EXPECT_GT(series_total(service, "zkspeed_modmuls_total",
                            {{"field", "fr"}}),
               0u);
-    // Kernel profiles from both workers folded into the registry.
-    auto kernels = hyperplonk::kernel_profiles(
-        obs::MetricsRegistry::global().snapshot());
-    EXPECT_TRUE(kernels.count("Witness MSMs"));
+    // Kernel spans from both workers, joined to every job.
+    auto jobs = prover_spans_by_job(obs::TraceRecorder::global().events());
+    EXPECT_EQ(jobs.size(), size_t(kJobs));
+    for (int k = 0; k < kJobs; ++k) {
+        EXPECT_TRUE(jobs[uint64_t(23400 + k)].contains("Witness MSMs"))
+            << "job " << 23400 + k;
+    }
 }
 
 }  // namespace

@@ -368,7 +368,7 @@ TEST(ObsHttp, StuckTraceClientsReleaseHandlerThreads)
     auto &ring = obs::TraceRecorder::global();
     const std::string long_name(256, 's');
     auto t = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < obs::TraceRecorder::env_capacity(); ++i) {
+    for (size_t i = 0; i < obs::TraceRecorder::kCapacity; ++i) {
         obs::Span::record_complete(long_name, "test", t, t);
     }
     ASSERT_GT(ring.render_chrome_json().size(), size_t(4) << 20);
@@ -605,7 +605,7 @@ TEST(ObsJson, MaxRequestIdSurvivesSpanLogAndFlight)
     {
         obs::Span span("t14.max_id", "test", kMaxId);
         obs::log_event(obs::LogLevel::info, "t14", "max id", kMaxId);
-        flight = obs::flight::snapshot_json("snapshot", "", 9999, 64, 32);
+        flight = obs::flight::snapshot_json("snapshot", "", 9999);
     }
     auto has_max_id = [&](const obs::jsonv::Value &items, const char *key,
                           const char *value, const char *id_key) {
@@ -713,8 +713,7 @@ TEST(ObsFlight, WorkerExceptionWritesSchemaValidReport)
 
 TEST(ObsFlight, SnapshotJsonIsValidAndBounded)
 {
-    std::string snap = obs::flight::snapshot_json("snapshot", "", 9999,
-                                                  64, 32);
+    std::string snap = obs::flight::snapshot_json("snapshot", "", 9999);
     EXPECT_TRUE(valid_json(snap)) << snap.substr(0, 400);
     EXPECT_NE(snap.find("\"signal\": 9999"), std::string::npos)
         << "the patchable placeholder must render verbatim";
