@@ -13,7 +13,8 @@
  *     counts of curve::msm, and the same two counts of Srs::generate at
  *     mu = 8 and 12.
  *     The verify layer adds, per scenario, the Fr/Fq muls of a VERIFY
- *     job's algebraic stage, and one pairing row: the Fq muls of one
+ *     job's algebraic stage and of one PairingAccumulator::check() on
+ *     the same proof, and one pairing row: the Fq muls of one
  *     final exponentiation and of one BatchVerifier flush over the
  *     roster proofs. The telemetry layer adds, per scenario, the exact
  *     record calls of the same key-cache-hit PROVE job by kind (spans,
@@ -111,6 +112,9 @@ struct Counters {
     /** Modmuls of a VERIFY job's algebraic stage for the same proof. */
     uint64_t verify_fr = 0;
     uint64_t verify_fq = 0;
+    /** Modmuls of one PairingAccumulator::check() on the same proof. */
+    uint64_t check_fr = 0;
+    uint64_t check_fq = 0;
     /** Telemetry record calls of the PROVE job, by kind. */
     obs::RecordCounts records;
 };
@@ -130,6 +134,26 @@ make_spec(const RosterEntry &e)
     spec.log_size = e.log_size;
     spec.seed = e.seed;
     return spec;
+}
+
+/**
+ * The exact Fr/Fq muls of one single-proof pairing check of `p`, with
+ * ff parallelism pinned to 1. A warm-up check derives the pairing's
+ * one-time constants first, so the figure does not pay for them.
+ */
+void
+measure_check(const RosterProof &p, Counters &c)
+{
+    ff::WorkerBudgetScope budget(1);
+    verifier::PairingAccumulator acc;
+    if (!hyperplonk::verify_deferred(p.vk, p.publics, p.proof, acc) ||
+        !acc.check()) {
+        return;
+    }
+    ff::ModmulScope scope;
+    acc.check();
+    c.check_fr = scope.fr_delta();
+    c.check_fq = scope.fq_delta();
 }
 
 /**
@@ -160,7 +184,7 @@ wait_worker_idle(const runtime::ProofService &service)
  * pays for Srs::generate and keygen, which are not proof cost. The
  * second job's telemetry records are counted from its submit until its
  * worker is idle. Each proof is also appended to `proofs` for the
- * pairing row.
+ * pairing row, after its single-proof check is measured.
  */
 std::vector<Counters>
 measure_counters(std::vector<RosterProof> &proofs)
@@ -221,6 +245,7 @@ measure_counters(std::vector<RosterProof> &proofs)
             if (vresp.ok() && proof.has_value()) {
                 proofs.push_back({*vk, std::move(vreq.public_inputs),
                                   std::move(*proof)});
+                measure_check(proofs.back(), c);
             }
         }
         out.push_back(std::move(c));
@@ -454,6 +479,8 @@ render_baselines(const std::vector<Counters> &counters,
         o.set("name", Value::of(c.name));
         o.set("modmul_fr", Value::of(c.verify_fr));
         o.set("modmul_fq", Value::of(c.verify_fq));
+        o.set("check_fr_muls", Value::of(c.check_fr));
+        o.set("check_fq_muls", Value::of(c.check_fq));
         verify_rows.push(std::move(o));
     }
     doc.set("verify", std::move(verify_rows));
@@ -671,7 +698,9 @@ check_counters(const Value &baselines,
         baselines, "verify", "verify.", measured,
         [](const Counters &c) {
             return FieldList{{"modmul_fr", c.verify_fr},
-                             {"modmul_fq", c.verify_fq}};
+                             {"modmul_fq", c.verify_fq},
+                             {"check_fr_muls", c.check_fr},
+                             {"check_fq_muls", c.check_fq}};
         },
         log);
     check_scenario_rows(baselines, "telemetry", "telemetry.", measured,
@@ -875,10 +904,12 @@ main(int argc, char **argv)
 
     bench::title("Exact VERIFY-layer cost (parallelism pinned to 1)");
     bench::Table vt({{"Scenario", 20}, {"Alg Fr muls", 12},
-                     {"Alg Fq muls", 12}});
+                     {"Alg Fq muls", 12}, {"Check Fr muls", 14},
+                     {"Check Fq muls", 14}});
     for (const Counters &c : counters) {
         vt.row({c.name, bench::fmt_int(c.verify_fr),
-                bench::fmt_int(c.verify_fq)});
+                bench::fmt_int(c.verify_fq), bench::fmt_int(c.check_fr),
+                bench::fmt_int(c.check_fq)});
     }
     bench::title("Exact telemetry records per PROVE job");
     bench::Table rt({{"Scenario", 20}, {"Spans", 8}, {"Ctr adds", 10},

@@ -132,13 +132,10 @@ main(int argc, char **argv)
     double batch_ms = ms_since(batch_start);
     const double batch_fq = double(batch_muls.fq_delta()) / double(n);
 
-    // Assertion note: the single path pairs through the *fused*
-    // unprepared Miller loop (no G2Prepared coefficient vectors are
-    // materialised for one-shot pairings), while the batch path
-    // prepares each distinct G2 point once and reuses the coefficients
-    // across bisection probes. Both must reach identical verdicts —
-    // the exit status enforces it (and test_pairing asserts the two
-    // loops produce bit-identical Fq12 values).
+    // Assertion note: both paths run the same fold and Miller loop; the
+    // single path folds one accumulator with unit weight, the batch
+    // path weights every proof by its Fiat-Shamir rho. Both must reach
+    // identical verdicts — the exit status enforces it.
     bool all_ok = single_ok == n && result.all_ok();
     double speedup = batch_ms > 0 ? single_ms / batch_ms : 0;
 

@@ -21,9 +21,7 @@ struct G2Proj {
 };
 
 /** Line coefficients (c0, c1, c4) feeding Fq12::mul_by_014. */
-struct LineEval {
-    Fq2 c0, c1, c4;
-};
+using LineEval = G2Prepared::Coeffs;
 
 /**
  * Doubling step: R <- 2R, returning the tangent-line coefficients
@@ -189,19 +187,15 @@ prepare_g2(const G2Affine &q)
     // One doubling per bit plus one addition per set bit.
     prep.coeffs.reserve(x.num_bits() + 9);
     for (size_t bit = x.num_bits() - 1; bit-- > 0;) {
-        LineEval d = doubling_step(r);
-        prep.coeffs.push_back({d.c0, d.c1, d.c4});
-        if (x.bit(bit)) {
-            LineEval a = addition_step(r, q);
-            prep.coeffs.push_back({a.c0, a.c1, a.c4});
-        }
+        prep.coeffs.push_back(doubling_step(r));
+        if (x.bit(bit)) prep.coeffs.push_back(addition_step(r, q));
     }
     return prep;
 }
 
 Fq12
-multi_miller_loop_prepared(std::span<const G1Affine> ps,
-                           std::span<const G2Prepared> qs)
+multi_miller_loop(std::span<const G1Affine> ps,
+                  std::span<const G2Prepared> qs)
 {
     // Collect the non-trivial pairs (identity in either slot contributes 1).
     std::vector<const G1Affine *> p_live;
@@ -220,67 +214,24 @@ multi_miller_loop_prepared(std::span<const G1Affine> ps,
     for (size_t bit = x.num_bits() - 1; bit-- > 0;) {
         f = f.square();
         for (size_t i = 0; i < q_live.size(); ++i) {
-            const auto &c = q_live[i]->coeffs[pos[i]++];
-            ell(f, {c.c0, c.c1, c.c4}, *p_live[i]);
+            ell(f, q_live[i]->coeffs[pos[i]++], *p_live[i]);
         }
         if (x.bit(bit)) {
             for (size_t i = 0; i < q_live.size(); ++i) {
-                const auto &c = q_live[i]->coeffs[pos[i]++];
-                ell(f, {c.c0, c.c1, c.c4}, *p_live[i]);
+                ell(f, q_live[i]->coeffs[pos[i]++], *p_live[i]);
             }
         }
     }
-    // BLS parameter is negative: invert via conjugation (f is unitary
-    // only after the easy part, so use the true meaning: f^{-x} at the
-    // end of the loop equals conjugate in GT; pre-final-exp we must
-    // conjugate f, which corresponds to the standard implementation).
-    return f.conjugate();
-}
-
-Fq12
-multi_miller_loop(std::span<const G1Affine> ps, std::span<const G2Affine> qs)
-{
-    // Fused in-place loop: the doubling/addition steps run interleaved
-    // with the shared f accumulation, so one-shot pairings never
-    // materialise the ~20 KB/point coefficient vectors of G2Prepared.
-    // Callers that pair the same G2 points repeatedly (BatchVerifier
-    // bisection probes, fixed-SRS verification) should prepare_g2 once
-    // and use the *_prepared overloads instead. Step order matches
-    // prepare_g2 exactly, so both paths produce identical Fq12 values
-    // (asserted by test_pairing's PreparedMatchesUnprepared).
-    std::vector<const G1Affine *> p_live;
-    std::vector<G2Proj> r_live;
-    std::vector<const G2Affine *> q_live;
-    for (size_t i = 0; i < ps.size(); ++i) {
-        if (!ps[i].is_identity() && !qs[i].is_identity()) {
-            p_live.push_back(&ps[i]);
-            r_live.push_back(G2Proj{qs[i].x, qs[i].y, Fq2::one()});
-            q_live.push_back(&qs[i]);
-        }
-    }
-    Fq12 f = Fq12::one();
-    if (p_live.empty()) return f;
-
-    BigInt<1> x(kAbsX);
-    for (size_t bit = x.num_bits() - 1; bit-- > 0;) {
-        f = f.square();
-        for (size_t i = 0; i < r_live.size(); ++i) {
-            ell(f, doubling_step(r_live[i]), *p_live[i]);
-        }
-        if (x.bit(bit)) {
-            for (size_t i = 0; i < r_live.size(); ++i) {
-                ell(f, addition_step(r_live[i], *q_live[i]), *p_live[i]);
-            }
-        }
-    }
-    // Negative BLS parameter: conjugate, as in the prepared loop.
+    // The BLS parameter x is negative, and the loop ran over |x|: the
+    // conjugate of f stands in for f^{-1}, which agree after the final
+    // exponentiation.
     return f.conjugate();
 }
 
 Fq12
 miller_loop(const G1Affine &p, const G2Affine &q)
 {
-    return multi_miller_loop(std::span(&p, 1), std::span(&q, 1));
+    return multi_miller_loop(std::span(&p, 1), std::array{prepare_g2(q)});
 }
 
 Fq12
@@ -330,17 +281,9 @@ pairing(const G1Affine &p, const G2Affine &q)
 
 bool
 pairing_product_is_one(std::span<const G1Affine> ps,
-                       std::span<const G2Affine> qs)
+                       std::span<const G2Prepared> qs)
 {
     return final_exponentiation(multi_miller_loop(ps, qs)).is_one();
-}
-
-bool
-pairing_product_is_one_prepared(std::span<const G1Affine> ps,
-                                std::span<const G2Prepared> qs)
-{
-    return final_exponentiation(multi_miller_loop_prepared(ps, qs))
-        .is_one();
 }
 
 }  // namespace zkspeed::curve

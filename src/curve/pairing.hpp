@@ -6,10 +6,12 @@
  * multilinear-KZG verifier to check polynomial-opening proofs:
  *   e(C - v g, h) == prod_i e(pi_i, h^{tau_i} - z_i h).
  *
- * Implementation notes: Miller loop over |x| = 0xd201000000010000 with
- * homogeneous-projective line evaluation (M-twist, mul_by_014 sparse
- * multiplication), conjugation at the end because the BLS parameter is
- * negative.
+ * Implementation notes: one Miller loop over |x| = 0xd201000000010000
+ * with homogeneous-projective line evaluation (M-twist, mul_by_014
+ * sparse multiplication), conjugation at the end because the BLS
+ * parameter is negative. Its G2 half runs once per point in prepare_g2;
+ * the loop itself consumes the prepared line coefficients, and the
+ * one-pair miller_loop and pairing are wrappers over it.
  *
  * The final exponentiation (Scott et al., ePrint 2008/490) computes the
  * easy part (q^6-1)(q^2+1) with one inversion, a conjugation and the
@@ -35,22 +37,13 @@
 
 namespace zkspeed::curve {
 
-/** Miller loop without final exponentiation. */
-Fq12 miller_loop(const G1Affine &p, const G2Affine &q);
-
-/** Product of Miller loops (shares one final exponentiation). */
-Fq12 multi_miller_loop(std::span<const G1Affine> ps,
-                       std::span<const G2Affine> qs);
-
 /**
  * Precomputed Miller-loop line coefficients for a fixed G2 point.
  *
  * The doubling/addition steps of the loop depend only on the G2 input;
  * the G1 point enters through the (cheap) line evaluation. Preparing a
- * G2 point once therefore removes all G2 arithmetic from subsequent
- * pairings against it — the fast path for verifiers whose G2 side is a
- * fixed SRS basis, and for the batch verifier's bisection, which
- * re-pairs the same G2 points on every probe.
+ * G2 point once therefore removes all G2 arithmetic from later pairings
+ * against it, which the batch verifier's bisection probes re-use.
  */
 struct G2Prepared {
     /** (c0, c1, c4) triples feeding Fq12::mul_by_014, in loop order. */
@@ -64,13 +57,13 @@ struct G2Prepared {
 /** Run the G2-only half of the Miller loop once. */
 G2Prepared prepare_g2(const G2Affine &q);
 
-/** Multi-Miller loop consuming precomputed G2 line coefficients. */
-Fq12 multi_miller_loop_prepared(std::span<const G1Affine> ps,
-                                std::span<const G2Prepared> qs);
+/** The Miller loop: product over i of the Miller outputs of (P_i, Q_i),
+ * before the final exponentiation they share. */
+Fq12 multi_miller_loop(std::span<const G1Affine> ps,
+                       std::span<const G2Prepared> qs);
 
-/** Product pairing check against prepared G2 points. */
-bool pairing_product_is_one_prepared(std::span<const G1Affine> ps,
-                                     std::span<const G2Prepared> qs);
+/** Miller loop of one pair, without final exponentiation. */
+Fq12 miller_loop(const G1Affine &p, const G2Affine &q);
 
 /** Final exponentiation to the r-th-power residue group. */
 Fq12 final_exponentiation(const Fq12 &f);
@@ -80,9 +73,9 @@ Fq12 pairing(const G1Affine &p, const G2Affine &q);
 
 /**
  * Product pairing check: returns true iff prod_i e(P_i, Q_i) == 1.
- * This is the primitive the PCS verifier uses.
+ * This is the primitive every pairing check of the verifier ends in.
  */
 bool pairing_product_is_one(std::span<const G1Affine> ps,
-                            std::span<const G2Affine> qs);
+                            std::span<const G2Prepared> qs);
 
 }  // namespace zkspeed::curve

@@ -193,20 +193,6 @@ LogRecorder::set_rate_limit(double per_second, double burst)
     for (double &t : tokens_) t = burst_;
 }
 
-void
-LogRecorder::set_stderr_level(LogLevel level)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    stderr_level_ = level;
-}
-
-LogLevel
-LogRecorder::stderr_level() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return stderr_level_;
-}
-
 jsonv::Value
 to_json(const LogEvent &ev)
 {
@@ -254,13 +240,13 @@ logf(LogLevel level, const char *component, uint64_t correlation_id,
         std::vsnprintf(shard.data(), shard.size(), fmt, copy);
     }
     va_end(copy);
-    LogRecorder &rec = LogRecorder::global();
-    if (level >= rec.stderr_level()) {
+    if (level >= LogLevel::warn) {
         std::fprintf(stderr, "[%s %s] %s\n", to_string(level), component,
                      shard.data());
     }
-    rec.record(level, component, std::string(shard.data(), size_t(n)),
-               correlation_id);
+    LogRecorder::global().record(level, component,
+                                 std::string(shard.data(), size_t(n)),
+                                 correlation_id);
 }
 
 void

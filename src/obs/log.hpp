@@ -12,8 +12,8 @@
  * health exported as registry series (`zkspeed_log_events_total{level}`,
  * `zkspeed_log_events_dropped_total{reason=ring|rate}`).
  *
- * Sinks: events at or above the stderr threshold (default `warn`) echo
- * as one human-readable line; `ZKSPEED_LOG_OUT=<path>` dumps the whole
+ * Sinks: events at `warn` and above echo to stderr as one
+ * human-readable line; `ZKSPEED_LOG_OUT=<path>` dumps the whole
  * ring as JSON lines on `flush_all()` / service shutdown. A token
  * bucket per level bounds sustained volume (kRatePerSecond events per
  * second per level; set_rate_limit(0, ..) lifts it) so a log-spamming
@@ -88,10 +88,6 @@ class LogRecorder
      * `per_second` 0 disables rate limiting. */
     void set_rate_limit(double per_second, double burst);
 
-    /** Minimum level echoed to stderr (default warn). */
-    void set_stderr_level(LogLevel level);
-    LogLevel stderr_level() const;
-
     /** The ring as JSON lines (one `to_json` document per line). */
     std::string render_jsonl() const;
 
@@ -106,13 +102,12 @@ class LogRecorder
     double burst_;
     double tokens_[4];
     double last_refill_us_[4] = {0, 0, 0, 0};
-    LogLevel stderr_level_ = LogLevel::warn;
 };
 
 /**
  * Format + record an event on the global recorder, echoing one
- * `[level component] message` line to stderr when `level` clears the
- * recorder's stderr threshold.
+ * `[level component] message` line to stderr when `level` is `warn` or
+ * above.
  */
 void logf(LogLevel level, const char *component, uint64_t correlation_id,
           const char *fmt, ...)

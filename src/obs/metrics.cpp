@@ -473,13 +473,6 @@ MetricsRegistry::reset()
     }
 }
 
-size_t
-MetricsRegistry::num_series() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return defs_.size();
-}
-
 RecordCounts
 MetricsRegistry::record_counts() const
 {

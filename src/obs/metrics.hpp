@@ -139,8 +139,6 @@ class MetricsRegistry
      * tests only — this wipes every series in the registry. */
     void reset();
 
-    size_t num_series() const;
-
     /** This registry's counter adds, observations and gauge writes
      * (the other RecordCounts fields stay 0). */
     RecordCounts record_counts() const;

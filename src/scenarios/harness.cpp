@@ -194,29 +194,26 @@ Harness::finish()
         }
     }
     service_.shutdown();
-    if (cfg_.replay) {
-        suite.replay = sim::replay_trace(service_.trace(),
-                                         sim::DesignConfig::paper_default());
-        // Join the suite's prover spans against the replayed chip
-        // model, export the drift gauges *before* the telemetry capture
-        // below so they appear in the captured expositions, and write
-        // ATTRIB_report.json when asked to.
-        obs::attrib::Options aopts;
-        aopts.min_ts_us = trace_min_ts_us_;
-        aopts.clock_ghz = sim::kClockGhz;
-        suite.attrib =
-            obs::attrib::build(obs::TraceRecorder::global().events(),
-                               sim::attrib_jobs(suite.replay), aopts);
-        obs::attrib::export_to_registry(suite.attrib,
-                                        obs::MetricsRegistry::global());
-        suite.attrib_json = obs::attrib::render_json(suite.attrib);
-        // Feed the live /attrib endpoint (and obs::flush_all's
-        // ZKSPEED_ATTRIB_OUT fallback) the freshest report.
-        obs::set_latest_attrib_json(suite.attrib_json);
-        const char *attrib_out = std::getenv("ZKSPEED_ATTRIB_OUT");
-        if (attrib_out != nullptr && *attrib_out != '\0') {
-            obs::write_file(attrib_out, suite.attrib_json);
-        }
+    suite.replay = sim::replay_trace(service_.trace(),
+                                     sim::DesignConfig::paper_default());
+    // Join the suite's prover spans against the replayed chip model,
+    // export the drift gauges *before* the telemetry capture below so
+    // they appear in the captured expositions, and write
+    // ATTRIB_report.json when asked to.
+    obs::attrib::Options aopts;
+    aopts.min_ts_us = trace_min_ts_us_;
+    aopts.clock_ghz = sim::kClockGhz;
+    suite.attrib = obs::attrib::build(obs::TraceRecorder::global().events(),
+                                      sim::attrib_jobs(suite.replay), aopts);
+    obs::attrib::export_to_registry(suite.attrib,
+                                    obs::MetricsRegistry::global());
+    suite.attrib_json = obs::attrib::render_json(suite.attrib);
+    // Feed the live /attrib endpoint (and obs::flush_all's
+    // ZKSPEED_ATTRIB_OUT fallback) the freshest report.
+    obs::set_latest_attrib_json(suite.attrib_json);
+    const char *attrib_out = std::getenv("ZKSPEED_ATTRIB_OUT");
+    if (attrib_out != nullptr && *attrib_out != '\0') {
+        obs::write_file(attrib_out, suite.attrib_json);
     }
     // Snapshot after shutdown so the drained batch window and every
     // worker's shard are in; render both expositions and the span trace

@@ -35,8 +35,6 @@ namespace zkspeed::scenarios {
 
 struct HarnessConfig {
     runtime::ServiceConfig service;
-    /** Replay the service trace through the chip model in finish(). */
-    bool replay = true;
 
     HarnessConfig()
     {
@@ -81,10 +79,10 @@ struct SuiteResult {
     std::vector<bool> predicted_verdicts;
     /** Folded verdicts agree with the per-proof direct verdicts. */
     bool batch_matches_direct = false;
-    /** Chip-model replay of the service trace (config.replay). */
+    /** Chip-model replay of the service trace. */
     sim::ReplayReport replay;
     /** Kernel-level cost attribution joining this suite's prover spans
-     * with the replayed chip model (config.replay; also exported as
+     * with the replayed chip model (also exported as
      * zkspeed_model_drift_ratio gauges before the telemetry capture
      * below, and to $ZKSPEED_ATTRIB_OUT as ATTRIB_report.json). */
     obs::attrib::Report attrib;

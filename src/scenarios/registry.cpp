@@ -462,15 +462,6 @@ Registry::build(const Spec &spec) const
     return inst;
 }
 
-std::vector<std::string>
-Registry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(families_.size());
-    for (const Family &f : families_) out.push_back(f.name);
-    return out;
-}
-
 std::vector<Spec>
 Registry::default_suite(uint64_t seed, size_t log_size) const
 {

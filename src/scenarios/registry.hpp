@@ -48,8 +48,6 @@ class Registry
      */
     Instance build(const Spec &spec) const;
 
-    std::vector<std::string> names() const;
-
     /**
      * One Spec per family at its default knobs, every seed derived from
      * `seed`: the canonical conformance sweep. `log_size` floors each

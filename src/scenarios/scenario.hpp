@@ -49,7 +49,7 @@ const char *to_string(Outcome o);
  * byte-identical circuits and witnesses.
  */
 struct Spec {
-    /** Registered family name (scenarios::Registry::names()). */
+    /** Registered family name (scenarios::Registry::find()). */
     std::string name;
     /** Floor on the circuit size: at least 2^log_size gates. */
     size_t log_size = 4;

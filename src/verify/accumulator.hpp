@@ -26,26 +26,22 @@
  *     multi-pairing, where k <= 22 is the number of commitments a
  *     HyperPlonk proof's opened g' combines (they sit on the h slot).
  *
- * Header-only so the pcs layer can emit terms without a link-time
- * dependency on the higher verify library.
+ * This header only records terms. Deciding them is the batch fold of
+ * verify/batch_verifier.cpp: check() is that fold over this one
+ * accumulator with unit weight, and BatchVerifier::flush() runs it over
+ * many accumulators with Fiat-Shamir weights.
  */
 #pragma once
 
 #include <vector>
 
-#include "curve/msm.hpp"
-#include "curve/pairing.hpp"
+#include "curve/g1.hpp"
+#include "curve/g2.hpp"
 #include "hash/transcript.hpp"
 
 namespace zkspeed::verifier {
 
-/** Statistics of one accumulator flush (fed into sim replay / metrics). */
-struct FlushStats {
-    /** Total G1 terms folded through MSMs. */
-    size_t msm_points = 0;
-    /** Pairs in the final multi-pairing (distinct G2 points). */
-    size_t num_pairings = 0;
-};
+struct BatchStats;  // verify/batch_verifier.hpp
 
 /**
  * Linear-scan lookup of `q` in `qs`, appending when absent; returns its
@@ -138,35 +134,11 @@ class PairingAccumulator
     }
 
     /**
-     * Flush: group terms by G2 point, run one G1 MSM per group, and
-     * evaluate the single product-of-pairings check.
+     * Decide the recorded product alone: the batch fold with unit
+     * weight, so no Fiat-Shamir weight and no Fr mul. Adds one pairing
+     * check to `stats` when given. Defined in batch_verifier.cpp.
      */
-    bool
-    check(FlushStats *stats = nullptr) const
-    {
-        if (terms_.empty()) return true;
-        // Group by G2 point: one MSM per distinct point.
-        std::vector<std::vector<curve::G1Affine>> bases(g2s_.size());
-        std::vector<std::vector<ff::Fr>> scalars(g2s_.size());
-        for (const Term &t : terms_) {
-            bases[t.g2].push_back(t.base);
-            scalars[t.g2].push_back(t.scalar);
-        }
-        std::vector<curve::G1> sums(g2s_.size());
-        for (size_t i = 0; i < g2s_.size(); ++i) {
-            if (bases[i].size() == 1 && scalars[i][0].is_one()) {
-                sums[i] = curve::G1::from_affine(bases[i][0]);
-            } else {
-                sums[i] = curve::msm(bases[i], scalars[i]);
-            }
-        }
-        auto ps = curve::batch_to_affine<curve::G1Params>(sums);
-        if (stats != nullptr) {
-            stats->msm_points += terms_.size();
-            stats->num_pairings += g2s_.size();
-        }
-        return curve::pairing_product_is_one(ps, g2s_);
-    }
+    bool check(BatchStats *stats = nullptr) const;
 
   private:
     std::vector<Term> terms_;

@@ -1,6 +1,10 @@
 #include "verify/batch_verifier.hpp"
 
 #include <chrono>
+#include <span>
+
+#include "curve/msm.hpp"
+#include "curve/pairing.hpp"
 
 namespace zkspeed::verifier {
 
@@ -13,18 +17,25 @@ using curve::G2Prepared;
 using ff::Fr;
 
 /**
- * The folded check, shared between the full batch and bisection probes:
- * all terms of the selected items, each scaled by its item's weight,
- * grouped onto the pre-collected distinct G2 points.
+ * The one folded pairing check, shared by PairingAccumulator::check(),
+ * the full batch and the bisection probes: all terms of the selected
+ * items, each scaled by its item's weight, grouped onto the
+ * pre-collected distinct G2 points. With no weights (a single
+ * accumulator) every weight is one, so the fold multiplies no scalar.
  */
 struct Fold {
-    /** Distinct G2 points across the whole batch, prepared once. */
+    std::span<const PairingAccumulator> items;
+    /** One weight per item, or empty for unit weights. */
+    std::span<const Fr> rho;
+    /** Distinct G2 points across all items, prepared once. */
     std::vector<G2Affine> g2s;
     std::vector<G2Prepared> prepared;
     /** Per item: its local G2 indices (Term::g2) mapped into g2s. */
     std::vector<std::vector<size_t>> slot;
 
-    explicit Fold(const std::vector<PairingAccumulator> &items)
+    Fold(std::span<const PairingAccumulator> items_in,
+         std::span<const Fr> rho_in)
+        : items(items_in), rho(rho_in)
     {
         slot.resize(items.size());
         for (size_t i = 0; i < items.size(); ++i) {
@@ -36,11 +47,11 @@ struct Fold {
         for (const auto &q : g2s) prepared.push_back(prepare_g2(q));
     }
 
-    /** Check prod over items in [begin, end) of product_i^{rho_i} == 1. */
+    /** Check prod over items in [begin, end) of product_i^{rho_i} == 1:
+     * one MSM per G2 group, except that a group whose only term has
+     * scalar one adds its base as is, then one multi-pairing. */
     bool
-    check(const std::vector<PairingAccumulator> &items,
-          const std::vector<Fr> &rho, size_t begin, size_t end,
-          BatchStats &stats) const
+    check(size_t begin, size_t end, BatchStats &stats) const
     {
         std::vector<std::vector<G1Affine>> bases(g2s.size());
         std::vector<std::vector<Fr>> scalars(g2s.size());
@@ -50,7 +61,8 @@ struct Fold {
             for (size_t j = 0; j < terms.size(); ++j) {
                 size_t gi = slot[i][terms[j].g2];
                 bases[gi].push_back(terms[j].base);
-                scalars[gi].push_back(rho[i] * terms[j].scalar);
+                scalars[gi].push_back(rho.empty() ? terms[j].scalar
+                                                  : rho[i] * terms[j].scalar);
                 ++points;
             }
         }
@@ -60,7 +72,11 @@ struct Fold {
         qs.reserve(g2s.size());
         for (size_t gi = 0; gi < g2s.size(); ++gi) {
             if (bases[gi].empty()) continue;
-            sums.push_back(curve::msm(bases[gi], scalars[gi]));
+            if (bases[gi].size() == 1 && scalars[gi][0].is_one()) {
+                sums.push_back(G1::from_affine(bases[gi][0]));
+            } else {
+                sums.push_back(curve::msm(bases[gi], scalars[gi]));
+            }
             qs.push_back(prepared[gi]);
         }
         auto ps = curve::batch_to_affine<curve::G1Params>(sums);
@@ -73,7 +89,7 @@ struct Fold {
         stats.msm_points += points;
         stats.num_pairings += qs.size();
         auto t0 = std::chrono::steady_clock::now();
-        bool ok = curve::pairing_product_is_one_prepared(ps, qs);
+        bool ok = curve::pairing_product_is_one(ps, qs);
         stats.pairing_ms +=
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - t0)
@@ -84,13 +100,12 @@ struct Fold {
 
 /** Group-test [begin, end): mark verdicts, recursing into bad halves. */
 void
-bisect(const Fold &fold, const std::vector<PairingAccumulator> &items,
-       const std::vector<Fr> &rho, size_t begin, size_t end,
+bisect(const Fold &fold, size_t begin, size_t end,
        std::vector<bool> &verdicts, BatchStats &stats)
 {
     if (begin >= end) return;
     ++stats.bisection_steps;
-    if (fold.check(items, rho, begin, end, stats)) {
+    if (fold.check(begin, end, stats)) {
         for (size_t i = begin; i < end; ++i) verdicts[i] = true;
         return;
     }
@@ -99,11 +114,20 @@ bisect(const Fold &fold, const std::vector<PairingAccumulator> &items,
         return;
     }
     size_t mid = begin + (end - begin) / 2;
-    bisect(fold, items, rho, begin, mid, verdicts, stats);
-    bisect(fold, items, rho, mid, end, verdicts, stats);
+    bisect(fold, begin, mid, verdicts, stats);
+    bisect(fold, mid, end, verdicts, stats);
 }
 
 }  // namespace
+
+bool
+PairingAccumulator::check(BatchStats *stats) const
+{
+    if (terms_.empty()) return true;
+    BatchStats local;
+    return Fold(std::span(this, 1), {}).check(0, 1,
+                                              stats ? *stats : local);
+}
 
 size_t
 BatchVerifier::add(PairingAccumulator acc)
@@ -126,8 +150,8 @@ BatchVerifier::flush()
     for (const auto &item : items_) item.bind(tr);
     std::vector<Fr> rho = tr.challenge_frs("batch_rho", items_.size());
 
-    Fold fold(items_);
-    if (fold.check(items_, rho, 0, items_.size(), result.stats)) {
+    Fold fold(items_, rho);
+    if (fold.check(0, items_.size(), result.stats)) {
         result.verdicts.assign(items_.size(), true);
     } else if (items_.size() == 1) {
         result.verdicts[0] = false;
@@ -135,9 +159,8 @@ BatchVerifier::flush()
         // Group-test halves; the prepared G2 coefficients are re-used by
         // every probe, so each probe costs one MSM + one multi-pairing.
         size_t mid = items_.size() / 2;
-        bisect(fold, items_, rho, 0, mid, result.verdicts, result.stats);
-        bisect(fold, items_, rho, mid, items_.size(), result.verdicts,
-               result.stats);
+        bisect(fold, 0, mid, result.verdicts, result.stats);
+        bisect(fold, mid, items_.size(), result.verdicts, result.stats);
     }
     items_.clear();
     return result;

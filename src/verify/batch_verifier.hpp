@@ -19,6 +19,10 @@
  *      G2 Miller-loop coefficients) until the offending proof(s) are
  *      isolated; honest proofs in a poisoned batch still accept.
  *
+ * The fold is the only pairing check in the verifier: a single proof's
+ * PairingAccumulator::check() runs it over that one accumulator with
+ * unit weight, without a transcript.
+ *
  * Soundness: if any single proof's pairing product is not 1, the folded
  * product is 1 with probability at most 1/r over the choice of weights
  * (Schwartz-Zippel in the exponent of GT).
@@ -32,7 +36,8 @@
 
 namespace zkspeed::verifier {
 
-/** Measurements of one batch flush (metrics + sim replay). */
+/** Measurements of one batch flush or single-proof check (metrics +
+ * sim replay). */
 struct BatchStats {
     /** Product-of-pairings evaluations, including bisection probes. */
     size_t pairing_checks = 0;

@@ -94,7 +94,7 @@ TEST(Accumulator, PcsAccumulateMatchesInlineVerify)
     const std::span<const Fr> one1(&one, 1);
     verifier::PairingAccumulator acc;
     ASSERT_TRUE(pcs::accumulate(srs, comm1, one1, point, value, proof, acc));
-    verifier::FlushStats stats;
+    verifier::BatchStats stats;
     EXPECT_TRUE(acc.check(&stats));
     // Decomposed onto the fixed basis {h, h^{tau_k}}: mu+1 pairings.
     EXPECT_EQ(stats.num_pairings, mu + 1);
@@ -134,6 +134,37 @@ TEST(Accumulator, DeferredHyperplonkVerifyMatchesInline)
     ASSERT_TRUE(hyperplonk::verify_deferred(st.vk, st.publics, bad_proof,
                                             acc3));
     EXPECT_FALSE(acc3.check());
+}
+
+TEST(Accumulator, CheckAgreesWithBatchOfOne)
+{
+    // check() is the batch fold over one accumulator with unit weight:
+    // the same verdict as a one-proof flush, no Fr mul (no weight, no
+    // transcript), and one pairing check over the distinct G2 points.
+    ff::WorkerBudgetScope budget(1);
+    auto st = prove_random(4, 203);
+    auto tampered = st.proof;
+    corrupt_pairing_side(tampered);
+    for (const auto *proof : {&st.proof, &tampered}) {
+        const bool honest = proof == &st.proof;
+        verifier::PairingAccumulator acc;
+        ASSERT_TRUE(
+            hyperplonk::verify_deferred(st.vk, st.publics, *proof, acc));
+        verifier::BatchStats stats;
+        ff::ModmulScope muls;
+        const bool verdict = acc.check(&stats);
+        EXPECT_EQ(muls.fr_delta(), 0u);
+        EXPECT_EQ(verdict, honest);
+        EXPECT_EQ(stats.pairing_checks, 1u);
+        EXPECT_EQ(stats.num_pairings, acc.g2_points().size());
+        EXPECT_EQ(stats.msm_points, acc.size());
+
+        verifier::BatchVerifier bv;
+        bv.add(acc);
+        const auto result = bv.flush();
+        ASSERT_EQ(result.verdicts.size(), 1u);
+        EXPECT_EQ(result.verdicts[0], verdict);
+    }
 }
 
 TEST(BatchVerifier, CleanBatchFoldsIntoOneCheck)

@@ -451,7 +451,9 @@ TEST(Schedule, SameSeedSameScheduleAndSeedChangesIt)
         ASSERT_LT(a[i].pool, 2u);
         every_pool[a[i].pool] = true;
         any_verify = any_verify || a[i].verify;
-        if (i > 0) EXPECT_GE(a[i].t_ms, a[i - 1].t_ms);
+        if (i > 0) {
+            EXPECT_GE(a[i].t_ms, a[i - 1].t_ms);
+        }
     }
     EXPECT_TRUE(any_verify);
     EXPECT_TRUE(every_pool[0]);

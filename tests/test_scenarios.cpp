@@ -253,9 +253,7 @@ TEST(Conformance, PipelineIsDeterministicAcrossHarnesses)
     spec.log_size = 4;
 
     auto run_once = [&] {
-        scenarios::HarnessConfig cfg;
-        cfg.replay = false;
-        scenarios::Harness harness(cfg);
+        scenarios::Harness harness;
         ScenarioResult res = harness.run(reg.build(spec));
         EXPECT_TRUE(res.conformant) << res.detail;
         (void)harness.finish();
