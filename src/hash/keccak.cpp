@@ -27,6 +27,8 @@ const std::array<std::array<int, 5>, 5> kRho = {{
     {27, 20, 39, 8, 14},
 }};
 
+thread_local uint64_t t_permutations = 0;
+
 inline uint64_t
 rotl(uint64_t v, int s)
 {
@@ -47,6 +49,12 @@ keccak_rho_offsets()
     return kRho;
 }
 
+uint64_t
+keccak_permutations()
+{
+    return t_permutations;
+}
+
 void
 keccak_f1600(std::array<uint64_t, 25> &st)
 {
@@ -56,6 +64,7 @@ keccak_f1600(std::array<uint64_t, 25> &st)
 void
 keccak_f1600(std::array<uint64_t, 25> &st, unsigned rounds)
 {
+    ++t_permutations;
     // State indexing: st[x + 5*y].
     for (unsigned round = 0; round < rounds && round < 24; ++round) {
         // Theta

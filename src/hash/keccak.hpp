@@ -31,6 +31,26 @@ void keccak_f1600(std::array<uint64_t, 25> &state);
  */
 void keccak_f1600(std::array<uint64_t, 25> &state, unsigned rounds);
 
+/** Keccak-f[1600] permutations this thread has run so far, at any
+ * round count. Read it as a delta through PermutationScope. */
+uint64_t keccak_permutations();
+
+/**
+ * RAII scope exposing the permutations this thread ran since entry,
+ * the Keccak analogue of ff::ModmulScope: a deterministic count of
+ * hashing work, where wall time is not.
+ */
+class PermutationScope
+{
+  public:
+    PermutationScope() : start_(keccak_permutations()) {}
+
+    uint64_t delta() const { return keccak_permutations() - start_; }
+
+  private:
+    uint64_t start_;
+};
+
 /** Round constants (iota step) of Keccak-f[1600], shared with the
  * in-circuit gadget so both sides permute identically. */
 const std::array<uint64_t, 24> &keccak_round_constants();

@@ -87,6 +87,10 @@ struct CircuitIndex {
 
     /** Identity MLE for wire set j: id_j[i] = j * 2^mu + i. */
     Mle identity_mle(size_t j) const;
+
+    /** Every field equal. Field elements are stored in canonical
+     * Montgomery form, so equal circuits compare equal limb for limb. */
+    bool operator==(const CircuitIndex &) const = default;
 };
 
 /** The witness: one MLE per wire set (w1, w2, w3). */

@@ -7,44 +7,6 @@ namespace zkspeed::runtime {
 
 using hyperplonk::CircuitIndex;
 
-hash::Digest
-circuit_fingerprint(const CircuitIndex &circuit)
-{
-    hash::Sponge256 sponge;
-    auto absorb_u64 = [&](uint64_t v) {
-        uint8_t b[8];
-        for (int i = 0; i < 8; ++i) b[i] = uint8_t(v >> (8 * i));
-        sponge.absorb(std::span<const uint8_t>(b, 8));
-    };
-    auto absorb_table = [&](const mle::Mle &t) {
-        std::vector<uint8_t> buf(t.size() * ff::Fr::kByteSize);
-        for (size_t i = 0; i < t.size(); ++i) {
-            t[i].to_bytes(buf.data() + i * ff::Fr::kByteSize);
-        }
-        sponge.absorb(buf);
-    };
-    sponge.absorb("zkspeed.circuit.v3");
-    absorb_u64(circuit.num_vars);
-    absorb_u64(circuit.num_public);
-    absorb_u64(circuit.custom_gates ? 1 : 0);
-    absorb_u64(circuit.has_lookup ? 1 : 0);
-    for (const mle::Mle *t : {&circuit.q_l, &circuit.q_r, &circuit.q_m,
-                              &circuit.q_o, &circuit.q_c, &circuit.q_h}) {
-        absorb_table(*t);
-    }
-    for (const auto &s : circuit.sigma) absorb_table(s);
-    if (circuit.has_lookup) {
-        absorb_u64(circuit.table_row_counts.size());
-        for (uint64_t rows : circuit.table_row_counts) absorb_u64(rows);
-        // The bank tag column is bit-for-bit determined by the counts
-        // (lookup::build_tag_column), so absorbing it would add 2^mu
-        // elements of derivable data with no distinguishing power.
-        absorb_table(circuit.q_lookup);
-        for (const auto &t : circuit.table) absorb_table(t);
-    }
-    return sponge.finalize();
-}
-
 KeyCache::KeyCache(size_t capacity, uint64_t srs_seed)
     : capacity_(std::max<size_t>(1, capacity)), srs_seed_(srs_seed)
 {}
@@ -52,90 +14,108 @@ KeyCache::KeyCache(size_t capacity, uint64_t srs_seed)
 std::shared_ptr<const pcs::Srs>
 KeyCache::srs_for(size_t num_vars)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = srs_by_vars_.find(num_vars);
-    if (it != srs_by_vars_.end()) return it->second;
+    std::shared_ptr<SrsSlot> slot;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto &s = srs_by_vars_[num_vars];
+        if (!s) s = std::make_shared<SrsSlot>();
+        slot = s;
+    }
     // Deterministic per-size ceremony: same seed -> same SRS -> the
-    // same circuit proves to identical bytes on every instance.
-    std::mt19937_64 rng(srs_seed_ ^ (0x9e3779b97f4a7c15ULL * num_vars));
-    auto srs =
-        std::make_shared<pcs::Srs>(pcs::Srs::generate(num_vars, rng));
-    srs_by_vars_.emplace(num_vars, srs);
-    return srs;
+    // same circuit proves to identical bytes on every instance. Only
+    // callers asking for this size wait on it.
+    std::call_once(slot->once, [&] {
+        std::mt19937_64 rng(srs_seed_ ^ (0x9e3779b97f4a7c15ULL * num_vars));
+        slot->srs =
+            std::make_shared<pcs::Srs>(pcs::Srs::generate(num_vars, rng));
+    });
+    return slot->srs;
 }
 
 std::pair<KeyCache::Keys, bool>
 KeyCache::get_or_create(const CircuitIndex &circuit)
 {
-    hash::Digest key = circuit_fingerprint(circuit);
     std::shared_ptr<Entry> entry;
-    bool hit = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        auto it = entries_.find(key);
-        if (it != entries_.end()) {
-            entry = it->second;
-            // An in-flight build still counts a miss.
-            hit = entry->built.load(std::memory_order_acquire);
-            touch_locked(key);
-        } else {
+        auto it = std::find_if(lru_.begin(), lru_.end(), [&](const auto &e) {
+            const CircuitIndex &r = *e->circuit;
+            // Header fields first: they settle most misses without
+            // reading a table.
+            return r.num_vars == circuit.num_vars &&
+                   r.num_public == circuit.num_public &&
+                   r.custom_gates == circuit.custom_gates &&
+                   r.has_lookup == circuit.has_lookup &&
+                   r.table_row_counts == circuit.table_row_counts &&
+                   r == circuit;
+        });
+        if (it == lru_.end()) {
             entry = std::make_shared<Entry>();
-            entries_.emplace(key, entry);
-            lru_.push_front(key);
+            entry->circuit = &circuit;
+            lru_.push_front(entry);
+        } else {
+            entry = *it;
+            lru_.splice(lru_.begin(), lru_, it);
+            if (entry->built) {
+                ++stats_.hits;
+                return {entry->keys, true};
+            }
         }
-        if (hit) ++stats_.hits;
-        else ++stats_.misses;
+        // An in-flight build still counts a miss.
+        ++stats_.misses;
     }
 
+    // Per-entry lock: other circuits keygen in parallel, concurrent
+    // misses on this circuit serialise here and build exactly once.
+    std::lock_guard<std::mutex> build(entry->build_mu);
     {
-        // Per-entry lock: other circuits keygen in parallel, concurrent
-        // misses on this circuit serialise here and build exactly once.
-        std::lock_guard<std::mutex> build(entry->build_mu);
-        if (!entry->built.load(std::memory_order_acquire)) {
-            auto srs = srs_for(circuit.num_vars);
-            auto [pk, vk] = hyperplonk::keygen(circuit, std::move(srs));
-            entry->keys.pk = std::make_shared<const hyperplonk::ProvingKey>(
-                std::move(pk));
-            entry->keys.vk =
-                std::make_shared<const hyperplonk::VerifyingKey>(
-                    std::move(vk));
-            entry->built.store(true, std::memory_order_release);
-        }
+        std::lock_guard<std::mutex> lock(mu_);
+        if (entry->built) return {entry->keys, false};
     }
-
+    Keys keys;
+    try {
+        auto [pk, vk] =
+            hyperplonk::keygen(circuit, srs_for(circuit.num_vars));
+        keys.pk =
+            std::make_shared<const hyperplonk::ProvingKey>(std::move(pk));
+        keys.vk =
+            std::make_shared<const hyperplonk::VerifyingKey>(std::move(vk));
+    } catch (...) {
+        // The entry may point at the circuit of the request that
+        // inserted it, which can return now: unlist it. A waiter that
+        // already holds it builds for itself.
+        std::lock_guard<std::mutex> lock(mu_);
+        lru_.remove(entry);
+        throw;
+    }
     std::lock_guard<std::mutex> lock(mu_);
+    entry->keys = keys;
+    entry->circuit = &keys.pk->index;
+    entry->built = true;
     evict_locked();
-    return {entry->keys, hit};
-}
-
-void
-KeyCache::touch_locked(const hash::Digest &key)
-{
-    auto it = std::find(lru_.begin(), lru_.end(), key);
-    if (it != lru_.end()) lru_.erase(it);
-    lru_.push_front(key);
+    return {keys, false};
 }
 
 void
 KeyCache::evict_locked()
 {
-    while (entries_.size() > capacity_ && !lru_.empty()) {
+    while (lru_.size() > capacity_) {
         // Evict the least-recently-used *built* entry; skip in-flight
         // builds (their workers hold the Entry alive regardless, but
         // dropping them would forget the dedup point).
-        auto victim = lru_.end();
-        for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-            auto found = entries_.find(*it);
-            if (found != entries_.end() &&
-                found->second->built.load(std::memory_order_acquire)) {
-                victim = std::next(it).base();
-                break;
-            }
-        }
-        if (victim == lru_.end()) break;
-        entries_.erase(*victim);
-        lru_.erase(victim);
+        auto victim = std::find_if(lru_.rbegin(), lru_.rend(),
+                                   [](const auto &e) { return e->built; });
+        if (victim == lru_.rend()) break;
+        size_t num_vars = (*victim)->circuit->num_vars;
+        lru_.erase(std::next(victim).base());
         ++stats_.evictions;
+        // The SRS of a size no entry uses any more goes too; srs_for
+        // regenerates the same one on demand.
+        if (std::none_of(lru_.begin(), lru_.end(), [&](const auto &e) {
+                return e->circuit->num_vars == num_vars;
+            })) {
+            srs_by_vars_.erase(num_vars);
+        }
     }
 }
 
@@ -150,7 +130,7 @@ size_t
 KeyCache::size() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return entries_.size();
+    return lru_.size();
 }
 
 }  // namespace zkspeed::runtime

@@ -4,34 +4,33 @@
  *
  * keygen commits to every selector and sigma table (nine MSMs), which
  * dwarfs proving time for small circuits, so a service proving the same
- * circuit shape repeatedly must pay it once. Circuits are identified by
- * a SHA3-256 hash over their canonical encoding (tables, sizes, flags);
- * two requests carrying byte-identical circuits share one ProvingKey.
+ * circuit shape repeatedly must pay it once. A lookup finds its entry by
+ * exact equality with the resident circuit (header fields first, then
+ * the tables), so a key is handed only to a byte-identical circuit. A
+ * resident entry keeps no copy of its circuit: it compares against the
+ * `index` its ProvingKey already holds.
  *
  * SRS handling: the service simulates the universal setup locally, one
  * SRS per variable count, derived from a configured seed so proofs are
  * reproducible across service instances (and across cache hit / miss
- * paths). Eviction is LRU over fully-built entries; in-flight keygens
- * are never evicted and concurrent misses on the same circuit build the
- * key once while other workers wait on that entry alone (the cache-wide
- * lock is never held across a keygen).
+ * paths). Each size is generated once, behind its own once-flag, and a
+ * size's SRS is dropped when its last resident key is evicted.
+ * Eviction is LRU over fully-built entries; in-flight keygens are never
+ * evicted and concurrent misses on the same circuit build the key once
+ * while other workers wait on that entry alone. The cache-wide lock is
+ * never held across a keygen or an SRS ceremony.
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 
-#include "hash/keccak.hpp"
 #include "hyperplonk/prover.hpp"
 
 namespace zkspeed::runtime {
-
-/** Canonical SHA3-256 identity of a circuit (selectors + wiring). */
-hash::Digest circuit_fingerprint(const hyperplonk::CircuitIndex &circuit);
 
 struct KeyCacheStats {
     uint64_t hits = 0;
@@ -76,24 +75,28 @@ class KeyCache
 
   private:
     struct Entry {
-        std::mutex build_mu;   ///< serialises keygen for this circuit
-        Keys keys;             ///< empty until built
-        /** Atomic: written under build_mu but read under the cache-wide
-         * mu_ (hit accounting, eviction), which is a different lock. */
-        std::atomic<bool> built{false};
+        std::mutex build_mu;  ///< serialises keygen for this circuit
+        /** The circuit this entry answers for: the building request's
+         * until the keys are published, then `&keys.pk->index`. This
+         * and the fields below are guarded by the cache-wide mu_. */
+        const hyperplonk::CircuitIndex *circuit = nullptr;
+        Keys keys;  ///< empty until built
+        bool built = false;
+    };
+    struct SrsSlot {
+        std::once_flag once;
+        std::shared_ptr<const pcs::Srs> srs;
     };
 
-    void touch_locked(const hash::Digest &key);
     void evict_locked();
 
     const size_t capacity_;
     const uint64_t srs_seed_;
 
     mutable std::mutex mu_;
-    std::map<hash::Digest, std::shared_ptr<Entry>> entries_;
-    /** LRU order, most recent at the front. */
-    std::list<hash::Digest> lru_;
-    std::map<size_t, std::shared_ptr<const pcs::Srs>> srs_by_vars_;
+    /** Every entry, most recently used at the front. */
+    std::list<std::shared_ptr<Entry>> lru_;
+    std::map<size_t, std::shared_ptr<SrsSlot>> srs_by_vars_;
     KeyCacheStats stats_;
 };
 

@@ -6,10 +6,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
+#include <latch>
 #include <random>
 #include <thread>
 
+#include "hash/keccak.hpp"
 #include "hyperplonk/serialize.hpp"
+#include "lookup/logup.hpp"
 #include "obs/window.hpp"
 #include "proof_shapes.hpp"
 #include "runtime/queue.hpp"
@@ -275,6 +279,228 @@ TEST(Service, KeyCacheEvictsLeastRecentlyUsed)
     EXPECT_EQ(stats.evictions, 2u);
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.misses, 3u);
+}
+
+std::vector<uint8_t>
+prove_bytes(const KeyCache::Keys &keys, const hyperplonk::Witness &wit)
+{
+    return hyperplonk::serde::serialize_proof(
+        hyperplonk::prove(*keys.pk, wit));
+}
+
+TEST(KeyCache, HitCostsNoHashingAndNoMuls)
+{
+    KeyCache cache(4);
+    std::mt19937_64 rng(4101);
+    auto [circuit, wit] = hyperplonk::random_circuit(6, rng);
+    auto [built, miss_hit] = cache.get_or_create(circuit);
+    ASSERT_FALSE(miss_hit);
+
+    const hyperplonk::CircuitIndex copy = circuit;
+    hash::PermutationScope perms;
+    ff::ModmulScope muls;
+    auto [keys, hit] = cache.get_or_create(copy);
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(keys.pk, built.pk);
+    EXPECT_EQ(perms.delta(), 0u);
+    EXPECT_EQ(muls.fr_delta(), 0u);
+    EXPECT_EQ(muls.fq_delta(), 0u);
+}
+
+TEST(KeyCache, ConcurrentSrsRequestsShareOneCeremony)
+{
+    KeyCache cache(4);
+    constexpr size_t kThreads = 4;
+    std::latch start(kThreads);
+    std::array<std::shared_ptr<const pcs::Srs>, kThreads> got;
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            got[t] = cache.srs_for(5);
+        });
+    }
+    for (auto &th : threads) th.join();
+    ASSERT_NE(got[0], nullptr);
+    for (const auto &srs : got) EXPECT_EQ(srs, got[0]);
+    EXPECT_EQ(cache.srs_for(5), got[0]);
+}
+
+TEST(KeyCache, RacingMissesOnOneCircuitRunOneKeygen)
+{
+    KeyCache cache(4);
+    std::mt19937_64 rng(4201);
+    auto [circuit, wit] = hyperplonk::random_circuit(6, rng);
+    constexpr size_t kThreads = 4;
+    std::latch start(kThreads);
+    std::array<KeyCache::Keys, kThreads> keys;
+    std::array<uint64_t, kThreads> fq_muls{};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            const hyperplonk::CircuitIndex own = circuit;
+            start.arrive_and_wait();
+            ff::ModmulScope muls;
+            keys[t] = cache.get_or_create(own).first;
+            fq_muls[t] = muls.fq_delta();
+        });
+    }
+    for (auto &th : threads) th.join();
+    // The SRS ceremony and keygen's MSMs are the only Fq muls here, so
+    // exactly one thread ran them.
+    size_t builders = 0;
+    for (size_t t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(keys[t].pk, keys[0].pk);
+        EXPECT_EQ(keys[t].vk, keys[0].vk);
+        if (fq_muls[t] != 0) ++builders;
+    }
+    EXPECT_EQ(builders, 1u);
+    auto stats = cache.stats();
+    EXPECT_EQ(stats.hits + stats.misses, kThreads);
+    EXPECT_GE(stats.misses, 1u);
+    EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(KeyCache, EvictingTheLastKeyOfASizeDropsItsSrs)
+{
+    KeyCache cache(/*capacity=*/1);
+    std::mt19937_64 rng(4301);
+    auto [c3, w3] = hyperplonk::random_circuit(3, rng);
+    auto [c4, w4] = hyperplonk::random_circuit(4, rng);
+    std::weak_ptr<const pcs::Srs> srs3 = cache.srs_for(3);
+    std::vector<uint8_t> first = prove_bytes(cache.get_or_create(c3).first, w3);
+    EXPECT_FALSE(srs3.expired());
+
+    std::weak_ptr<const pcs::Srs> srs4;
+    for (int round = 0; round < 2; ++round) {
+        // mu = 4 evicts the only mu = 3 key, and its SRS with it.
+        auto [keys4, hit4] = cache.get_or_create(c4);
+        EXPECT_FALSE(hit4);
+        srs4 = keys4.pk->srs;
+        keys4 = {};
+        EXPECT_TRUE(srs3.expired());
+        // And back: the regenerated SRS proves to identical bytes.
+        auto [keys3, hit3] = cache.get_or_create(c3);
+        EXPECT_FALSE(hit3);
+        EXPECT_TRUE(srs4.expired());
+        EXPECT_EQ(prove_bytes(keys3, w3), first);
+        srs3 = keys3.pk->srs;
+    }
+    EXPECT_EQ(cache.stats().evictions, 4u);
+}
+
+/**
+ * A mu = 4 circuit that gives every CircuitIndex field a value to
+ * mutate: two public inputs, a custom (x^5) gate, a constant gate whose
+ * output nothing reads, and a two-table lookup bank (range(2), then
+ * xor(1)) with one lookup into each. Gate 15 is padding (all zero).
+ */
+std::pair<hyperplonk::CircuitIndex, hyperplonk::Witness>
+every_field_circuit()
+{
+    hyperplonk::CircuitBuilder cb;
+    auto p0 = cb.add_public_input(Fr::from_uint(3));
+    auto p1 = cb.add_public_input(Fr::from_uint(5));
+    auto x = cb.add_multiplication(p0, p1);
+    cb.add_pow5_gate(x);
+    cb.add_constant_addition(x, Fr::from_uint(7));
+    size_t range = cb.add_table(lookup::Table::range(2));
+    size_t xor1 = cb.add_table(lookup::Table::xor_table(1));
+    auto zero = cb.add_variable(Fr::zero());
+    auto one = cb.add_variable(Fr::one());
+    auto two = cb.add_variable(Fr::from_uint(2));
+    cb.add_lookup_gate(range, two, zero, zero);  // bank row 2
+    cb.add_lookup_gate(xor1, one, one, zero);    // bank row 7
+    return cb.build(/*min_vars=*/4);
+}
+
+TEST(KeyCache, EveryCircuitFieldSeparatesKeys)
+{
+    using hyperplonk::CircuitIndex;
+    using hyperplonk::Witness;
+    auto [base, base_wit] = every_field_circuit();
+    ASSERT_EQ(base.num_vars, 4u);
+    ASSERT_TRUE(base.custom_gates);
+    ASSERT_TRUE(base.has_lookup);
+    ASSERT_EQ(base.table_row_counts, (std::vector<uint64_t>{4, 4}));
+    const size_t last = base.num_gates() - 1;
+
+    // One mutation per field; each keeps its witness satisfying, so
+    // the mutant's own proof verifies.
+    struct Mutation {
+        const char *field;
+        void (*apply)(CircuitIndex &, Witness &, size_t last);
+    };
+    const Mutation mutations[] = {
+        {"sigma[2] last element",
+         [](CircuitIndex &c, Witness &, size_t last) {
+             // Swap with sigma[1]'s: two zero-valued padding slots
+             // form a 2-cycle, so the wiring still holds.
+             std::swap(c.sigma[2][last], c.sigma[1][last]);
+         }},
+        {"q_c",
+         [](CircuitIndex &c, Witness &w, size_t) {
+             for (size_t i = 0; i < c.num_gates(); ++i) {
+                 if (c.q_c[i] == Fr::from_uint(7)) {
+                     c.q_c[i] = Fr::from_uint(8);
+                     w.w[2][i] = w.w[2][i] + Fr::one();
+                 }
+             }
+         }},
+        {"q_h (custom gates)",
+         [](CircuitIndex &c, Witness &, size_t last) {
+             c.q_h[last] = Fr::one();  // w1 = 0 there
+         }},
+        {"num_public",
+         [](CircuitIndex &c, Witness &, size_t) { c.num_public = 1; }},
+        {"lookup table row",
+         [](CircuitIndex &c, Witness &, size_t) {
+             c.table[0][1] = Fr::from_uint(9);  // range row 1, unread
+         }},
+        {"table_row_counts",
+         [](CircuitIndex &c, Witness &, size_t) {
+             // Bank row 4, xor's (0, 0, 0), moves to the range table.
+             c.table_row_counts = {5, 3};
+             c.table_tag =
+                 lookup::build_tag_column(c.table_row_counts, c.num_vars);
+         }},
+    };
+
+    KeyCache cache(16);
+    auto [base_keys, base_hit] = cache.get_or_create(base);
+    ASSERT_FALSE(base_hit);
+    auto base_publics = base_wit.public_inputs(base);
+    auto base_proof = hyperplonk::prove(*base_keys.pk, base_wit);
+    ASSERT_TRUE(hyperplonk::verify(*base_keys.vk, base_publics, base_proof));
+
+    for (const Mutation &m : mutations) {
+        SCOPED_TRACE(m.field);
+        CircuitIndex mutant = base;
+        Witness wit = base_wit;
+        m.apply(mutant, wit, last);
+        ASSERT_FALSE(mutant == base);
+        ASSERT_TRUE(wit.satisfies_gates(mutant) &&
+                    wit.satisfies_wiring(mutant) &&
+                    wit.satisfies_lookups(mutant));
+
+        auto [keys, hit] = cache.get_or_create(mutant);
+        EXPECT_FALSE(hit);
+        EXPECT_NE(keys.pk, base_keys.pk);
+        EXPECT_TRUE(cache.get_or_create(mutant).second);
+
+        auto publics = wit.public_inputs(mutant);
+        auto proof = hyperplonk::prove(*keys.pk, wit);
+        EXPECT_TRUE(hyperplonk::verify(*keys.vk, publics, proof));
+        EXPECT_FALSE(hyperplonk::verify(*base_keys.vk, publics, proof));
+        EXPECT_FALSE(hyperplonk::verify(*keys.vk, base_publics, base_proof));
+    }
+    // The base circuit is still resident and answered by identity.
+    CircuitIndex again = base;
+    auto [keys, hit] = cache.get_or_create(again);
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(keys.pk, base_keys.pk);
+    EXPECT_EQ(cache.size(), 1 + std::size(mutations));
+    EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 TEST(Service, MalformedRequestsGetErrorResponsesAndWorkerSurvives)
