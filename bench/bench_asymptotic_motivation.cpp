@@ -53,8 +53,8 @@ main()
         // One full SumCheck (all rounds) over a degree-2 product —
         // the HyperPlonk replacement for polynomial identity checks.
         mle::VirtualPolynomial vp(mu);
-        auto m1 = std::make_shared<mle::Mle>(mle::Mle::random(mu, rng));
-        auto m2 = std::make_shared<mle::Mle>(mle::Mle::random(mu, rng));
+        const auto m1 = mle::Mle::random(mu, rng);
+        const auto m2 = mle::Mle::random(mu, rng);
         vp.add_product(Fr::one(), {m1, m2});
         hash::Transcript tr("bench");
         ff::ModmulScope sc_scope;

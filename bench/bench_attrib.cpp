@@ -13,8 +13,9 @@
  *     counts of curve::msm, and the same two counts of Srs::generate at
  *     mu = 8 and 12.
  *     The verify layer adds, per scenario, the Fr/Fq muls of a VERIFY
- *     job's algebraic stage and of one PairingAccumulator::check() on
- *     the same proof, and one pairing row: the Fq muls of one
+ *     job's algebraic stage with its Fr inversions (0: a sumcheck round
+ *     must not invert) and of one PairingAccumulator::check() on the
+ *     same proof, and one pairing row: the Fq muls of one
  *     final exponentiation and of one BatchVerifier flush over the
  *     roster proofs. The telemetry layer adds, per scenario, the exact
  *     record calls of the same key-cache-hit PROVE job by kind (spans,
@@ -109,9 +110,11 @@ struct Counters {
     uint64_t modmul_fr = 0;
     uint64_t modmul_fq = 0;
     uint64_t proof_bytes = 0;
-    /** Modmuls of a VERIFY job's algebraic stage for the same proof. */
+    /** Modmuls of a VERIFY job's algebraic stage for the same proof,
+     * and the Fr inversions of that stage. */
     uint64_t verify_fr = 0;
     uint64_t verify_fq = 0;
+    uint64_t verify_fr_inversions = 0;
     /** Modmuls of one PairingAccumulator::check() on the same proof. */
     uint64_t check_fr = 0;
     uint64_t check_fq = 0;
@@ -137,19 +140,20 @@ make_spec(const RosterEntry &e)
 }
 
 /**
- * The exact Fr/Fq muls of one single-proof pairing check of `p`, with
- * ff parallelism pinned to 1. A warm-up check derives the pairing's
- * one-time constants first, so the figure does not pay for them.
+ * The exact Fr inversions of `p`'s algebraic stage and the exact Fr/Fq
+ * muls of one single-proof pairing check of `p`, with ff parallelism
+ * pinned to 1. A warm-up check derives the pairing's one-time constants
+ * first, so the figure does not pay for them.
  */
 void
 measure_check(const RosterProof &p, Counters &c)
 {
     ff::WorkerBudgetScope budget(1);
     verifier::PairingAccumulator acc;
-    if (!hyperplonk::verify_deferred(p.vk, p.publics, p.proof, acc) ||
-        !acc.check()) {
-        return;
-    }
+    ff::ModmulScope alg;
+    const bool ok = hyperplonk::verify_deferred(p.vk, p.publics, p.proof, acc);
+    c.verify_fr_inversions = alg.inv_fr_delta();
+    if (!ok || !acc.check()) return;
     ff::ModmulScope scope;
     acc.check();
     c.check_fr = scope.fr_delta();
@@ -479,6 +483,7 @@ render_baselines(const std::vector<Counters> &counters,
         o.set("name", Value::of(c.name));
         o.set("modmul_fr", Value::of(c.verify_fr));
         o.set("modmul_fq", Value::of(c.verify_fq));
+        o.set("fr_inversions", Value::of(c.verify_fr_inversions));
         o.set("check_fr_muls", Value::of(c.check_fr));
         o.set("check_fq_muls", Value::of(c.check_fq));
         verify_rows.push(std::move(o));
@@ -699,6 +704,7 @@ check_counters(const Value &baselines,
         [](const Counters &c) {
             return FieldList{{"modmul_fr", c.verify_fr},
                              {"modmul_fq", c.verify_fq},
+                             {"fr_inversions", c.verify_fr_inversions},
                              {"check_fr_muls", c.check_fr},
                              {"check_fq_muls", c.check_fq}};
         },
@@ -904,12 +910,13 @@ main(int argc, char **argv)
 
     bench::title("Exact VERIFY-layer cost (parallelism pinned to 1)");
     bench::Table vt({{"Scenario", 20}, {"Alg Fr muls", 12},
-                     {"Alg Fq muls", 12}, {"Check Fr muls", 14},
-                     {"Check Fq muls", 14}});
+                     {"Alg Fq muls", 12}, {"Alg Fr inv", 11},
+                     {"Check Fr muls", 14}, {"Check Fq muls", 14}});
     for (const Counters &c : counters) {
         vt.row({c.name, bench::fmt_int(c.verify_fr),
-                bench::fmt_int(c.verify_fq), bench::fmt_int(c.check_fr),
-                bench::fmt_int(c.check_fq)});
+                bench::fmt_int(c.verify_fq),
+                bench::fmt_int(c.verify_fr_inversions),
+                bench::fmt_int(c.check_fr), bench::fmt_int(c.check_fq)});
     }
     bench::title("Exact telemetry records per PROVE job");
     bench::Table rt({{"Scenario", 20}, {"Spans", 8}, {"Ctr adds", 10},

@@ -16,6 +16,7 @@
 #include "ff/lanes8.hpp"
 #include "hash/keccak.hpp"
 #include "hyperplonk/permutation.hpp"
+#include "hyperplonk/protocol_common.hpp"
 #include "hyperplonk/prover.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -312,22 +313,10 @@ BM_ZeroCheckSumcheck(benchmark::State &state)
     auto [index, wit] = hyperplonk::random_circuit(mu, rng());
     std::vector<Fr> point(mu);
     for (auto &p : point) p = Fr::random(rng());
-    auto eq = std::make_shared<mle::Mle>(mle::Mle::eq_table(point));
-    auto alias = [](const mle::Mle &m) {
-        return std::shared_ptr<mle::Mle>(std::shared_ptr<mle::Mle>(),
-                                         const_cast<mle::Mle *>(&m));
-    };
-    mle::VirtualPolynomial vp(mu);
-    size_t ql = vp.add_mle(alias(index.q_l));
-    size_t w1 = vp.add_mle(alias(wit.w[0]));
-    size_t w2 = vp.add_mle(alias(wit.w[1]));
-    size_t w3 = vp.add_mle(alias(wit.w[2]));
-    size_t qm = vp.add_mle(alias(index.q_m));
-    size_t qo = vp.add_mle(alias(index.q_o));
-    size_t e = vp.add_mle(eq);
-    vp.add_term(Fr::one(), {ql, w1, e});
-    vp.add_term(Fr::one(), {qm, w1, w2, e});
-    vp.add_term(-Fr::one(), {qo, w3, e});
+    const auto eq = mle::Mle::eq_table(point);
+    const auto vp = hyperplonk::detail::bind_mles(
+        hyperplonk::detail::gate_identity(false),
+        hyperplonk::detail::index_slots(index, wit), eq);
     for (auto _ : state) {
         hash::Transcript tr("bench");
         benchmark::DoNotOptimize(hyperplonk::sumcheck_prove(vp, tr));

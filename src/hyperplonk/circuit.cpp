@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "hyperplonk/protocol_common.hpp"
 #include "lookup/logup.hpp"
 
 namespace zkspeed::hyperplonk {
@@ -22,17 +23,17 @@ CircuitIndex::identity_mle(size_t j) const
 bool
 Witness::satisfies_gates(const CircuitIndex &index) const
 {
-    const size_t n = index.num_gates();
-    for (size_t i = 0; i < n; ++i) {
-        Fr f = index.q_l[i] * w[0][i] + index.q_r[i] * w[1][i] +
-               index.q_m[i] * w[0][i] * w[1][i] - index.q_o[i] * w[2][i] +
-               index.q_c[i];
-        if (index.custom_gates) {
-            Fr w1 = w[0][i];
-            Fr w2sq = w1 * w1;
-            f += index.q_h[i] * w2sq * w2sq * w1;
+    using namespace detail;
+    const Identity gate = gate_identity(index.custom_gates);
+    const SlotMles cols = index_slots(index, *this);
+    SlotValues row{};
+    for (size_t i = 0; i < index.num_gates(); ++i) {
+        for (const Term &t : gate.weighted) {
+            for (size_t s : t.factors) row[s] = (*cols[s])[i];
         }
-        if (!f.is_zero()) return false;
+        if (!VirtualPolynomial::evaluate_terms(gate.weighted, row).is_zero()) {
+            return false;
+        }
     }
     return true;
 }
@@ -217,6 +218,35 @@ CircuitBuilder::add_lookup_gate(size_t tag, Var a, Var b, Var c)
     gates_.push_back(g);
 }
 
+namespace {
+
+/** Build sigma from the slot -> variable map (SIZE_MAX marks a free
+ * slot): the slots sharing a variable form one cycle. */
+void
+build_sigma(CircuitIndex &index,
+            const std::vector<std::array<size_t, 3>> &slot_var)
+{
+    const size_t n = index.num_gates();
+    std::unordered_map<size_t, std::vector<size_t>> uses;  // var -> slots
+    for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < 3; ++j) {
+            if (slot_var[i][j] != SIZE_MAX) {
+                uses[slot_var[i][j]].push_back(j * n + i);
+            }
+        }
+    }
+    for (size_t j = 0; j < 3; ++j) index.sigma[j] = index.identity_mle(j);
+    for (auto &[var, slots] : uses) {
+        for (size_t k = 0; k < slots.size(); ++k) {
+            size_t from = slots[k];
+            size_t to = slots[(k + 1) % slots.size()];
+            index.sigma[from / n][from % n] = Fr::from_uint(to);
+        }
+    }
+}
+
+}  // namespace
+
 std::pair<CircuitIndex, Witness>
 CircuitBuilder::build(size_t min_vars) const
 {
@@ -304,25 +334,7 @@ CircuitBuilder::build(size_t min_vars) const
     }
     // Padding gates stay all-zero; their slots are free.
 
-    // Build sigma: slots sharing a variable form one cycle.
-    std::unordered_map<size_t, std::vector<size_t>> uses;  // var -> slots
-    for (size_t i = 0; i < n; ++i) {
-        for (size_t j = 0; j < 3; ++j) {
-            if (slot_var[i][j] != SIZE_MAX) {
-                uses[slot_var[i][j]].push_back(j * n + i);
-            }
-        }
-    }
-    for (size_t j = 0; j < 3; ++j) {
-        index.sigma[j] = index.identity_mle(j);
-    }
-    for (auto &[var, slots] : uses) {
-        for (size_t k = 0; k < slots.size(); ++k) {
-            size_t from = slots[k];
-            size_t to = slots[(k + 1) % slots.size()];
-            index.sigma[from / n][from % n] = Fr::from_uint(to);
-        }
-    }
+    build_sigma(index, slot_var);
     return {std::move(index), std::move(wit)};
 }
 
@@ -399,23 +411,7 @@ random_circuit(size_t num_vars, std::mt19937_64 &rng, double dense_fraction)
         slot_var[i][2] = next_var++;
     }
 
-    // Sigma from variable cycles (as in CircuitBuilder::build).
-    std::unordered_map<size_t, std::vector<size_t>> uses;
-    for (size_t i = 0; i < n; ++i) {
-        for (size_t j = 0; j < 3; ++j) {
-            if (slot_var[i][j] != SIZE_MAX) {
-                uses[slot_var[i][j]].push_back(j * n + i);
-            }
-        }
-    }
-    for (size_t j = 0; j < 3; ++j) index.sigma[j] = index.identity_mle(j);
-    for (auto &[var, slots] : uses) {
-        for (size_t k = 0; k < slots.size(); ++k) {
-            size_t from = slots[k];
-            size_t to = slots[(k + 1) % slots.size()];
-            index.sigma[from / n][from % n] = Fr::from_uint(to);
-        }
-    }
+    build_sigma(index, slot_var);
     return {std::move(index), std::move(wit)};
 }
 

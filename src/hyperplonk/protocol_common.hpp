@@ -1,18 +1,21 @@
 /**
  * @file
  * Shared prover/verifier protocol plumbing: transcript binding, the
- * batch-evaluation claim table, and the opening points.
+ * batch-evaluation claim table, the opening points and the identity
+ * tables (gate, wiring, lookup) that the prover, the verifier and the
+ * witness check all read.
  *
  * claim_list is the one description of Step 4's layout (22 claims over
  * 13 polynomials at 6 points; +1 claim with custom gates, +11 claims /
  * +8 polynomials / +1 point with a lookup argument; see DESIGN.md
  * Sections 2 and 8). The prover fills Proof::evals in its order, the
  * serializer sizes the evaluation block from it and the verifier reads
- * each claim by its (point, polynomial) pair, so the three agree by
+ * the claims at each point (Claims::at), so the three agree by
  * construction.
  */
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -106,21 +109,6 @@ claim_list(bool custom_gates, bool has_lookup)
     return c;
 }
 
-/** A proof's claimed evaluations, read by (point, polynomial). Every
- * pair read must be in `table`. */
-struct Claims {
-    std::span<const ClaimEntry> table;
-    std::span<const Fr> values;  ///< one per table entry
-
-    const Fr &
-    operator()(size_t point, size_t poly) const
-    {
-        size_t c = 0;
-        while (table[c].point != point || table[c].poly != poly) ++c;
-        return values[c];
-    }
-};
-
 /** Number of variables needed to index the public inputs. */
 inline size_t
 pub_vars(size_t num_public)
@@ -130,37 +118,6 @@ pub_vars(size_t num_public)
     return v;
 }
 
-/** Child point u0/u1 = (bit, r_p[0..mu-2]) for the p1/p2 reduction. */
-inline std::vector<Fr>
-child_point(std::span<const Fr> r_p, bool one)
-{
-    std::vector<Fr> pt(r_p.size());
-    pt[0] = one ? Fr::one() : Fr::zero();
-    for (size_t k = 1; k < r_p.size(); ++k) pt[k] = r_p[k - 1];
-    return pt;
-}
-
-/** The compile-time-fixed product-tree root point: bits of 2^mu - 2. */
-inline std::vector<Fr>
-root_point(size_t mu)
-{
-    size_t idx = (size_t(1) << mu) - 2;
-    std::vector<Fr> pt(mu);
-    for (size_t k = 0; k < mu; ++k) {
-        pt[k] = ((idx >> k) & 1) ? Fr::one() : Fr::zero();
-    }
-    return pt;
-}
-
-/** The public-input point (z_pub padded with zeros to mu coordinates). */
-inline std::vector<Fr>
-pub_point(std::span<const Fr> z_pub, size_t mu)
-{
-    std::vector<Fr> pt(mu, Fr::zero());
-    for (size_t k = 0; k < z_pub.size(); ++k) pt[k] = z_pub[k];
-    return pt;
-}
-
 /** Assemble the opening points in PointId order: the six base points
  * plus, for lookup circuits, the LookupCheck point r_l. */
 inline std::vector<std::vector<Fr>>
@@ -168,14 +125,17 @@ make_points(std::span<const Fr> r_g, std::span<const Fr> r_p,
             std::span<const Fr> z_pub, size_t mu,
             std::span<const Fr> r_l = {})
 {
-    std::vector<std::vector<Fr>> pts = {
-        std::vector<Fr>(r_g.begin(), r_g.end()),
-        std::vector<Fr>(r_p.begin(), r_p.end()),
-        child_point(r_p, false),
-        child_point(r_p, true),
-        root_point(mu),
-        pub_point(z_pub, mu),
-    };
+    std::vector<std::vector<Fr>> pts(kLookupPoint, std::vector<Fr>(mu));
+    pts[kGatePoint].assign(r_g.begin(), r_g.end());
+    pts[kPermPoint].assign(r_p.begin(), r_p.end());
+    pts[kU1Point][0] = Fr::one();
+    for (size_t k = 1; k < mu; ++k) {
+        pts[kU0Point][k] = pts[kU1Point][k] = r_p[k - 1];
+    }
+    for (size_t k = 0; k < mu; ++k) {
+        if ((((size_t(1) << mu) - 2) >> k) & 1) pts[kRootPoint][k] = Fr::one();
+    }
+    std::copy(z_pub.begin(), z_pub.end(), pts[kPubPoint].begin());
     if (!r_l.empty()) pts.emplace_back(r_l.begin(), r_l.end());
     return pts;
 }
@@ -190,24 +150,6 @@ powers(const Fr &a, size_t n)
     return p;
 }
 
-/** The gate-identity constraint (Eq. 1, plus the optional q_H w1^5
- * custom-gate term) from the claimed gate-point evaluations. */
-inline Fr
-gate_expression(const Claims &at, bool custom_gates)
-{
-    auto e = [&](size_t poly) -> const Fr & {
-        return at(kGatePoint, poly);
-    };
-    // qL w1 + qR w2 + qM w1 w2 - qO w3 + qC
-    Fr f = e(kQl) * e(kW1) + e(kQr) * e(kW2) + e(kQm) * e(kW1) * e(kW2) -
-           e(kQo) * e(kW3) + e(kQc);
-    if (custom_gates) {
-        Fr w1sq = e(kW1) * e(kW1);
-        f += e(kQh) * w1sq * w1sq * e(kW1);
-    }
-    return f;
-}
-
 /** id_j evaluated at an arbitrary point: j*2^mu + sum_k x_k 2^{k-1}. */
 inline Fr
 identity_eval(size_t j, size_t mu, std::span<const Fr> x)
@@ -219,31 +161,137 @@ identity_eval(size_t j, size_t mu, std::span<const Fr> x)
     return acc;
 }
 
-/** Per-round degree bound of the LookupCheck sumcheck (h * wire * eq). */
-constexpr size_t kLookupCheckDegree = 3;
+/** Identity-table slots: every PolyId, then the wiring oracles that are
+ * never opened (the verifier derives them from opened claims). */
+enum SlotId : size_t {
+    kP1 = kNumPolys, kP2,  ///< product-tree children v(0, x), v(1, x)
+    kN1, kN2, kN3,         ///< N_j = w_j + beta id_j + gamma
+    kD1, kD2, kD3,         ///< D_j = w_j + beta s_j + gamma
+    kNumSlots,
+};
+
+using Term = VirtualPolynomial::Term;
+using SlotMles = std::array<const Mle *, kNumSlots>;
+using SlotValues = std::array<Fr, kNumSlots>;
 
 /**
- * The combined LookupCheck constraint evaluated from the claimed
- * point-6 evaluations (logup.hpp: (L1) + alpha (L2) eq + alpha^2 (L3)
- * eq), with the tagged folds tag + gamma c1 + gamma^2 c2 + gamma^3 c3
- * (gate-side tag = the q_lookup value itself). `eq_val` is
- * eq(r_l, r_z3), computed by the caller.
+ * One identity as a term table over slots, proved by a sumcheck of
+ *   sum_x [ plain(x) + eq(x, r) weighted(x) ] = 0.
+ * Each table below is the only statement of its identity: the prover
+ * binds its slots to MLEs (bind_mles), the verifier to claimed
+ * evaluations (evaluate) and the witness check to one row's values.
  */
-inline Fr
-lookup_expression(const Claims &at, const Fr &lambda, const Fr &gamma,
-                  const Fr &alpha, const Fr &eq_val)
+struct Identity {
+    std::vector<Term> plain;
+    std::vector<Term> weighted;  ///< each multiplied by eq(x, r)
+
+    /** Per-round sumcheck degree: the longest term, eq included. */
+    size_t
+    degree() const
+    {
+        size_t d = 0;
+        for (const Term &t : plain) d = std::max(d, t.factors.size());
+        for (const Term &t : weighted) d = std::max(d, t.factors.size() + 1);
+        return d;
+    }
+};
+
+/** Gate identity (Eq. 3): qL w1 + qR w2 + qM w1 w2 - qO w3 + qC, plus
+ * the Jellyfish-style q_H w1^5 with custom gates (degree 7). */
+inline Identity
+gate_identity(bool custom_gates)
 {
-    auto e = [&](size_t poly) -> const Fr & {
-        return at(kLookupPoint, poly);
-    };
-    Fr f = lambda + e(kQLookup) +
-           gamma * (e(kW1) + gamma * (e(kW2) + gamma * e(kW3)));
-    Fr t = lambda + e(kTTag) +
-           gamma * (e(kT1) + gamma * (e(kT2) + gamma * e(kT3)));
-    Fr expr = e(kHf) - e(kHt);
-    expr += alpha * (e(kHf) * f - e(kQLookup)) * eq_val;
-    expr += alpha * alpha * (e(kHt) * t - e(kM)) * eq_val;
-    return expr;
+    const Fr one = Fr::one();
+    Identity id{{},
+                {{one, {kQl, kW1}}, {one, {kQr, kW2}}, {one, {kQm, kW1, kW2}},
+                 {-one, {kQo, kW3}}, {one, {kQc}}}};
+    if (custom_gates) {
+        id.weighted.push_back({one, {kQh, kW1, kW1, kW1, kW1, kW1}});
+    }
+    return id;
 }
+
+/** Wiring identity (Eq. 4): pi - p1 p2 + alpha (phi D1 D2 D3 - N1 N2 N3). */
+inline Identity
+wiring_identity(const Fr &alpha)
+{
+    const Fr one = Fr::one();
+    return {{},
+            {{one, {kPi}}, {-one, {kP1, kP2}},
+             {alpha, {kPhi, kD1, kD2, kD3}}, {-alpha, {kN1, kN2, kN3}}}};
+}
+
+/** LookupCheck identity (logup.hpp (L1)-(L3)): (L1) h_f - h_t plain,
+ * then alpha (L2) and alpha^2 (L3) with the tagged folds expanded:
+ * h_f (lambda + q + g w1 + g^2 w2 + g^3 w3) - q, q = q_lookup, and
+ * h_t (lambda + tag + g t1 + g^2 t2 + g^3 t3) - m. */
+inline Identity
+lookup_identity(const Fr &lambda, const Fr &gamma, const Fr &alpha)
+{
+    const Fr one = Fr::one();
+    const Fr a2 = alpha * alpha, g2 = gamma * gamma, g3 = g2 * gamma;
+    return {{{one, {kHf}}, {-one, {kHt}}},
+            {{alpha * lambda, {kHf}}, {alpha, {kHf, kQLookup}},
+             {alpha * gamma, {kHf, kW1}}, {alpha * g2, {kHf, kW2}},
+             {alpha * g3, {kHf, kW3}}, {-alpha, {kQLookup}},
+             {a2 * lambda, {kHt}}, {a2, {kHt, kTTag}},
+             {a2 * gamma, {kHt, kT1}}, {a2 * g2, {kHt, kT2}},
+             {a2 * g3, {kHt, kT3}}, {-a2, {kM}}}};
+}
+
+/** The slots the index and the witness fill (the prover adds the rest). */
+inline SlotMles
+index_slots(const CircuitIndex &ix, const Witness &wit)
+{
+    return {&ix.q_l, &ix.q_r, &ix.q_m, &ix.q_o, &ix.q_c, &ix.q_h,
+            &wit.w[0], &wit.w[1], &wit.w[2],
+            &ix.sigma[0], &ix.sigma[1], &ix.sigma[2], nullptr, nullptr,
+            &ix.q_lookup, &ix.table_tag,
+            &ix.table[0], &ix.table[1], &ix.table[2]};
+}
+
+/** The prover's reading: the table over MLEs, eq the last factor of each
+ * weighted term. */
+inline VirtualPolynomial
+bind_mles(const Identity &id, const SlotMles &slots, const Mle &eq)
+{
+    VirtualPolynomial vp(eq.num_vars());
+    for (const auto *terms : {&id.plain, &id.weighted}) {
+        for (const Term &t : *terms) {
+            std::vector<size_t> f;
+            for (size_t s : t.factors) f.push_back(vp.add_mle(*slots[s]));
+            if (terms == &id.weighted) f.push_back(vp.add_mle(eq));
+            vp.add_term(t.coeff, std::move(f));
+        }
+    }
+    return vp;
+}
+
+/** The verifier's reading: the table's value at slot values, with eq =
+ * eq(r, point). */
+inline Fr
+evaluate(const Identity &id, const SlotValues &v, const Fr &eq)
+{
+    return VirtualPolynomial::evaluate_terms(id.plain, v) +
+           eq * VirtualPolynomial::evaluate_terms(id.weighted, v);
+}
+
+/** A proof's claimed evaluations, read per opening point. */
+struct Claims {
+    std::span<const ClaimEntry> table;
+    std::span<const Fr> values;  ///< one per table entry
+
+    /** Slot values of the polynomials claimed at `point` (zero
+     * elsewhere). */
+    SlotValues
+    at(size_t point) const
+    {
+        SlotValues v{};
+        for (size_t c = 0; c < table.size(); ++c) {
+            if (table[c].point == point) v[table[c].poly] = values[c];
+        }
+        return v;
+    }
+};
 
 }  // namespace zkspeed::hyperplonk::detail

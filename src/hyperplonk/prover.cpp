@@ -1,5 +1,6 @@
 #include "hyperplonk/prover.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 #include "hyperplonk/permutation.hpp"
@@ -51,14 +52,6 @@ keygen(CircuitIndex index, std::shared_ptr<const pcs::Srs> srs)
 
 namespace {
 
-/** Non-owning shared_ptr alias for MLEs whose lifetime outlives prove(). */
-std::shared_ptr<Mle>
-alias(const Mle &m)
-{
-    return std::shared_ptr<Mle>(std::shared_ptr<Mle>(),
-                                const_cast<Mle *>(&m));
-}
-
 /** One MLE Combine input: out += coeff * in. */
 struct ScaledMle {
     Mle *out;
@@ -80,6 +73,16 @@ linear_combine(std::span<const ScaledMle> terms, size_t n)
             }
         }
     });
+}
+
+/** Build MLE: eq(x, r) as one prover span. */
+Mle
+profiled_eq_table(std::span<const Fr> r)
+{
+    ProfileRegion reg("Build MLE");
+    Mle eq = Mle::eq_table(r);
+    reg.add_bytes_out(eq.size() * kFrBytes);
+    return eq;
 }
 
 /** Sumcheck as one prover span. The extra args split it exactly into
@@ -145,16 +148,19 @@ prove(const ProvingKey &pk, const Witness &witness)
     for (const auto &c : proof.witness_comms) {
         append_g1(tr, "witness_comm", c);
     }
+    // Every oracle the identities and the batch opening read, by slot.
+    SlotMles slots = index_slots(index, witness);
     // Lookup multiplicities depend only on (witness, table), so m is
     // committed alongside the witness — before any challenge is drawn.
     const std::array<const Mle *, 3> wire_ptrs = {
         &witness.w[0], &witness.w[1], &witness.w[2]};
-    std::shared_ptr<Mle> m_mle;
+    std::optional<Mle> m_mle;
     if (index.has_lookup) {
         ProfileRegion reg("Witness MSMs");
-        m_mle = std::make_shared<Mle>(lookup::multiplicities(
-            index.q_lookup, index.table_tag, index.table,
-            index.table_rows, wire_ptrs));
+        m_mle = lookup::multiplicities(index.q_lookup, index.table_tag,
+                                       index.table, index.table_rows,
+                                       wire_ptrs);
+        slots[kM] = &*m_mle;
         curve::MsmStats st;
         proof.m_comm = pcs::commit_sparse(srs, *m_mle, &st);
         reg.add_bytes_in((st.ones + st.dense) * kG1Bytes +
@@ -166,35 +172,10 @@ prove(const ProvingKey &pk, const Witness &witness)
     // Step 2: Gate Identity — ZeroCheck on Eq. 3.
     // ------------------------------------------------------------------
     std::vector<Fr> r_z = tr.challenge_frs("zerocheck_r", mu);
-    std::shared_ptr<Mle> fz1;
-    {
-        ProfileRegion reg("Build MLE");
-        fz1 = std::make_shared<Mle>(Mle::eq_table(r_z));
-        reg.add_bytes_out(n * kFrBytes);
-    }
-    VirtualPolynomial f_zero(mu);
-    {
-        size_t ql = f_zero.add_mle(alias(index.q_l));
-        size_t qr = f_zero.add_mle(alias(index.q_r));
-        size_t qm = f_zero.add_mle(alias(index.q_m));
-        size_t qo = f_zero.add_mle(alias(index.q_o));
-        size_t qc = f_zero.add_mle(alias(index.q_c));
-        size_t w1 = f_zero.add_mle(alias(witness.w[0]));
-        size_t w2 = f_zero.add_mle(alias(witness.w[1]));
-        size_t w3 = f_zero.add_mle(alias(witness.w[2]));
-        size_t eq = f_zero.add_mle(fz1);
-        f_zero.add_term(Fr::one(), {ql, w1, eq});
-        f_zero.add_term(Fr::one(), {qr, w2, eq});
-        f_zero.add_term(Fr::one(), {qm, w1, w2, eq});
-        f_zero.add_term(-Fr::one(), {qo, w3, eq});
-        f_zero.add_term(Fr::one(), {qc, eq});
-        if (index.custom_gates) {
-            // Jellyfish-style high-degree gate: q_H w1^5 (degree 7).
-            size_t qh = f_zero.add_mle(alias(index.q_h));
-            f_zero.add_term(Fr::one(), {qh, w1, w1, w1, w1, w1, eq});
-        }
-    }
-    auto zres = profiled_sumcheck("ZeroCheck Rounds", f_zero, tr);
+    const Mle fz1 = profiled_eq_table(r_z);
+    auto zres = profiled_sumcheck(
+        "ZeroCheck Rounds",
+        bind_mles(gate_identity(index.custom_gates), slots, fz1), tr);
     proof.zerocheck = std::move(zres.proof);
     std::span<const Fr> r_g = zres.challenges;
 
@@ -212,35 +193,22 @@ prove(const ProvingKey &pk, const Witness &witness)
         proof.pi_comm = pcs::commit(srs, *oracles.pi);
         reg.add_bytes_in(2 * n * (kG1Bytes + kFrBytes));
     }
+    slots[kPhi] = oracles.phi.get();
+    slots[kPi] = oracles.pi.get();
+    slots[kP1] = oracles.p1.get();
+    slots[kP2] = oracles.p2.get();
+    for (size_t j = 0; j < 3; ++j) {
+        slots[kN1 + j] = oracles.n_parts[j].get();
+        slots[kD1 + j] = oracles.d_parts[j].get();
+    }
     append_g1(tr, "phi_comm", proof.phi_comm);
     append_g1(tr, "pi_comm", proof.pi_comm);
     Fr alpha = tr.challenge_fr("alpha");
     std::vector<Fr> r_z2 = tr.challenge_frs("permcheck_r", mu);
-    std::shared_ptr<Mle> fz2;
-    {
-        ProfileRegion reg("Build MLE");
-        fz2 = std::make_shared<Mle>(Mle::eq_table(r_z2));
-        reg.add_bytes_out(n * kFrBytes);
-    }
-    VirtualPolynomial f_perm(mu);
-    {
-        size_t pi = f_perm.add_mle(oracles.pi);
-        size_t p1 = f_perm.add_mle(oracles.p1);
-        size_t p2 = f_perm.add_mle(oracles.p2);
-        size_t phi = f_perm.add_mle(oracles.phi);
-        size_t d1 = f_perm.add_mle(oracles.d_parts[0]);
-        size_t d2 = f_perm.add_mle(oracles.d_parts[1]);
-        size_t d3 = f_perm.add_mle(oracles.d_parts[2]);
-        size_t n1 = f_perm.add_mle(oracles.n_parts[0]);
-        size_t n2 = f_perm.add_mle(oracles.n_parts[1]);
-        size_t n3 = f_perm.add_mle(oracles.n_parts[2]);
-        size_t eq = f_perm.add_mle(fz2);
-        f_perm.add_term(Fr::one(), {pi, eq});
-        f_perm.add_term(-Fr::one(), {p1, p2, eq});
-        f_perm.add_term(alpha, {phi, d1, d2, d3, eq});
-        f_perm.add_term(-alpha, {n1, n2, n3, eq});
-    }
-    auto pres = profiled_sumcheck("PermCheck Rounds", f_perm, tr);
+    const Mle fz2 = profiled_eq_table(r_z2);
+    auto pres = profiled_sumcheck(
+        "PermCheck Rounds", bind_mles(wiring_identity(alpha), slots, fz2),
+        tr);
     proof.permcheck = std::move(pres.proof);
     std::span<const Fr> r_p = pres.challenges;
 
@@ -261,6 +229,8 @@ prove(const ProvingKey &pk, const Witness &witness)
                                               index.table_tag, index.table,
                                               wire_ptrs, *m_mle, lambda,
                                               gamma_l);
+            slots[kHf] = lk.h_f.get();
+            slots[kHt] = lk.h_t.get();
             reg.add_bytes_in(9 * n * kFrBytes);  // wires, bank, q, m
             reg.add_bytes_out(2 * n * kFrBytes);
         }
@@ -274,49 +244,11 @@ prove(const ProvingKey &pk, const Witness &witness)
         append_g1(tr, "lookup_ht_comm", proof.ht_comm);
         Fr alpha_l = tr.challenge_fr("lookup_alpha");
         std::vector<Fr> r_z3 = tr.challenge_frs("lookupcheck_r", mu);
-        std::shared_ptr<Mle> fz3;
-        {
-            ProfileRegion reg("Build MLE");
-            fz3 = std::make_shared<Mle>(Mle::eq_table(r_z3));
-            reg.add_bytes_out(n * kFrBytes);
-        }
-        VirtualPolynomial f_lookup(mu);
-        {
-            size_t hf = f_lookup.add_mle(lk.h_f);
-            size_t ht = f_lookup.add_mle(lk.h_t);
-            size_t w1 = f_lookup.add_mle(alias(witness.w[0]));
-            size_t w2 = f_lookup.add_mle(alias(witness.w[1]));
-            size_t w3 = f_lookup.add_mle(alias(witness.w[2]));
-            size_t ql = f_lookup.add_mle(alias(index.q_lookup));
-            size_t tg = f_lookup.add_mle(alias(index.table_tag));
-            size_t t1 = f_lookup.add_mle(alias(index.table[0]));
-            size_t t2 = f_lookup.add_mle(alias(index.table[1]));
-            size_t t3 = f_lookup.add_mle(alias(index.table[2]));
-            size_t m = f_lookup.add_mle(m_mle);
-            size_t eq = f_lookup.add_mle(fz3);
-            Fr a2 = alpha_l * alpha_l;
-            Fr g2 = gamma_l * gamma_l;
-            Fr g3 = g2 * gamma_l;
-            // (L1): sum h_f - h_t == 0.
-            f_lookup.add_term(Fr::one(), {hf});
-            f_lookup.add_term(-Fr::one(), {ht});
-            // (L2): h_f (lambda + ql + g w1 + g^2 w2 + g^3 w3) - ql == 0
-            // (the gate-side tag is the q_lookup value itself).
-            f_lookup.add_term(alpha_l * lambda, {hf, eq});
-            f_lookup.add_term(alpha_l, {hf, ql, eq});
-            f_lookup.add_term(alpha_l * gamma_l, {hf, w1, eq});
-            f_lookup.add_term(alpha_l * g2, {hf, w2, eq});
-            f_lookup.add_term(alpha_l * g3, {hf, w3, eq});
-            f_lookup.add_term(-alpha_l, {ql, eq});
-            // (L3): h_t (lambda + tag + g t1 + g^2 t2 + g^3 t3) - m == 0.
-            f_lookup.add_term(a2 * lambda, {ht, eq});
-            f_lookup.add_term(a2, {ht, tg, eq});
-            f_lookup.add_term(a2 * gamma_l, {ht, t1, eq});
-            f_lookup.add_term(a2 * g2, {ht, t2, eq});
-            f_lookup.add_term(a2 * g3, {ht, t3, eq});
-            f_lookup.add_term(-a2, {m, eq});
-        }
-        lres = profiled_sumcheck("LookupCheck Rounds", f_lookup, tr);
+        const Mle fz3 = profiled_eq_table(r_z3);
+        lres = profiled_sumcheck(
+            "LookupCheck Rounds",
+            bind_mles(lookup_identity(lambda, gamma_l, alpha_l), slots, fz3),
+            tr);
         proof.lookupcheck = std::move(lres.proof);
         r_l = lres.challenges;
     }
@@ -328,15 +260,6 @@ prove(const ProvingKey &pk, const Witness &witness)
     std::vector<Fr> z_pub =
         tr.challenge_frs("pub_r", pub_vars(index.num_public));
     auto points = make_points(r_g, r_p, z_pub, mu, r_l);
-    const Mle *polys[kNumPolys] = {
-        &index.q_l, &index.q_r, &index.q_m, &index.q_o, &index.q_c,
-        &index.q_h,
-        &witness.w[0], &witness.w[1], &witness.w[2],
-        &index.sigma[0], &index.sigma[1], &index.sigma[2],
-        oracles.phi.get(), oracles.pi.get(),
-        &index.q_lookup, &index.table_tag, &index.table[0],
-        &index.table[1], &index.table[2],
-        m_mle.get(), lk.h_f.get(), lk.h_t.get()};
     auto claims = claim_list(index.custom_gates, index.has_lookup);
     proof.custom_gates = index.custom_gates;
     proof.has_lookup = index.has_lookup;
@@ -351,8 +274,8 @@ prove(const ProvingKey &pk, const Witness &witness)
                 const ClaimEntry &cl = claims[c];
                 proof.evals[c] =
                     cl.point == kRootPoint
-                        ? (*polys[cl.poly])[n - 2]
-                        : polys[cl.poly]->evaluate(points[cl.point]);
+                        ? (*slots[cl.poly])[n - 2]
+                        : slots[cl.poly]->evaluate(points[cl.point]);
             }
         });
         reg.add_bytes_in((claims.size() - 1) * n * kFrBytes);
@@ -367,27 +290,24 @@ prove(const ProvingKey &pk, const Witness &witness)
     std::vector<Fr> pw = powers(a, claims.size());
 
     // k_j = eq(X, z_j): six independent Build MLEs (~n Fr muls each).
-    std::vector<std::shared_ptr<Mle>> k_mles(points.size());
+    std::vector<Mle> k_mles(points.size());
     {
         ProfileRegion reg("Build MLE");
         ff::parallel_for(points.size(), n, [&](size_t begin, size_t end) {
             for (size_t j = begin; j < end; ++j) {
-                k_mles[j] = std::make_shared<Mle>(Mle::eq_table(points[j]));
+                k_mles[j] = Mle::eq_table(points[j]);
             }
         });
         reg.add_bytes_out(points.size() * n * kFrBytes);
     }
     // y_j = sum of a^c-weighted polynomials claimed at point j.
-    std::vector<std::shared_ptr<Mle>> y_mles(points.size());
+    std::vector<Mle> y_mles(points.size(), Mle(mu));
     {
         ProfileRegion reg("Linear Combine");
-        for (size_t j = 0; j < points.size(); ++j) {
-            y_mles[j] = std::make_shared<Mle>(mu);
-        }
         std::vector<ScaledMle> terms;
         for (size_t c = 0; c < claims.size(); ++c) {
-            terms.push_back({y_mles[claims[c].point].get(),
-                             polys[claims[c].poly], pw[c]});
+            terms.push_back({&y_mles[claims[c].point],
+                             slots[claims[c].poly], pw[c]});
         }
         linear_combine(terms, n);
         reg.add_bytes_in(claims.size() * n * kFrBytes);
@@ -408,7 +328,7 @@ prove(const ProvingKey &pk, const Witness &witness)
         std::vector<ScaledMle> terms;
         for (size_t j = 0; j < points.size(); ++j) {
             terms.push_back(
-                {&gprime, y_mles[j].get(), Mle::eq_eval(r_o, points[j])});
+                {&gprime, &y_mles[j], Mle::eq_eval(r_o, points[j])});
         }
         linear_combine(terms, n);
         reg.add_bytes_in(points.size() * n * kFrBytes);

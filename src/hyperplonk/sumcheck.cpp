@@ -1,36 +1,61 @@
 #include "hyperplonk/sumcheck.hpp"
 
+#include <array>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 
 #include "ff/batch_inverse.hpp"
 #include "ff/parallel.hpp"
 
 namespace zkspeed::hyperplonk {
 
+namespace {
+
+/** The largest round degree the protocol uses (the custom-gate
+ * ZeroCheck). */
+constexpr size_t kMaxDegree = 7;
+
+/** Inverse Lagrange denominators: entry d * 8 + k is
+ * 1 / (k! (d-k)! (-1)^{d-k}) for 1 <= d <= kMaxDegree, k <= d. Built
+ * once at load time with one inversion, so interpolation inverts
+ * nothing. */
+const auto kDenomInv = [] {
+    std::array<Fr, (kMaxDegree + 1) * (kMaxDegree + 1)> t{};  // 0: unused
+    for (size_t d = 1; d <= kMaxDegree; ++d) {
+        for (size_t k = 0; k <= d; ++k) {
+            Fr &e = t[d * (kMaxDegree + 1) + k];
+            e = (d - k) % 2 == 1 ? -Fr::one() : Fr::one();
+            for (size_t j = 2; j <= k; ++j) e *= Fr::from_uint(j);
+            for (size_t j = 2; j <= d - k; ++j) e *= Fr::from_uint(j);
+        }
+    }
+    ff::batch_inverse(std::span<Fr>(t));  // skips the zeros
+    return t;
+}();
+
+}  // namespace
+
 Fr
 interpolate_univariate(std::span<const Fr> evals, const Fr &x)
 {
+    if (evals.size() < 2 || evals.size() > kMaxDegree + 1) {
+        throw std::invalid_argument(
+            "interpolate_univariate: degree must be 1.." +
+            std::to_string(kMaxDegree));
+    }
     const size_t d = evals.size() - 1;
     // Numerators: prod_{j != k} (x - j) via prefix/suffix products.
-    std::vector<Fr> xm(d + 1), pre(d + 2), suf(d + 2);
+    std::array<Fr, kMaxDegree + 1> xm;
+    std::array<Fr, kMaxDegree + 2> pre, suf;
+    pre[0] = suf[d + 1] = Fr::one();
     for (size_t j = 0; j <= d; ++j) xm[j] = x - Fr::from_uint(j);
-    pre[0] = Fr::one();
     for (size_t j = 0; j <= d; ++j) pre[j + 1] = pre[j] * xm[j];
-    suf[d + 1] = Fr::one();
     for (size_t j = d + 1; j-- > 0;) suf[j] = suf[j + 1] * xm[j];
-    // Denominators: k! * (d-k)! * (-1)^{d-k}.
-    std::vector<Fr> fact(d + 1);
-    fact[0] = Fr::one();
-    for (size_t j = 1; j <= d; ++j) fact[j] = fact[j - 1] * Fr::from_uint(j);
-    std::vector<Fr> denom(d + 1);
-    for (size_t k = 0; k <= d; ++k) {
-        denom[k] = fact[k] * fact[d - k];
-        if ((d - k) % 2 == 1) denom[k] = -denom[k];
-    }
-    ff::batch_inverse(denom);
+    const Fr *denom_inv = &kDenomInv[d * (kMaxDegree + 1)];
     Fr acc = Fr::zero();
     for (size_t k = 0; k <= d; ++k) {
-        acc += evals[k] * pre[k] * suf[k + 1] * denom[k];
+        acc += evals[k] * pre[k] * suf[k + 1] * denom_inv[k];
     }
     return acc;
 }

@@ -68,7 +68,11 @@ struct SumcheckCosts {
 /**
  * Evaluate the degree-d polynomial interpolating (k, evals[k]), k = 0..d,
  * at x (Lagrange form with factorial denominators; the hardware performs
- * the same fixed interpolation step, Section 4.1.1).
+ * the same fixed interpolation step, Section 4.1.1). The inverse
+ * denominators come from a table built once, so a call costs 5(d + 1)
+ * Fr muls and no inversion.
+ * @throws std::invalid_argument unless 1 <= d <= 7, the degrees the
+ *   protocol's sumchecks use (the verifier picks d, never the proof).
  */
 Fr interpolate_univariate(std::span<const Fr> evals, const Fr &x);
 

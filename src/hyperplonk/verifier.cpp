@@ -6,20 +6,6 @@ namespace zkspeed::hyperplonk {
 
 using namespace detail;
 
-namespace {
-
-/** Rebuild the padded public-input MLE the prover's w1 prefix must match. */
-Mle
-public_input_mle(std::span<const Fr> publics, size_t num_public)
-{
-    size_t k = pub_vars(num_public);
-    Mle m(k);
-    for (size_t i = 0; i < publics.size(); ++i) m[i] = publics[i];
-    return m;
-}
-
-}  // namespace
-
 bool
 verify_deferred(const VerifyingKey &vk, std::span<const Fr> public_inputs,
                 const Proof &proof, zkspeed::verifier::PairingAccumulator &acc)
@@ -34,7 +20,7 @@ verify_deferred(const VerifyingKey &vk, std::span<const Fr> public_inputs,
     }
     const auto claims = claim_list(vk.custom_gates, vk.has_lookup);
     if (proof.evals.size() != claims.size()) return false;
-    const Claims at{claims, proof.evals};
+    const Claims claimed{claims, proof.evals};
 
     hash::Transcript tr("hyperplonk-v1");
     bind_preamble(tr, mu, vk.num_public, vk.custom_gates, vk.has_lookup,
@@ -47,38 +33,41 @@ verify_deferred(const VerifyingKey &vk, std::span<const Fr> public_inputs,
     }
     if (vk.has_lookup) append_g1(tr, "lookup_m_comm", proof.m_comm);
 
-    // Step 2: Gate Identity (ZeroCheck, degree 4, claimed sum 0).
+    // Step 2: Gate Identity (ZeroCheck, claimed sum 0).
     std::vector<Fr> r_z = tr.challenge_frs("zerocheck_r", mu);
-    size_t zc_degree = vk.custom_gates ? 7 : 4;
-    auto zc = sumcheck_verify(Fr::zero(), mu, zc_degree, proof.zerocheck,
+    const Identity gate = gate_identity(vk.custom_gates);
+    auto zc = sumcheck_verify(Fr::zero(), mu, gate.degree(), proof.zerocheck,
                               tr);
     if (!zc.ok) return false;
     std::span<const Fr> r_g = zc.challenges;
 
-    // Step 3: Wiring Identity (PermCheck, degree 5, claimed sum 0).
+    // Step 3: Wiring Identity (PermCheck, claimed sum 0).
     Fr beta = tr.challenge_fr("beta");
     Fr gamma = tr.challenge_fr("gamma");
     append_g1(tr, "phi_comm", proof.phi_comm);
     append_g1(tr, "pi_comm", proof.pi_comm);
     Fr alpha = tr.challenge_fr("alpha");
     std::vector<Fr> r_z2 = tr.challenge_frs("permcheck_r", mu);
-    auto pc = sumcheck_verify(Fr::zero(), mu, 5, proof.permcheck, tr);
+    const Identity wiring = wiring_identity(alpha);
+    auto pc = sumcheck_verify(Fr::zero(), mu, wiring.degree(),
+                              proof.permcheck, tr);
     if (!pc.ok) return false;
     std::span<const Fr> r_p = pc.challenges;
 
-    // Step 3.5: Lookup Argument (LookupCheck, degree 3, claimed sum 0).
-    Fr lk_lambda, lk_gamma, lk_alpha;
+    // Step 3.5: Lookup Argument (LookupCheck, claimed sum 0).
+    Identity lookup;
     std::vector<Fr> r_z3;
     SumcheckVerifierResult lc;
     std::span<const Fr> r_l;
     if (vk.has_lookup) {
-        lk_lambda = tr.challenge_fr("lookup_lambda");
-        lk_gamma = tr.challenge_fr("lookup_gamma");
+        Fr lambda = tr.challenge_fr("lookup_lambda");
+        Fr lk_gamma = tr.challenge_fr("lookup_gamma");
         append_g1(tr, "lookup_hf_comm", proof.hf_comm);
         append_g1(tr, "lookup_ht_comm", proof.ht_comm);
-        lk_alpha = tr.challenge_fr("lookup_alpha");
+        lookup = lookup_identity(lambda, lk_gamma,
+                                 tr.challenge_fr("lookup_alpha"));
         r_z3 = tr.challenge_frs("lookupcheck_r", mu);
-        lc = sumcheck_verify(Fr::zero(), mu, kLookupCheckDegree,
+        lc = sumcheck_verify(Fr::zero(), mu, lookup.degree(),
                              proof.lookupcheck, tr);
         if (!lc.ok) return false;
         r_l = lc.challenges;
@@ -89,42 +78,39 @@ verify_deferred(const VerifyingKey &vk, std::span<const Fr> public_inputs,
     auto points = make_points(r_g, r_p, z_pub, mu, r_l);
     tr.append_frs("batch_evals", proof.evals);
 
-    // --- Check the ZeroCheck final value against the claimed evals. ---
-    {
-        Fr expect = gate_expression(at, vk.custom_gates) *
-                    Mle::eq_eval(r_g, r_z);
-        if (!(expect == zc.final_value)) return false;
+    // --- Each identity's final value against the claimed evals. ---
+    if (evaluate(gate, claimed.at(kGatePoint), Mle::eq_eval(r_g, r_z)) !=
+        zc.final_value) {
+        return false;
     }
-    // --- Check the PermCheck final value (Eq. 4 at r_p). ---
     {
-        Fr nd_n = Fr::one(), nd_d = Fr::one();
+        // Eq. 4 at r_p: N_j, D_j and p1, p2 are derived, not opened.
+        SlotValues v = claimed.at(kPermPoint);
         for (size_t j = 0; j < 3; ++j) {
-            const Fr &w = at(kPermPoint, kW1 + j);
-            nd_n *= w + beta * identity_eval(j, mu, r_p) + gamma;
-            nd_d *= w + beta * at(kPermPoint, kS1 + j) + gamma;
+            v[kN1 + j] = v[kW1 + j] + beta * identity_eval(j, mu, r_p) + gamma;
+            v[kD1 + j] = v[kW1 + j] + beta * v[kS1 + j] + gamma;
         }
-        Fr x_last = r_p[mu - 1];
-        Fr p1 = eval_p1_from_children(x_last, at(kU0Point, kPhi),
-                                      at(kU0Point, kPi));
-        Fr p2 = eval_p1_from_children(x_last, at(kU1Point, kPhi),
-                                      at(kU1Point, kPi));
-        Fr expr = at(kPermPoint, kPi) - p1 * p2 +
-                  alpha * (at(kPermPoint, kPhi) * nd_d - nd_n);
-        Fr expect = expr * Mle::eq_eval(r_p, r_z2);
-        if (!(expect == pc.final_value)) return false;
+        const Fr &x_last = r_p[mu - 1];
+        const SlotValues u0 = claimed.at(kU0Point), u1 = claimed.at(kU1Point);
+        v[kP1] = eval_p1_from_children(x_last, u0[kPhi], u0[kPi]);
+        v[kP2] = eval_p1_from_children(x_last, u1[kPhi], u1[kPi]);
+        if (evaluate(wiring, v, Mle::eq_eval(r_p, r_z2)) != pc.final_value) {
+            return false;
+        }
     }
-    // --- Check the LookupCheck final value against the claimed evals. ---
-    if (vk.has_lookup) {
-        Fr expect = lookup_expression(at, lk_lambda, lk_gamma, lk_alpha,
-                                      Mle::eq_eval(r_l, r_z3));
-        if (!(expect == lc.final_value)) return false;
+    if (vk.has_lookup &&
+        evaluate(lookup, claimed.at(kLookupPoint),
+                 Mle::eq_eval(r_l, r_z3)) != lc.final_value) {
+        return false;
     }
     // --- Product-tree root must be exactly 1 (grand product check). ---
-    if (!at(kRootPoint, kPi).is_one()) return false;
+    if (!claimed.at(kRootPoint)[kPi].is_one()) return false;
     // --- Public inputs: w1 over the public prefix matches the claim. ---
     {
-        Mle pub = public_input_mle(public_inputs, vk.num_public);
-        if (!(pub.evaluate(z_pub) == at(kPubPoint, kW1))) return false;
+        Mle pub(pub_vars(vk.num_public));
+        std::copy(public_inputs.begin(), public_inputs.end(),
+                  pub.evals().begin());
+        if (!(pub.evaluate(z_pub) == claimed.at(kPubPoint)[kW1])) return false;
     }
 
     // Step 5: OpenCheck + PCS opening of g'.

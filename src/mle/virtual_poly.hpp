@@ -10,7 +10,8 @@
  */
 #pragma once
 
-#include <memory>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "mle/mle.hpp"
@@ -29,21 +30,22 @@ class VirtualPolynomial
     explicit VirtualPolynomial(size_t num_vars) : num_vars_(num_vars) {}
 
     size_t num_vars() const { return num_vars_; }
-    const std::vector<std::shared_ptr<Mle>> &mles() const { return mles_; }
+    /** The registered MLEs. Not owned: each must outlive the polynomial. */
+    const std::vector<const Mle *> &mles() const { return mles_; }
     const std::vector<Term> &terms() const { return terms_; }
 
     /**
-     * Register an MLE (deduplicated by pointer identity) and return its
-     * index for use in terms.
+     * Register an MLE (deduplicated by address) and return its index for
+     * use in terms.
      */
     size_t
-    add_mle(std::shared_ptr<Mle> m)
+    add_mle(const Mle &m)
     {
-        assert(m->num_vars() == num_vars_);
+        assert(m.num_vars() == num_vars_);
         for (size_t i = 0; i < mles_.size(); ++i) {
-            if (mles_[i] == m) return i;
+            if (mles_[i] == &m) return i;
         }
-        mles_.push_back(std::move(m));
+        mles_.push_back(&m);
         return mles_.size() - 1;
     }
 
@@ -58,11 +60,11 @@ class VirtualPolynomial
     /** Convenience: register MLEs and append the product term. */
     void
     add_product(const Fr &coeff,
-                std::initializer_list<std::shared_ptr<Mle>> ms)
+                std::initializer_list<std::reference_wrapper<const Mle>> ms)
     {
         std::vector<size_t> idx;
         idx.reserve(ms.size());
-        for (const auto &m : ms) idx.push_back(add_mle(m));
+        for (const Mle &m : ms) idx.push_back(add_mle(m));
         add_term(coeff, std::move(idx));
     }
 
@@ -73,6 +75,27 @@ class VirtualPolynomial
         size_t d = 0;
         for (const auto &t : terms_) d = std::max(d, t.factors.size());
         return d;
+    }
+
+    /**
+     * sum_t coeff_t * prod_k vals[factor_k]: the one evaluator of a term
+     * list. A coefficient of 1 or -1 costs no multiply, so a term pays
+     * one Fr mul per factor after its first.
+     */
+    static Fr
+    evaluate_terms(std::span<const Term> terms, std::span<const Fr> vals)
+    {
+        const Fr one = Fr::one(), minus_one = -one;
+        Fr acc = Fr::zero();
+        for (const auto &t : terms) {
+            Fr prod = t.factors.empty() ? one : vals[t.factors[0]];
+            for (size_t k = 1; k < t.factors.size(); ++k) {
+                prod *= vals[t.factors[k]];
+            }
+            if (t.coeff == minus_one) acc -= prod;
+            else acc += t.coeff == one ? prod : t.coeff * prod;
+        }
+        return acc;
     }
 
     /** Evaluate the full polynomial at a point (test/verifier path). */
@@ -93,13 +116,7 @@ class VirtualPolynomial
     Fr
     evaluate_from_mle_values(std::span<const Fr> mle_vals) const
     {
-        Fr acc = Fr::zero();
-        for (const auto &t : terms_) {
-            Fr prod = t.coeff;
-            for (size_t f : t.factors) prod *= mle_vals[f];
-            acc += prod;
-        }
-        return acc;
+        return evaluate_terms(terms_, mle_vals);
     }
 
     /** Sum over the boolean hypercube (the SumCheck claim). */
@@ -107,20 +124,17 @@ class VirtualPolynomial
     sum_over_hypercube() const
     {
         Fr acc = Fr::zero();
-        size_t n = size_t(1) << num_vars_;
-        for (size_t i = 0; i < n; ++i) {
-            for (const auto &t : terms_) {
-                Fr prod = t.coeff;
-                for (size_t f : t.factors) prod *= (*mles_[f])[i];
-                acc += prod;
-            }
+        std::vector<Fr> row(mles_.size());
+        for (size_t i = 0; i < (size_t(1) << num_vars_); ++i) {
+            for (size_t m = 0; m < mles_.size(); ++m) row[m] = (*mles_[m])[i];
+            acc += evaluate_from_mle_values(row);
         }
         return acc;
     }
 
   private:
     size_t num_vars_;
-    std::vector<std::shared_ptr<Mle>> mles_;
+    std::vector<const Mle *> mles_;
     std::vector<Term> terms_;
 };
 

@@ -404,6 +404,7 @@ ProofService::process_prove(QueuedJob &job)
     auto picked_up = Clock::now();
 
     auto decoded = wire::decode_request(job.request);
+    auto decoded_at = Clock::now();
     if (!decoded.has_value()) {
         resp.status = JobStatus::malformed_request;
         resp.error = "request failed strict decoding";
@@ -417,6 +418,8 @@ ProofService::process_prove(QueuedJob &job)
     obs::Span job_span("prove.job", "service", req.request_id);
     obs::Span::record_complete("job.queue_wait", "service", job.enqueued,
                                picked_up, req.request_id, job_span.id());
+    obs::Span::record_complete("job.decode", "service", picked_up,
+                               decoded_at, req.request_id, job_span.id());
 
     {
         obs::Span check_span("prove.witness_check", "service",
@@ -494,6 +497,7 @@ ProofService::process_verify(QueuedJob &job, JobResponse &resp)
     auto picked_up = Clock::now();
 
     auto decoded = wire::decode_verify_request(job.request);
+    auto decoded_at = Clock::now();
     if (!decoded.has_value()) {
         resp.status = JobStatus::malformed_request;
         resp.error = "verify request failed strict decoding";
@@ -505,6 +509,8 @@ ProofService::process_verify(QueuedJob &job, JobResponse &resp)
     obs::Span job_span("verify.job", "service", req.request_id);
     obs::Span::record_complete("job.queue_wait", "service", job.enqueued,
                                picked_up, req.request_id, job_span.id());
+    obs::Span::record_complete("job.decode", "service", picked_up,
+                               decoded_at, req.request_id, job_span.id());
 
     auto vk = hyperplonk::serde::deserialize_verifying_key(req.vk);
     if (!vk.has_value()) {

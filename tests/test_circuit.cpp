@@ -1,13 +1,16 @@
 /**
  * @file
- * Circuit builder, gate/wiring satisfaction and permutation-oracle tests.
+ * Circuit builder, gate/wiring satisfaction, permutation-oracle and
+ * identity-table tests.
  */
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
 
 #include "hyperplonk/circuit.hpp"
 #include "hyperplonk/permutation.hpp"
+#include "hyperplonk/protocol_common.hpp"
 
 namespace {
 
@@ -192,6 +195,105 @@ TEST(PermutationOracles, ChildEvaluationIdentity)
                                   o.pi->evaluate(u1));
     EXPECT_EQ(p1, o.p1->evaluate(x));
     EXPECT_EQ(p2, o.p2->evaluate(x));
+}
+
+/** Each identity table against an independent closed form of the same
+ * constraint, at seeded random slot values: the product form of the
+ * gate, the N/D form of the wiring identity and the Horner folds of the
+ * lookup. */
+TEST(IdentityTables, MatchClosedForms)
+{
+    using namespace detail;
+    std::mt19937_64 rng(56);
+    const Fr alpha = Fr::random(rng), lambda = Fr::random(rng),
+             gamma = Fr::random(rng);
+    using ClosedForm = std::function<Fr(const SlotValues &, const Fr &)>;
+    auto gate = [](const SlotValues &v) {
+        return v[kQl] * v[kW1] + v[kQr] * v[kW2] + v[kQm] * v[kW1] * v[kW2] -
+               v[kQo] * v[kW3] + v[kQc];
+    };
+    const struct {
+        const char *name;
+        Identity id;
+        size_t degree;
+        ClosedForm closed;
+    } cases[] = {
+        {"gate", gate_identity(false), 4,
+         [&](const SlotValues &v, const Fr &eq) { return eq * gate(v); }},
+        {"custom gate", gate_identity(true), 7,
+         [&](const SlotValues &v, const Fr &eq) {
+             Fr w1sq = v[kW1] * v[kW1];
+             return eq * (gate(v) + v[kQh] * w1sq * w1sq * v[kW1]);
+         }},
+        {"wiring", wiring_identity(alpha), 5,
+         [&](const SlotValues &v, const Fr &eq) {
+             Fr nd_n = v[kN1] * v[kN2] * v[kN3];
+             Fr nd_d = v[kD1] * v[kD2] * v[kD3];
+             return eq * (v[kPi] - v[kP1] * v[kP2] +
+                          alpha * (v[kPhi] * nd_d - nd_n));
+         }},
+        {"lookup", lookup_identity(lambda, gamma, alpha), 3,
+         [&](const SlotValues &v, const Fr &eq) {
+             Fr f = lambda + v[kQLookup] +
+                    gamma * (v[kW1] + gamma * (v[kW2] + gamma * v[kW3]));
+             Fr t = lambda + v[kTTag] +
+                    gamma * (v[kT1] + gamma * (v[kT2] + gamma * v[kT3]));
+             return v[kHf] - v[kHt] +
+                    alpha * (v[kHf] * f - v[kQLookup]) * eq +
+                    alpha * alpha * (v[kHt] * t - v[kM]) * eq;
+         }},
+    };
+    for (const auto &c : cases) {
+        EXPECT_EQ(c.id.degree(), c.degree) << c.name;
+        for (int trial = 0; trial < 8; ++trial) {
+            SlotValues v;
+            for (Fr &x : v) x = Fr::random(rng);
+            const Fr eq = Fr::random(rng);
+            EXPECT_EQ(evaluate(c.id, v, eq), c.closed(v, eq)) << c.name;
+        }
+    }
+}
+
+/** The prover's reading (MLEs, eq appended to each weighted term) and
+ * the verifier's reading (values, times eq) of one table agree at a
+ * random point. */
+TEST(IdentityTables, ProverAndVerifierReadingsAgree)
+{
+    using namespace detail;
+    std::mt19937_64 rng(57);
+    const size_t mu = 3;
+    std::vector<Mle> mles;
+    for (size_t s = 0; s < kNumSlots; ++s) {
+        mles.push_back(Mle::random(mu, rng));
+    }
+    SlotMles slots;
+    for (size_t s = 0; s < kNumSlots; ++s) slots[s] = &mles[s];
+    std::vector<Fr> r(mu), x(mu);
+    for (Fr &c : r) c = Fr::random(rng);
+    for (Fr &c : x) c = Fr::random(rng);
+    const Mle eq = Mle::eq_table(r);
+    SlotValues at_x;
+    for (size_t s = 0; s < kNumSlots; ++s) at_x[s] = mles[s].evaluate(x);
+    const Fr a = Fr::random(rng), b = Fr::random(rng), c = Fr::random(rng);
+    for (const Identity &id : {gate_identity(false), gate_identity(true),
+                               wiring_identity(a), lookup_identity(a, b, c)}) {
+        const auto vp = bind_mles(id, slots, eq);
+        EXPECT_EQ(vp.max_degree(), id.degree());
+        EXPECT_EQ(vp.evaluate(x), evaluate(id, at_x, Mle::eq_eval(x, r)));
+    }
+}
+
+/** The witness check reads the gate table with no multiply by a +-1
+ * coefficient: 5 Fr muls per row. */
+TEST(IdentityTables, WitnessCheckCostsFiveMulsPerRow)
+{
+    for (size_t mu : {5, 8}) {
+        std::mt19937_64 rng(58);
+        auto [index, wit] = random_circuit(mu, rng);
+        zkspeed::ff::ModmulScope scope;
+        ASSERT_TRUE(wit.satisfies_gates(index));
+        EXPECT_EQ(scope.fr_delta(), 5 * index.num_gates()) << "mu " << mu;
+    }
 }
 
 }  // namespace

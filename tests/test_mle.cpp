@@ -142,8 +142,8 @@ TEST(VirtualPoly, EvaluateAndHypercubeSum)
     auto c = std::make_shared<Mle>(Mle::random(4, rng));
     VirtualPolynomial vp(4);
     Fr k1 = Fr::random(rng), k2 = Fr::random(rng);
-    vp.add_product(k1, {a, b, c});
-    vp.add_product(k2, {a, a});
+    vp.add_product(k1, {*a, *b, *c});
+    vp.add_product(k2, {*a, *a});
     EXPECT_EQ(vp.max_degree(), 3u);
 
     auto z = random_point(4, rng);
@@ -163,8 +163,8 @@ TEST(VirtualPoly, MleDeduplication)
     std::mt19937_64 rng(39);
     auto a = std::make_shared<Mle>(Mle::random(3, rng));
     VirtualPolynomial vp(3);
-    size_t i1 = vp.add_mle(a);
-    size_t i2 = vp.add_mle(a);
+    size_t i1 = vp.add_mle(*a);
+    size_t i2 = vp.add_mle(*a);
     EXPECT_EQ(i1, i2);
     EXPECT_EQ(vp.mles().size(), 1u);
 }

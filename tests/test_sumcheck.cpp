@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 #include "hyperplonk/sumcheck.hpp"
 
@@ -18,27 +19,43 @@ namespace hash = zkspeed::hash;
 TEST(Interpolation, RecoversPolynomialValues)
 {
     std::mt19937_64 rng(41);
-    // Random degree-4 polynomial, evaluated at 0..4, interpolated at x.
-    std::array<Fr, 5> coeffs;
-    for (auto &c : coeffs) c = Fr::random(rng);
-    auto poly_eval = [&](const Fr &x) {
-        Fr acc = Fr::zero(), p = Fr::one();
-        for (const auto &c : coeffs) {
-            acc += c * p;
-            p *= x;
+    // Every degree the protocol uses: a random polynomial evaluated at
+    // 0..d, interpolated at x, with no Fr inversion per call.
+    for (size_t d = 1; d <= 7; ++d) {
+        std::vector<Fr> coeffs(d + 1);
+        for (auto &c : coeffs) c = Fr::random(rng);
+        auto poly_eval = [&](const Fr &x) {
+            Fr acc = Fr::zero(), p = Fr::one();
+            for (const auto &c : coeffs) {
+                acc += c * p;
+                p *= x;
+            }
+            return acc;
+        };
+        std::vector<Fr> evals(d + 1);
+        for (size_t k = 0; k <= d; ++k) evals[k] = poly_eval(Fr::from_uint(k));
+        zkspeed::ff::ModmulScope scope;
+        // At the nodes themselves.
+        for (size_t k = 0; k <= d; ++k) {
+            EXPECT_EQ(interpolate_univariate(evals, Fr::from_uint(k)),
+                      evals[k]);
         }
-        return acc;
-    };
-    std::vector<Fr> evals(5);
-    for (size_t k = 0; k < 5; ++k) evals[k] = poly_eval(Fr::from_uint(k));
-    // At the nodes themselves.
-    for (size_t k = 0; k < 5; ++k) {
-        EXPECT_EQ(interpolate_univariate(evals, Fr::from_uint(k)), evals[k]);
+        // At random points.
+        for (int i = 0; i < 10; ++i) {
+            Fr x = Fr::random(rng);
+            EXPECT_EQ(interpolate_univariate(evals, x), poly_eval(x));
+        }
+        EXPECT_EQ(scope.inv_fr_delta(), 0u) << "degree " << d;
     }
-    // At random points.
-    for (int i = 0; i < 10; ++i) {
-        Fr x = Fr::random(rng);
-        EXPECT_EQ(interpolate_univariate(evals, x), poly_eval(x));
+}
+
+TEST(Interpolation, RejectsDegreesOutsideOneToSeven)
+{
+    for (size_t n : {0, 1, 9}) {
+        std::vector<Fr> evals(n, Fr::one());
+        EXPECT_THROW(interpolate_univariate(evals, Fr::one()),
+                     std::invalid_argument)
+            << n << " evaluations";
     }
 }
 
@@ -71,7 +88,7 @@ TEST_P(SumcheckRoundTrip, ProveThenVerify)
         ms.push_back(std::make_shared<mle::Mle>(mle::Mle::random(nv, rng)));
     }
     std::vector<size_t> all;
-    for (const auto &m : ms) all.push_back(vp.add_mle(m));
+    for (const auto &m : ms) all.push_back(vp.add_mle(*m));
     vp.add_term(Fr::random(rng), all);
     vp.add_term(Fr::random(rng), {all[0]});
     if (degree >= 2) vp.add_term(Fr::random(rng), {all[1], all[0]});
@@ -100,9 +117,8 @@ TEST(Sumcheck, RejectsWrongClaim)
 {
     std::mt19937_64 rng(42);
     VirtualPolynomial vp(4);
-    vp.add_product(Fr::one(),
-                   {std::make_shared<mle::Mle>(mle::Mle::random(4, rng)),
-                    std::make_shared<mle::Mle>(mle::Mle::random(4, rng))});
+    const auto a = mle::Mle::random(4, rng), b = mle::Mle::random(4, rng);
+    vp.add_product(Fr::one(), {a, b});
     hash::Transcript tp("sumcheck-test");
     auto pres = sumcheck_prove(vp, tp);
     Fr bad_claim = vp.sum_over_hypercube() + Fr::one();
@@ -116,7 +132,7 @@ TEST(Sumcheck, RejectsTamperedRounds)
     VirtualPolynomial vp(5);
     auto a = std::make_shared<mle::Mle>(mle::Mle::random(5, rng));
     auto b = std::make_shared<mle::Mle>(mle::Mle::random(5, rng));
-    vp.add_product(Fr::one(), {a, b});
+    vp.add_product(Fr::one(), {*a, *b});
     Fr claim = vp.sum_over_hypercube();
     hash::Transcript tp("sumcheck-test");
     auto pres = sumcheck_prove(vp, tp);
@@ -138,8 +154,8 @@ TEST(Sumcheck, RejectsMalformedShapes)
 {
     std::mt19937_64 rng(44);
     VirtualPolynomial vp(3);
-    vp.add_product(Fr::one(),
-                   {std::make_shared<mle::Mle>(mle::Mle::random(3, rng))});
+    const auto a = mle::Mle::random(3, rng);
+    vp.add_product(Fr::one(), {a});
     Fr claim = vp.sum_over_hypercube();
     hash::Transcript tp("sumcheck-test");
     auto pres = sumcheck_prove(vp, tp);
@@ -165,7 +181,7 @@ TEST(Sumcheck, RejectsMalformedShapes)
 TEST(Sumcheck, ZeroPolynomialSumsToZero)
 {
     VirtualPolynomial vp(4);
-    auto z = std::make_shared<mle::Mle>(4);  // all-zero table
+    const mle::Mle z(4);  // all-zero table
     vp.add_product(Fr::one(), {z, z});
     hash::Transcript tp("sumcheck-test");
     auto pres = sumcheck_prove(vp, tp);
@@ -182,7 +198,7 @@ TEST(Sumcheck, CostBreakdownIsPlausible)
     VirtualPolynomial vp(nv);
     auto a = std::make_shared<mle::Mle>(mle::Mle::random(nv, rng));
     auto b = std::make_shared<mle::Mle>(mle::Mle::random(nv, rng));
-    vp.add_product(Fr::one(), {a, b});
+    vp.add_product(Fr::one(), {*a, *b});
     hash::Transcript tp("sumcheck-test");
     SumcheckCosts costs;
     sumcheck_prove(vp, tp, &costs);
